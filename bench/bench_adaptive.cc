@@ -235,9 +235,12 @@ void Run() {
       for (size_t i = 0; i < kNumNsCandidates; ++i) {
         EstimationEngine* engine = bench::CheckResult(
             fixed.Engine(candidates[i].table_name), "fixed Engine");
+        const std::shared_ptr<const SampleEpoch> epoch =
+            bench::CheckResult(engine->PinEpoch(), "fixed PinEpoch");
         const SampleCFResult r = bench::CheckResult(
-            engine->EstimateCF(candidates[i].index, candidates[i].scheme),
-            "fixed EstimateCF");
+            engine->EstimateCFAt(*epoch, candidates[i].index,
+                                 candidates[i].scheme),
+            "fixed EstimateCFAt");
         worst_ns = std::max(worst_ns, RelError(r.cf.value, truth[i]));
         if (seed == kSeed) rows_at_seed0 += r.sample_rows;
       }
@@ -272,13 +275,14 @@ void Run() {
     fixed_options.base.fraction = static_cast<double>(r.rows_sampled) /
                                   static_cast<double>(table.num_rows());
     fixed_options.seed = kSeed;
-    fixed_options.num_threads = 1;
     EstimationEngine fixed(table, fixed_options);
+    const std::shared_ptr<const SampleEpoch> epoch =
+        bench::CheckResult(fixed.PinEpoch(), "gate PinEpoch");
     const SampleCFResult cf = bench::CheckResult(
-        fixed.EstimateCF(candidates[i].index, candidates[i].scheme),
-        "gate EstimateCF");
+        fixed.EstimateCFAt(*epoch, candidates[i].index, candidates[i].scheme),
+        "gate EstimateCFAt");
     const SizedCandidate sized = bench::CheckResult(
-        fixed.Estimate(candidates[i]), "gate Estimate");
+        fixed.EstimateAt(*epoch, candidates[i]), "gate EstimateAt");
     if (cf.cf.value != r.cf || cf.sample_rows != r.rows_sampled ||
         sized.estimated_cf != r.sized.estimated_cf ||
         sized.estimated_bytes != r.sized.estimated_bytes) {

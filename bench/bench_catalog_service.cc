@@ -23,6 +23,7 @@
 
 #include "bench_util.h"
 #include "common/format.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "datagen/table_gen.h"
 #include "estimator/engine.h"
@@ -142,8 +143,13 @@ void RunCrossTableBatch(const Catalog& catalog, bench::JsonEmitter* json) {
   // nothing is cached across reps.
   double service_seconds = 1e30;
   std::vector<SizedCandidate> sized;
-  CatalogEstimationService::Stats stats;
+  // Work counters of one repetition, read as metric-registry deltas.
+  uint64_t tables = 0;
+  uint64_t samples_drawn = 0;
+  uint64_t index_builds = 0;
   for (int rep = 0; rep < kReps; ++rep) {
+    const metrics::MetricsSnapshot before =
+        metrics::MetricRegistry::Global().Snapshot();
     CatalogEstimationServiceOptions service_options;
     service_options.base = options;
     service_options.seed = kSeed;
@@ -152,7 +158,20 @@ void RunCrossTableBatch(const Catalog& catalog, bench::JsonEmitter* json) {
     sized =
         bench::CheckResult(service.EstimateAll(candidates), "EstimateAll");
     service_seconds = std::min(service_seconds, timer.Seconds());
-    stats = service.stats();
+    const metrics::MetricsSnapshot after =
+        metrics::MetricRegistry::Global().Snapshot();
+    const char* const kDrawn = "cfest.engine.samples_drawn";
+    tables = 0;
+    for (const std::string& name : catalog.TableNames()) {
+      const metrics::LabelSet labels = {{"table", name}};
+      if (after.LabeledCounterValue(kDrawn, labels) >
+          before.LabeledCounterValue(kDrawn, labels)) {
+        ++tables;
+      }
+    }
+    samples_drawn = after.CounterValue(kDrawn) - before.CounterValue(kDrawn);
+    index_builds = after.CounterValue("cfest.engine.index_builds") -
+                   before.CounterValue("cfest.engine.index_builds");
   }
 
   size_t mismatches = 0;
@@ -168,22 +187,19 @@ void RunCrossTableBatch(const Catalog& catalog, bench::JsonEmitter* json) {
               std::to_string(candidates.size())});
   out.AddRow({"CatalogEstimationService",
               FormatDouble(service_seconds, 4) + " s",
-              std::to_string(stats.samples_drawn),
-              std::to_string(stats.index_builds)});
+              std::to_string(samples_drawn), std::to_string(index_builds)});
   out.Print();
   std::printf("\nspeedup %.2fx; %zu/%zu estimates differ (must be 0)\n",
               speedup, mismatches, candidates.size());
 
   json->AddInt("candidates", static_cast<int64_t>(candidates.size()));
-  json->AddInt("tables", static_cast<int64_t>(stats.engines_created));
+  json->AddInt("tables", static_cast<int64_t>(tables));
   json->AddDouble("fraction", kFraction);
   json->AddDouble("baseline_seconds", baseline_seconds);
   json->AddDouble("service_seconds", service_seconds);
   json->AddDouble("speedup", speedup);
-  json->AddInt("samples_drawn",
-               static_cast<int64_t>(stats.samples_drawn));
-  json->AddInt("index_builds",
-               static_cast<int64_t>(stats.index_builds));
+  json->AddInt("samples_drawn", static_cast<int64_t>(samples_drawn));
+  json->AddInt("index_builds", static_cast<int64_t>(index_builds));
   json->AddInt("mismatches", static_cast<int64_t>(mismatches));
 
   if (mismatches != 0) {
@@ -227,23 +243,31 @@ void RunDeltaRefresh(bench::JsonEmitter* json) {
 
   // Incremental: draw on the base, grow, NotifyAppend, re-estimate.
   EstimationEngine incremental(*growing, options);
-  bench::CheckResult(incremental.EstimateCF(desc, scheme), "initial");
+  const std::shared_ptr<const SampleEpoch> initial =
+      bench::CheckResult(incremental.PinEpoch(), "initial draw");
+  bench::CheckResult(incremental.EstimateCFAt(*initial, desc, scheme),
+                     "initial");
   for (RowId id = base_rows; id < base_rows + delta; ++id) {
     bench::CheckOk(growing->AppendEncodedRow(table->row(id)), "append");
   }
   bench::Timer refresh_timer;
   bench::CheckOk(incremental.NotifyAppend({base_rows, base_rows + delta}),
                  "NotifyAppend");
+  const std::shared_ptr<const SampleEpoch> refreshed_epoch =
+      bench::CheckResult(incremental.PinEpoch(), "refreshed pin");
   const SampleCFResult refreshed = bench::CheckResult(
-      incremental.EstimateCF(desc, scheme), "re-estimate");
+      incremental.EstimateCFAt(*refreshed_epoch, desc, scheme),
+      "re-estimate");
   const double refresh_seconds = refresh_timer.Seconds();
 
   // Full re-draw: a fresh engine over the grown table scans all n + delta
   // rows to draw the (identical) reservoir, then estimates.
   EstimationEngine fresh(*table, options);
   bench::Timer redraw_timer;
-  const SampleCFResult redrawn =
-      bench::CheckResult(fresh.EstimateCF(desc, scheme), "fresh estimate");
+  const std::shared_ptr<const SampleEpoch> fresh_epoch =
+      bench::CheckResult(fresh.PinEpoch(), "fresh draw");
+  const SampleCFResult redrawn = bench::CheckResult(
+      fresh.EstimateCFAt(*fresh_epoch, desc, scheme), "fresh estimate");
   const double redraw_seconds = redraw_timer.Seconds();
 
   const bool equal = refreshed.cf.value == redrawn.cf.value;

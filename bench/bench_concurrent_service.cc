@@ -30,6 +30,7 @@
 
 #include "bench_util.h"
 #include "common/format.h"
+#include "common/metrics.h"
 #include "datagen/table_gen.h"
 #include "estimator/engine.h"
 #include "estimator/epoch.h"
@@ -124,10 +125,21 @@ struct PinnedEstimate {
   SizedCandidate sized;
 };
 
+/// Work counters of one phase: metric-registry deltas from the service's
+/// construction to the quiesced end of the phase.
+struct PhaseCounters {
+  uint64_t coalesce_requests = 0;
+  uint64_t coalesce_admitted = 0;
+  uint64_t coalesce_merged = 0;
+  uint64_t locked_pins = 0;
+  uint64_t lock_free_pins = 0;
+  uint64_t epochs_published = 0;
+};
+
 struct PhaseResult {
   double seconds = 0.0;
   uint64_t delivered = 0;
-  CatalogEstimationService::Stats stats;
+  PhaseCounters stats;
   std::vector<PinnedEstimate> pinned;
 };
 
@@ -138,6 +150,8 @@ struct PhaseResult {
 PhaseResult RunPhase(const Catalog& catalog, Catalog& mutable_catalog,
                      const std::vector<CandidateConfiguration>& candidates,
                      int clients) {
+  const metrics::MetricsSnapshot before =
+      metrics::MetricRegistry::Global().Snapshot();
   CatalogEstimationServiceOptions options;
   options.base.fraction = kFraction;
   options.maintain_reservoirs = true;
@@ -217,7 +231,17 @@ PhaseResult RunPhase(const Catalog& catalog, Catalog& mutable_catalog,
 
   result.delivered = static_cast<uint64_t>(clients) * kRounds *
                      candidates.size();
-  result.stats = service.stats();
+  const metrics::MetricsSnapshot after =
+      metrics::MetricRegistry::Global().Snapshot();
+  auto counted = [&](const char* name) {
+    return after.CounterValue(name) - before.CounterValue(name);
+  };
+  result.stats.coalesce_requests = counted("cfest.coalescer.requests");
+  result.stats.coalesce_admitted = counted("cfest.coalescer.admitted");
+  result.stats.coalesce_merged = counted("cfest.coalescer.merged");
+  result.stats.locked_pins = counted("cfest.engine.locked_pins");
+  result.stats.lock_free_pins = counted("cfest.engine.lock_free_pins");
+  result.stats.epochs_published = counted("cfest.engine.epochs_published");
   for (auto& pins : per_client) {
     for (PinnedEstimate& p : pins) result.pinned.push_back(std::move(p));
   }

@@ -4,10 +4,11 @@
 // A physical-design advisor sizes dozens of (index, scheme) candidates per
 // request. The per-candidate baseline re-draws the sample, re-materializes
 // it, and re-sorts the sample index for every candidate; the engine draws
-// one zero-copy sample, builds each distinct key set's sample index once,
-// and fans candidates across its thread pool (§II-C: "a single random
-// sample can be reused across estimations"). Estimates must be identical —
-// the engine removes redundancy, not fidelity.
+// one zero-copy sample and builds each distinct key set's sample index
+// once, while the one-table catalog service in front of it fans candidates
+// across its thread pool (§II-C: "a single random sample can be reused
+// across estimations"). Estimates must be identical — the engine removes
+// redundancy, not fidelity.
 
 #include <algorithm>
 #include <cstdio>
@@ -21,6 +22,8 @@
 #include "datagen/table_gen.h"
 #include "estimator/engine.h"
 #include "estimator/sample_cf.h"
+#include "estimator/service.h"
+#include "storage/catalog.h"
 
 namespace cfest {
 namespace {
@@ -77,7 +80,10 @@ void Run() {
       "50 candidates, 4 schemes, f = 0.01: same estimates, one sample, "
       "one index build per key set.");
 
-  std::unique_ptr<Table> table = GenerateFactTable();
+  // A standalone table is a one-table catalog.
+  Catalog catalog;
+  bench::CheckOk(catalog.AddTable("fact", GenerateFactTable()), "fact");
+  const Table* table = bench::CheckResult(catalog.GetTable("fact"), "fact");
   const std::vector<CandidateConfiguration> candidates = BuildWorkload();
 
   SampleCFOptions options;
@@ -106,19 +112,20 @@ void Run() {
   }
 
   // Engine: one shared sample, cached per-key-set index builds, pooled
-  // fan-out. A fresh engine per repetition so nothing is cached across reps.
+  // fan-out through the service. A fresh service (and so a fresh engine)
+  // per repetition so nothing is cached across reps.
   double engine_seconds = 1e30;
   std::vector<SizedCandidate> sized;
   EstimationEngine::CacheStats stats;
   for (int rep = 0; rep < kReps; ++rep) {
-    EstimationEngineOptions engine_options;
-    engine_options.base = options;
-    engine_options.seed = kSeed;
-    EstimationEngine engine(*table, engine_options);
+    CatalogEstimationServiceOptions service_options;
+    service_options.base = options;
+    service_options.seed = kSeed;
+    CatalogEstimationService service(catalog, service_options);
     bench::Timer timer;
-    sized = bench::CheckResult(engine.EstimateAll(candidates), "EstimateAll");
+    sized = bench::CheckResult(service.EstimateAll(candidates), "EstimateAll");
     engine_seconds = std::min(engine_seconds, timer.Seconds());
-    stats = engine.cache_stats();
+    stats = bench::CheckResult(service.Engine("fact"), "engine")->cache_stats();
   }
 
   size_t mismatches = 0;

@@ -2,13 +2,12 @@
 // concurrent-service workload (same catalog and shared-candidate shape as
 // bench_concurrent_service):
 //
-//   (a) Parity: the metric registry and the legacy stats structs report
-//       bit-identical numbers on a quiesced run — CatalogEstimationService
-//       ::Stats (per-engine CacheStats sums + coalescer Stats) vs the
-//       registry deltas for `cfest.engine.*` (lock_free_pins named by the
-//       acceptance criteria, plus every other re-routed counter) and
-//       `cfest.coalescer.*`. Exact equality, not a tolerance: both views
-//       read the same Counter objects by construction.
+//   (a) Accounting: the metric registry — the one source of truth for
+//       work counters — accounts for the concurrent workload exactly on a
+//       quiesced run: the steady-state reads took lock-free pins
+//       (`cfest.engine.lock_free_pins` > 0), and every coalescer request
+//       was either admitted or merged (`cfest.coalescer.requests` ==
+//       admitted + merged).
 //   (b) Overhead: with the full registry live (counters always on) the
 //       steady-state concurrent workload with timing + tracing ENABLED
 //       runs within 2% of the same workload with them runtime-disabled —
@@ -50,7 +49,7 @@ using metrics::MetricsSnapshot;
 
 constexpr double kFraction = 0.06;
 constexpr int kClients = 8;
-constexpr int kParityRounds = 8;
+constexpr int kAccountingRounds = 8;
 // Each overhead measurement must dwarf scheduler noise: 8 barrier rounds
 // is roughly three-quarters of a second of pure read-path CPU per block.
 // The gate statistic is the median of per-pair CPU ratios — the two
@@ -252,8 +251,8 @@ uint64_t Delta(const MetricsSnapshot& after, const MetricsSnapshot& before,
 }
 
 /// Gate (a): run the concurrent workload with streaming appends on a fresh
-/// service; every legacy stats field must equal its registry delta.
-void RunParityPhase(const Catalog& catalog, Catalog& mutable_catalog,
+/// service; the registry deltas must account for it exactly.
+void RunAccountingPhase(const Catalog& catalog, Catalog& mutable_catalog,
                     const std::vector<CandidateConfiguration>& candidates,
                     bench::JsonEmitter* json) {
   const MetricsSnapshot before = MetricRegistry::Global().Snapshot();
@@ -279,7 +278,7 @@ void RunParityPhase(const Catalog& catalog, Catalog& mutable_catalog,
       std::this_thread::sleep_for(kAppendPause);
     }
   });
-  ClientRounds(service, Replicate(candidates, kClients), kParityRounds);
+  ClientRounds(service, Replicate(candidates, kClients), kAccountingRounds);
   stop.store(true, std::memory_order_relaxed);
   appender.join();
   if (failures.load() != 0) {
@@ -287,50 +286,25 @@ void RunParityPhase(const Catalog& catalog, Catalog& mutable_catalog,
     std::exit(1);
   }
 
-  // Quiesced: every writer joined. Both views now read the same counters.
-  const CatalogEstimationService::Stats stats = service.stats();
+  // Quiesced: every writer joined, so the deltas are final.
   const MetricsSnapshot after = MetricRegistry::Global().Snapshot();
-
-  struct Pair {
-    const char* metric;
-    uint64_t legacy;
-  };
-  const Pair pairs[] = {
-      {"cfest.engine.lock_free_pins", stats.lock_free_pins},
-      {"cfest.engine.locked_pins", stats.locked_pins},
-      {"cfest.engine.samples_drawn", stats.samples_drawn},
-      {"cfest.engine.index_builds", stats.index_builds},
-      {"cfest.engine.index_cache_hits", stats.index_cache_hits},
-      {"cfest.engine.invalidations", stats.invalidations},
-      {"cfest.engine.epochs_published", stats.epochs_published},
-      {"cfest.engine.epochs_retired", stats.epochs_retired},
-      {"cfest.coalescer.requests", stats.coalesce_requests},
-      {"cfest.coalescer.admitted", stats.coalesce_admitted},
-      {"cfest.coalescer.merged", stats.coalesce_merged}};
-  uint64_t mismatches = 0;
-  for (const Pair& p : pairs) {
-    const uint64_t registry = Delta(after, before, p.metric);
-    if (registry != p.legacy) {
-      ++mismatches;
-      std::fprintf(stderr, "PARITY MISMATCH %s: registry %llu legacy %llu\n",
-                   p.metric, static_cast<unsigned long long>(registry),
-                   static_cast<unsigned long long>(p.legacy));
-    }
-  }
-  std::printf("parity: %zu counters compared, %llu mismatches "
-              "(lock_free_pins registry %llu == legacy %llu)\n",
-              std::size(pairs), static_cast<unsigned long long>(mismatches),
-              static_cast<unsigned long long>(
-                  Delta(after, before, "cfest.engine.lock_free_pins")),
-              static_cast<unsigned long long>(stats.lock_free_pins));
-  json->AddInt("parity_counters", static_cast<int64_t>(std::size(pairs)));
-  json->AddInt("parity_mismatches", static_cast<int64_t>(mismatches));
-  json->AddInt("lock_free_pins", static_cast<int64_t>(stats.lock_free_pins));
-  if (mismatches != 0) {
-    std::fprintf(stderr, "FATAL: legacy stats diverge from the registry\n");
+  const uint64_t lock_free_pins =
+      Delta(after, before, "cfest.engine.lock_free_pins");
+  const uint64_t requests = Delta(after, before, "cfest.coalescer.requests");
+  const uint64_t admitted = Delta(after, before, "cfest.coalescer.admitted");
+  const uint64_t merged = Delta(after, before, "cfest.coalescer.merged");
+  std::printf("accounting: %llu lock-free pins; coalescer %llu requests = "
+              "%llu admitted + %llu merged\n",
+              static_cast<unsigned long long>(lock_free_pins),
+              static_cast<unsigned long long>(requests),
+              static_cast<unsigned long long>(admitted),
+              static_cast<unsigned long long>(merged));
+  json->AddInt("lock_free_pins", static_cast<int64_t>(lock_free_pins));
+  if (requests != admitted + merged) {
+    std::fprintf(stderr, "FATAL: coalescer requests not fully accounted\n");
     std::exit(1);
   }
-  if (stats.lock_free_pins == 0) {
+  if (lock_free_pins == 0) {
     std::fprintf(stderr, "FATAL: workload exercised no lock-free pins\n");
     std::exit(1);
   }
@@ -408,7 +382,7 @@ void RunOverheadPhase(const Catalog& catalog, bench::JsonEmitter* json) {
 void Run() {
   bench::PrintHeader(
       "E-OBS / Observability layer",
-      "Registry/legacy-stats bit parity on the concurrent workload; "
+      "Registry accounting on the concurrent workload; "
       "timing+tracing overhead within 2% of the disabled baseline.");
 
 #ifdef CFEST_METRICS_DISABLED
@@ -430,7 +404,7 @@ void Run() {
   json.AddInt("clients", kClients);
   json.AddInt("batch_candidates", static_cast<int64_t>(candidates.size()));
   json.AddDouble("fraction", kFraction);
-  RunParityPhase(catalog, catalog, candidates, &json);
+  RunAccountingPhase(catalog, catalog, candidates, &json);
   RunOverheadPhase(catalog, &json);
   json.AddBool("metrics_compiled_out", false);
   json.Print();

@@ -184,15 +184,6 @@ Result<AdvisorRecommendation> SelectConfigurations(
 }
 
 Result<AdvisorRecommendation> AdviseConfigurations(
-    EstimationEngine& engine,
-    std::span<const CandidateConfiguration> candidates,
-    uint64_t storage_bound, AdvisorStrategy strategy) {
-  CFEST_ASSIGN_OR_RETURN(std::vector<SizedCandidate> sized,
-                         engine.EstimateAll(candidates));
-  return SelectConfigurations(sized, storage_bound, strategy);
-}
-
-Result<AdvisorRecommendation> AdviseConfigurations(
     CatalogEstimationService& service,
     std::span<const CandidateConfiguration> candidates,
     uint64_t storage_bound, AdvisorStrategy strategy) {
@@ -214,20 +205,6 @@ std::vector<SizedCandidate> SizedFromAdaptive(
 }
 
 }  // namespace
-
-Result<AdvisorRecommendation> AdviseConfigurations(
-    EstimationEngine& engine,
-    std::span<const CandidateConfiguration> candidates,
-    uint64_t storage_bound, const PrecisionTarget& target,
-    AdvisorStrategy strategy, AdaptiveBatchResult* adaptive_out) {
-  CFEST_ASSIGN_OR_RETURN(AdaptiveBatchResult adaptive,
-                         EstimateAllAdaptive(engine, candidates, target));
-  Result<AdvisorRecommendation> rec =
-      SelectConfigurations(SizedFromAdaptive(adaptive), storage_bound,
-                           strategy);
-  if (adaptive_out != nullptr) *adaptive_out = std::move(adaptive);
-  return rec;
-}
 
 Result<AdvisorRecommendation> AdviseConfigurations(
     CatalogEstimationService& service,

@@ -40,7 +40,7 @@ enum class AdvisorStrategy {
   /// Exact branch-and-bound with the fractional-knapsack pruning bound
   /// (advisor/search.h). Same selections as kOptimal, no candidate cap;
   /// on pre-sized candidates this is the point-interval degenerate case
-  /// of the engine-aware lazy advisor (AdviseConfigurationsLazy).
+  /// of the sampling lazy advisor (AdviseConfigurationsLazy).
   kLazy,
 };
 
@@ -73,20 +73,11 @@ Result<AdvisorRecommendation> SelectConfigurations(
     const std::vector<SizedCandidate>& candidates, uint64_t storage_bound,
     AdvisorStrategy strategy = AdvisorStrategy::kGreedy);
 
-/// End-to-end advisor pass: what-if sizes every candidate through `engine`
-/// (one shared sample, cached sample indexes, parallel fan-out) and selects
-/// a configuration set under the bound. This is the batched replacement for
-/// the EstimateCandidateSize-per-candidate loop.
-Result<AdvisorRecommendation> AdviseConfigurations(
-    EstimationEngine& engine,
-    std::span<const CandidateConfiguration> candidates,
-    uint64_t storage_bound,
-    AdvisorStrategy strategy = AdvisorStrategy::kGreedy);
-
-/// Catalog-level advisor pass: candidates may span any number of tables;
-/// the service sizes them in one cross-table fan-out (one engine per
-/// table, created lazily) before the same selection runs. The merged
+/// End-to-end advisor pass: candidates may span any number of tables; the
+/// service sizes them in one cross-table fan-out (one engine and one shared
+/// sample per table, cached sample indexes) before the selection runs. The
 /// recommendation picks at most one configuration per (table, index) pair.
+/// A standalone table is a one-table catalog.
 Result<AdvisorRecommendation> AdviseConfigurations(
     CatalogEstimationService& service,
     std::span<const CandidateConfiguration> candidates,
@@ -94,19 +85,11 @@ Result<AdvisorRecommendation> AdviseConfigurations(
     AdvisorStrategy strategy = AdvisorStrategy::kGreedy);
 
 /// Precision-targeted advisor pass: candidates are sized through the
-/// adaptive flow (estimator/adaptive.h) — the engine's sample grows until
-/// every candidate's CF' interval meets `target` — before the same
-/// selection runs on the final estimates. `adaptive_out`, if non-null,
-/// receives the per-candidate intervals, rows sampled, and growth report.
-Result<AdvisorRecommendation> AdviseConfigurations(
-    EstimationEngine& engine,
-    std::span<const CandidateConfiguration> candidates,
-    uint64_t storage_bound, const PrecisionTarget& target,
-    AdvisorStrategy strategy = AdvisorStrategy::kGreedy,
-    AdaptiveBatchResult* adaptive_out = nullptr);
-
-/// Catalog-level precision-targeted pass: each table's engine grows
-/// independently toward the shared target (see EstimateAllAdaptive).
+/// adaptive flow (estimator/adaptive.h) — each table's sample grows
+/// independently until every candidate's CF' interval meets `target` —
+/// before the same selection runs on the final estimates. `adaptive_out`,
+/// if non-null, receives the per-candidate intervals, rows sampled, and
+/// per-table growth reports.
 Result<AdvisorRecommendation> AdviseConfigurations(
     CatalogEstimationService& service,
     std::span<const CandidateConfiguration> candidates,

@@ -193,21 +193,20 @@ void ApplyEstimate(const AdaptiveCandidateResult& r, bool point_valued,
 /// `done` accepts its trial bounds or the candidate turns point-valued.
 class ItemRefinery {
  public:
-  /// `refiner_for` maps a candidate's table name to its table's refiner.
-  ItemRefinery(std::function<CandidateRefiner*(const std::string&)>
-                   refiner_for,
+  /// `refiners` maps each table name to its table's refiner.
+  ItemRefinery(std::map<std::string, CandidateRefiner>* refiners,
                LazyRunCounters* stats)
-      : refiner_for_(std::move(refiner_for)), stats_(stats) {}
+      : refiners_(refiners), stats_(stats) {}
 
   Status Refine(SearchItem* item,
                 const std::function<bool(const SearchItem&)>& done) {
     trace::Span span("lazy.refine");
-    CandidateRefiner* refiner =
-        refiner_for_(item->sized.config.table_name);
-    if (refiner == nullptr) {
+    auto it = refiners_->find(item->sized.config.table_name);
+    if (it == refiners_->end()) {
       return Status::InvalidArgument(
           "no refiner for table \"" + item->sized.config.table_name + "\"");
     }
+    CandidateRefiner* refiner = &it->second;
     const uint32_t rounds_before = refiner->rounds();
     const uint64_t floor = item->sizing_floor;
     bool accepted = false;
@@ -239,7 +238,7 @@ class ItemRefinery {
   }
 
  private:
-  std::function<CandidateRefiner*(const std::string&)> refiner_for_;
+  std::map<std::string, CandidateRefiner>* refiners_;
   LazyRunCounters* stats_;
 };
 
@@ -669,68 +668,73 @@ std::vector<SearchItem> BuildItems(
   return items;
 }
 
-/// The shared lazy pass: one (engine, candidate-index group) per table.
-/// `pool` fans the coarse estimates out — across tables when there are
-/// several groups, across candidates inside a single group otherwise
-/// (never nested, mirroring EstimateAllAdaptive).
-Result<AdvisorRecommendation> LazyAdviseImpl(
-    std::vector<std::pair<EstimationEngine*, std::vector<size_t>>> groups,
+}  // namespace
+
+Result<AdvisorRecommendation> AdviseConfigurationsLazy(
+    CatalogEstimationService& service,
     std::span<const CandidateConfiguration> candidates,
-    uint64_t storage_bound, const PrecisionTarget& target, ThreadPool* pool,
+    uint64_t storage_bound, const PrecisionTarget& target,
     LazyAdvisorStats* stats_out) {
+  if (candidates.empty()) {
+    if (stats_out != nullptr) *stats_out = LazyAdvisorStats{};
+    AdvisorRecommendation rec;
+    rec.storage_bound = storage_bound;
+    return rec;
+  }
+  CFEST_ASSIGN_OR_RETURN(
+      std::vector<CatalogEstimationService::TableGroup> groups,
+      service.GroupByTable(candidates));
   trace::Span advise_span("advisor.lazy_advise");
   LazyRunCounters stats;
 
   // One refiner per table engine (validates the target once per table).
   std::map<std::string, CandidateRefiner> refiners;
-  for (const auto& [engine, members] : groups) {
-    const std::string& name = candidates[members[0]].table_name;
+  for (const CatalogEstimationService::TableGroup& group : groups) {
     CFEST_ASSIGN_OR_RETURN(CandidateRefiner refiner,
-                           CandidateRefiner::Make(*engine, target));
-    refiners.emplace(name, std::move(refiner));
+                           CandidateRefiner::Make(*group.engine, target));
+    refiners.emplace(group.table_name, std::move(refiner));
   }
-  auto refiner_for = [&](const std::string& table) -> CandidateRefiner* {
-    auto it = refiners.find(table);
-    if (it != refiners.end()) return &it->second;
-    // Single-engine pass: every candidate shares the one refiner
-    // regardless of its (reporting-only) table name.
-    return refiners.size() == 1 ? &refiners.begin()->second : nullptr;
-  };
 
   // Coarse pass: grow each table's sample to the first-round floor
   // (serial — growth mutates the engine), then estimate every candidate
   // once at that coarse sample.
-  for (const auto& [engine, members] : groups) {
-    CandidateRefiner* refiner = refiner_for(candidates[members[0]].table_name);
+  for (const CatalogEstimationService::TableGroup& group : groups) {
+    const CandidateRefiner& refiner = refiners.at(group.table_name);
     CFEST_RETURN_NOT_OK(
-        engine
-            ->GrowSample(std::min(refiner->row_cap(),
+        group.engine
+            ->GrowSample(std::min(refiner.row_cap(),
                                   std::max<uint64_t>(1, target.min_rows)))
             .status());
-    stats.coarse_rows.Add(engine->sample_rows());
+    stats.coarse_rows.Add(group.engine->sample_rows());
   }
+  // The pool fans the coarse estimates out — across tables when there are
+  // several groups, across candidates inside a single group otherwise
+  // (never nested, mirroring EstimateAllAdaptive).
+  ThreadPool* pool =
+      service.options().num_threads == 1 ? nullptr : service.shared_pool();
   std::vector<AdaptiveCandidateResult> coarse(candidates.size());
   std::vector<uint64_t> floors(candidates.size(), 0);
   const bool fan_tables = groups.size() > 1;
   CFEST_RETURN_NOT_OK(StatusParallelFor(
       fan_tables ? pool : nullptr, groups.size(), [&](uint64_t g) -> Status {
-        const auto& [engine, members] = groups[static_cast<size_t>(g)];
-        CandidateRefiner* refiner =
-            refiner_for(candidates[members[0]].table_name);
+        const CatalogEstimationService::TableGroup& group =
+            groups[static_cast<size_t>(g)];
+        CandidateRefiner& refiner = refiners.at(group.table_name);
         return StatusParallelFor(
-            fan_tables ? nullptr : pool, members.size(),
+            fan_tables ? nullptr : pool, group.members.size(),
             [&](uint64_t k) -> Status {
-              const size_t i = members[static_cast<size_t>(k)];
+              const size_t i = group.members[static_cast<size_t>(k)];
               CFEST_ASSIGN_OR_RETURN(
-                  coarse[i], refiner->EstimateAtCurrentSample(candidates[i]));
-              floors[i] = SizingFloorRows(
-                  *engine, coarse[i].sized.uncompressed_bytes, coarse[i].cf);
+                  coarse[i], refiner.EstimateAtCurrentSample(candidates[i]));
+              floors[i] = SizingFloorRows(*group.engine,
+                                          coarse[i].sized.uncompressed_bytes,
+                                          coarse[i].cf);
               return Status::OK();
             });
       }));
 
   // Search with targeted refinement.
-  ItemRefinery refinery(refiner_for, &stats);
+  ItemRefinery refinery(&refiners, &stats);
   LazySearch search(BuildItems(candidates, coarse, floors), storage_bound,
                     &refinery, &stats);
   stats.candidates.Add(search.items().size());
@@ -760,77 +764,6 @@ Result<AdvisorRecommendation> LazyAdviseImpl(
   }
   if (stats_out != nullptr) *stats_out = stats.ToStats();
   return rec;
-}
-
-}  // namespace
-
-Result<AdvisorRecommendation> AdviseConfigurationsLazy(
-    EstimationEngine& engine,
-    std::span<const CandidateConfiguration> candidates,
-    uint64_t storage_bound, const PrecisionTarget& target,
-    LazyAdvisorStats* stats) {
-  if (candidates.empty()) {
-    if (stats != nullptr) *stats = LazyAdvisorStats{};
-    AdvisorRecommendation rec;
-    rec.storage_bound = storage_bound;
-    return rec;
-  }
-  std::vector<size_t> members;
-  members.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) members.push_back(i);
-  std::vector<std::pair<EstimationEngine*, std::vector<size_t>>> groups;
-  groups.emplace_back(&engine, std::move(members));
-  ThreadPool* pool =
-      engine.options().num_threads != 1 && candidates.size() > 1
-          ? engine.shared_pool()
-          : nullptr;
-  return LazyAdviseImpl(std::move(groups), candidates, storage_bound, target,
-                        pool, stats);
-}
-
-Result<AdvisorRecommendation> AdviseConfigurationsLazy(
-    CatalogEstimationService& service,
-    std::span<const CandidateConfiguration> candidates,
-    uint64_t storage_bound, const PrecisionTarget& target,
-    LazyAdvisorStats* stats) {
-  if (candidates.empty()) {
-    if (stats != nullptr) *stats = LazyAdvisorStats{};
-    AdvisorRecommendation rec;
-    rec.storage_bound = storage_bound;
-    return rec;
-  }
-  // Group by table, preserving first-appearance order; resolve every
-  // engine up front so a missing table fails before any estimation work.
-  std::vector<std::string> table_order;
-  std::vector<std::vector<size_t>> members;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const std::string& name = candidates[i].table_name;
-    size_t g = 0;
-    for (; g < table_order.size(); ++g) {
-      if (table_order[g] == name) break;
-    }
-    if (g == table_order.size()) {
-      table_order.push_back(name);
-      members.emplace_back();
-    }
-    members[g].push_back(i);
-  }
-  std::vector<std::pair<EstimationEngine*, std::vector<size_t>>> groups;
-  groups.reserve(table_order.size());
-  for (size_t g = 0; g < table_order.size(); ++g) {
-    Result<EstimationEngine*> engine = service.Engine(table_order[g]);
-    if (!engine.ok()) {
-      return Status::NotFound(
-          "candidate " + std::to_string(members[g][0]) + " (" +
-          candidates[members[g][0]].index.name + "): " +
-          engine.status().message());
-    }
-    groups.emplace_back(*engine, std::move(members[g]));
-  }
-  ThreadPool* pool =
-      service.options().num_threads == 1 ? nullptr : service.shared_pool();
-  return LazyAdviseImpl(std::move(groups), candidates, storage_bound, target,
-                        pool, stats);
 }
 
 AdvisorRecommendation SearchSizedCandidates(

@@ -75,24 +75,18 @@ struct LazyAdvisorStats {
   uint64_t coarse_rows = 0;
 };
 
-/// Lazy advisor pass over one engine: coarse intervals for every candidate,
-/// branch-and-bound selection under `storage_bound`, targeted refinement
-/// only where an interval straddles a decision. Selections match the
-/// eager-optimal reference whenever the coarse intervals cover the
-/// converged estimates (their stated confidence). Like the adaptive flow,
-/// not safe to run concurrently with other estimates on `engine`; the
-/// engine's sample afterwards is whatever the deepest refinement grew it
-/// to. `candidates` may exceed the eager-optimal 24-candidate cap.
-Result<AdvisorRecommendation> AdviseConfigurationsLazy(
-    EstimationEngine& engine,
-    std::span<const CandidateConfiguration> candidates,
-    uint64_t storage_bound, const PrecisionTarget& target = {},
-    LazyAdvisorStats* stats = nullptr);
-
-/// Catalog-level lazy pass: candidates may span tables; each table's
+/// Lazy advisor pass: coarse intervals for every candidate, branch-and-bound
+/// selection under `storage_bound`, targeted refinement only where an
+/// interval straddles a decision. Candidates may span tables; each table's
 /// engine serves its candidates' coarse intervals (fanned across the
 /// service's shared pool) and grows independently under targeted
-/// refinement.
+/// refinement. Selections match the eager-optimal reference whenever the
+/// coarse intervals cover the converged estimates (their stated
+/// confidence). Like the adaptive flow, not safe to run concurrently with
+/// other estimates on the same tables; each engine's sample afterwards is
+/// whatever the deepest refinement grew it to. `candidates` may exceed the
+/// eager-optimal 24-candidate cap. A standalone table is a one-table
+/// catalog.
 Result<AdvisorRecommendation> AdviseConfigurationsLazy(
     CatalogEstimationService& service,
     std::span<const CandidateConfiguration> candidates,

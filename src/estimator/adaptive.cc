@@ -347,7 +347,7 @@ Status EstimateCandidateNow(EstimationEngine& engine, const SampleEpoch& epoch,
   trace::Span span("adaptive.estimate_candidate");
   // One cached-index build + compression yields both the base-metric CF'
   // (controlled quantity) and the page-metric footprint (what
-  // EstimationEngine::Estimate reports). Everything reads the pinned epoch
+  // EstimationEngine::EstimateAt reports). Everything reads the pinned epoch
   // — including the full-index scaling's row count — so the result is
   // immune to appends streaming in concurrently.
   CFEST_ASSIGN_OR_RETURN(SampleCFResult est,
@@ -662,49 +662,12 @@ Result<AdaptiveCandidateResult> CandidateRefiner::RefineUntil(
 }
 
 Result<AdaptiveBatchResult> EstimateAllAdaptive(
-    EstimationEngine& engine,
-    std::span<const CandidateConfiguration> candidates,
-    const PrecisionTarget& target) {
-  ThreadPool* pool = engine.options().num_threads != 1 && candidates.size() > 1
-                         ? engine.shared_pool()
-                         : nullptr;
-  AdaptiveEstimator estimator(engine, target, pool);
-  return estimator.EstimateAll(candidates);
-}
-
-Result<AdaptiveBatchResult> EstimateAllAdaptive(
     CatalogEstimationService& service,
     std::span<const CandidateConfiguration> candidates,
     const PrecisionTarget& target) {
-  // Group by table, preserving first-appearance order.
-  std::vector<std::string> table_order;
-  std::vector<std::vector<size_t>> groups;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const std::string& name = candidates[i].table_name;
-    size_t g = 0;
-    for (; g < table_order.size(); ++g) {
-      if (table_order[g] == name) break;
-    }
-    if (g == table_order.size()) {
-      table_order.push_back(name);
-      groups.emplace_back();
-    }
-    groups[g].push_back(i);
-  }
-
-  // Resolve every engine up front (serial) so a missing table fails the
-  // whole batch before any estimation work starts.
-  std::vector<EstimationEngine*> engines(table_order.size(), nullptr);
-  for (size_t g = 0; g < table_order.size(); ++g) {
-    Result<EstimationEngine*> engine = service.Engine(table_order[g]);
-    if (!engine.ok()) {
-      return Status::NotFound(
-          "candidate " + std::to_string(groups[g][0]) + " (" +
-          candidates[groups[g][0]].index.name + "): " +
-          engine.status().message());
-    }
-    engines[g] = *engine;
-  }
+  CFEST_ASSIGN_OR_RETURN(
+      std::vector<CatalogEstimationService::TableGroup> groups,
+      service.GroupByTable(candidates));
 
   // The per-table loops are fully independent (separate engines, separate
   // samples), so with several tables the loops themselves fan across the
@@ -713,15 +676,16 @@ Result<AdaptiveBatchResult> EstimateAllAdaptive(
   // pool is never nested either way.
   ThreadPool* pool =
       service.options().num_threads == 1 ? nullptr : service.shared_pool();
-  const bool fan_tables = table_order.size() > 1;
-  std::vector<AdaptiveBatchResult> subs(table_order.size());
+  const bool fan_tables = groups.size() > 1;
+  std::vector<AdaptiveBatchResult> subs(groups.size());
   CFEST_RETURN_NOT_OK(StatusParallelFor(
-      fan_tables ? pool : nullptr, table_order.size(),
+      fan_tables ? pool : nullptr, groups.size(),
       [&](uint64_t g) -> Status {
+        const std::vector<size_t>& members = groups[g].members;
         std::vector<CandidateConfiguration> group;
-        group.reserve(groups[g].size());
-        for (size_t i : groups[g]) group.push_back(candidates[i]);
-        AdaptiveEstimator estimator(*engines[g], target,
+        group.reserve(members.size());
+        for (size_t i : members) group.push_back(candidates[i]);
+        AdaptiveEstimator estimator(*groups[g].engine, target,
                                     fan_tables ? nullptr : pool);
         CFEST_ASSIGN_OR_RETURN(subs[g], estimator.EstimateAll(group));
         return Status::OK();
@@ -729,12 +693,13 @@ Result<AdaptiveBatchResult> EstimateAllAdaptive(
 
   AdaptiveBatchResult merged;
   merged.candidates.resize(candidates.size());
-  for (size_t g = 0; g < table_order.size(); ++g) {
-    for (size_t k = 0; k < groups[g].size(); ++k) {
-      merged.candidates[groups[g][k]] = std::move(subs[g].candidates[k]);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const std::vector<size_t>& members = groups[g].members;
+    for (size_t k = 0; k < members.size(); ++k) {
+      merged.candidates[members[k]] = std::move(subs[g].candidates[k]);
     }
     AdaptiveTableReport report = std::move(subs[g].tables[0]);
-    report.table_name = table_order[g];
+    report.table_name = groups[g].table_name;
     merged.total_sample_rows += report.final_sample_rows;
     merged.rounds = std::max(merged.rounds, report.rounds);
     merged.budget_exhausted =

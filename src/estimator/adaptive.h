@@ -107,8 +107,8 @@ uint64_t EstimateNeededSampleRows(double half_width_now, uint64_t rows_now,
 
 /// \brief One candidate's adaptive outcome.
 struct AdaptiveCandidateResult {
-  /// Footprint sizing, identical to what EstimationEngine::Estimate would
-  /// return at this candidate's final fraction.
+  /// Footprint sizing, identical to what EstimationEngine::EstimateAt
+  /// returns at this candidate's final fraction.
   SizedCandidate sized;
   /// CF' under the engine's base metric — the quantity the interval and
   /// the convergence rule are about.
@@ -175,11 +175,10 @@ struct CandidateIntervalResult {
 /// replicate index builds across every scheme on the same key set — the
 /// same sharing one adaptive round does. Results align with `candidates`.
 /// `pool` fans the per-candidate work out (nullptr = serial); pass the
-/// engine's or service's shared pool — the CLI's fixed-fraction --json
-/// paths do — instead of spinning a second pool. (The lazy advisor's
-/// coarse pass fans out the same way, but through
-/// CandidateRefiner::EstimateAtCurrentSample so refinement can reuse the
-/// replicate-build cache.)
+/// service's shared pool — the CLI's fixed-fraction --json paths do —
+/// instead of spinning a second pool. (The lazy advisor's coarse pass fans
+/// out the same way, but through CandidateRefiner::EstimateAtCurrentSample
+/// so refinement can reuse the replicate-build cache.)
 Result<std::vector<CandidateIntervalResult>> EstimateCandidateIntervals(
     EstimationEngine& engine,
     std::span<const CandidateConfiguration> candidates, double num_sigmas,
@@ -306,17 +305,10 @@ class AdaptiveEstimator {
   ThreadPool* pool_;
 };
 
-/// Engine-level entry point: validates the target and runs an
-/// AdaptiveEstimator with a pool sized from the engine's options.
-Result<AdaptiveBatchResult> EstimateAllAdaptive(
-    EstimationEngine& engine,
-    std::span<const CandidateConfiguration> candidates,
-    const PrecisionTarget& target);
-
-/// Service-level entry point: groups candidates by table_name, grows each
-/// table's engine independently toward the shared target (per-round work
-/// fans across the service's shared pool), and merges the per-table
-/// results positionally.
+/// The batched adaptive entry point: groups candidates by table_name, grows
+/// each table's engine independently toward the shared target (per-round
+/// work fans across the service's shared pool), and merges the per-table
+/// results positionally. A standalone table is a one-table catalog.
 Result<AdaptiveBatchResult> EstimateAllAdaptive(
     CatalogEstimationService& service,
     std::span<const CandidateConfiguration> candidates,

@@ -215,12 +215,6 @@ Status EstimationEngine::NotifyAppend(RowRange range) {
   return Status::OK();
 }
 
-Result<const Table*> EstimationEngine::SampleTable() {
-  CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
-                         PinEpoch());
-  return static_cast<const Table*>(&epoch->sample());
-}
-
 uint64_t EstimationEngine::sample_rows() const {
   std::shared_ptr<const SampleEpoch> epoch =
       epoch_.load(std::memory_order_acquire);
@@ -326,13 +320,6 @@ Result<std::shared_ptr<const Index>> EstimationEngine::SampleIndexAt(
   return epoch.SampleIndex(descriptor, options_.base.build);
 }
 
-Result<std::shared_ptr<const Index>> EstimationEngine::SampleIndex(
-    const IndexDescriptor& descriptor) {
-  CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
-                         PinEpoch());
-  return SampleIndexAt(*epoch, descriptor);
-}
-
 Result<SampleCFResult> EstimationEngine::EstimateCFWithMetricAt(
     const SampleEpoch& epoch, const IndexDescriptor& descriptor,
     const CompressionScheme& scheme, SizeMetric metric) const {
@@ -358,26 +345,12 @@ Result<SampleCFResult> EstimationEngine::EstimateCFAt(
                                 options_.base.metric);
 }
 
-Result<SampleCFResult> EstimationEngine::EstimateCF(
-    const IndexDescriptor& descriptor, const CompressionScheme& scheme) {
-  CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
-                         PinEpoch());
-  return EstimateCFAt(*epoch, descriptor, scheme);
-}
-
 Result<CompressedIndex> EstimationEngine::CompressOnSampleAt(
     const SampleEpoch& epoch, const IndexDescriptor& descriptor,
     const CompressionScheme& scheme) const {
   CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const Index> index,
                          SampleIndexAt(epoch, descriptor));
   return index->Compress(scheme, options_.base.build);
-}
-
-Result<CompressedIndex> EstimationEngine::CompressOnSample(
-    const IndexDescriptor& descriptor, const CompressionScheme& scheme) {
-  CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
-                         PinEpoch());
-  return CompressOnSampleAt(*epoch, descriptor, scheme);
 }
 
 Result<SizedCandidate> EstimationEngine::EstimateAt(
@@ -431,39 +404,6 @@ Result<SizedCandidate> EstimationEngine::EstimateExact(
   sized.estimated_cf = 1.0;
   sized.estimated_bytes = sized.uncompressed_bytes;
   return sized;
-}
-
-Result<SizedCandidate> EstimationEngine::Estimate(
-    const CandidateConfiguration& candidate) {
-  if (IsUncompressedScheme(candidate.scheme)) return EstimateExact(candidate);
-  CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
-                         PinEpoch());
-  return EstimateAt(*epoch, candidate);
-}
-
-ThreadPool* EstimationEngine::Pool() {
-  MutexLock lock(pool_mu_);
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  return pool_.get();
-}
-
-Result<std::vector<SizedCandidate>> EstimationEngine::EstimateAll(
-    std::span<const CandidateConfiguration> candidates) {
-  // One pin for the whole batch: every candidate is sized against the same
-  // epoch, so the batch is internally consistent even while appends and
-  // refreshes stream in concurrently.
-  CFEST_ASSIGN_OR_RETURN(std::shared_ptr<const SampleEpoch> epoch,
-                         PinEpoch());
-  std::vector<SizedCandidate> results(candidates.size());
-  const bool serial = options_.num_threads == 1 || candidates.size() < 2;
-  CFEST_RETURN_NOT_OK(StatusParallelFor(
-      serial ? nullptr : Pool(), candidates.size(), [&](uint64_t i) {
-        CFEST_ASSIGN_OR_RETURN(results[i], EstimateAt(*epoch, candidates[i]));
-        return Status::OK();
-      }));
-  return results;
 }
 
 EstimationEngine::CacheStats EstimationEngine::cache_stats() const {

@@ -5,19 +5,21 @@
 // The paper's §II-C observes that a single random sample can be reused
 // across estimations: a physical-design advisor sizing dozens of candidate
 // (index, compression-scheme) pairs does not need a fresh sample per
-// candidate. The engine exploits that three ways:
+// candidate. The engine exploits that two ways:
 //
 //   1. The sample is drawn once per engine (zero-copy TableView, no row
 //      bytes copied) and shared by every estimate.
 //   2. The sorted sample index is cached per distinct key set, so every
 //      compression scheme ranked on the same index reuses one build.
-//   3. Independent candidates fan out across a ThreadPool; results are
-//      deterministic because the sample draw is the only stochastic step
-//      and it happens exactly once.
 //
 // Estimates are bit-identical to single-shot SampleCF under the same seed:
 // the engine runs the same draw, build, and compress pipeline, just without
 // the redundancy.
+//
+// The engine is the per-table primitive layer. Batching, parallel fan-out,
+// adaptive growth across a batch, and advising all go through the one front
+// door, CatalogEstimationService (estimator/service.h); a standalone table
+// is a one-table Catalog.
 //
 // Concurrency is epoch-based (estimator/epoch.h). All read-path state — the
 // sample view, the table-size snapshot used for full-index scaling, the
@@ -47,14 +49,12 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/random.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "compression/scheme.h"
 #include "estimator/epoch.h"
 #include "estimator/sample_cf.h"
@@ -120,8 +120,6 @@ struct EstimationEngineOptions {
   /// with maintain_reservoir (the engine must own the stream so appends can
   /// resume it).
   Random* rng = nullptr;
-  /// Workers for EstimateAll. 0 = hardware concurrency; 1 = serial.
-  uint32_t num_threads = 0;
   /// Maintain the sample as a fixed-capacity reservoir over row ids
   /// (Vitter's Algorithm R seeded from `seed`) instead of a frozen draw
   /// from base.sampler. Required for NotifyAppend; base.sampler is ignored
@@ -178,7 +176,9 @@ class EstimationEngine {
   Result<std::shared_ptr<const Index>> SampleIndexAt(
       const SampleEpoch& epoch, const IndexDescriptor& descriptor) const;
 
-  /// SampleCF on the epoch's sample under the engine's base metric.
+  /// SampleCF on the epoch's sample under the engine's base metric. At the
+  /// initial epoch this equals SampleCF(table, descriptor, scheme,
+  /// options.base, Random(seed)) bit for bit.
   Result<SampleCFResult> EstimateCFAt(const SampleEpoch& epoch,
                                       const IndexDescriptor& descriptor,
                                       const CompressionScheme& scheme) const;
@@ -206,42 +206,8 @@ class EstimationEngine {
   Result<SizedCandidate> EstimateExact(
       const CandidateConfiguration& candidate) const;
 
-  // -------------------------------------------------------------------
-  // Current-epoch conveniences (pin once, then the epoch API)
-  // -------------------------------------------------------------------
-
-  /// The shared sample (drawn on first use). The pointer addresses the
-  /// current epoch's view and stays valid until the epoch after the *next*
-  /// refresh/growth retires; callers that estimate across refreshes should
-  /// pin an epoch instead.
-  Result<const Table*> SampleTable();
-
   /// Rows in the current epoch's sample; 0 before the first draw.
   uint64_t sample_rows() const;
-
-  /// The sorted sample index for `descriptor` on the current epoch.
-  Result<std::shared_ptr<const Index>> SampleIndex(
-      const IndexDescriptor& descriptor);
-
-  /// SampleCF on the current epoch's sample: equals SampleCF(table,
-  /// descriptor, scheme, options.base, Random(seed)) bit for bit.
-  Result<SampleCFResult> EstimateCF(const IndexDescriptor& descriptor,
-                                    const CompressionScheme& scheme);
-
-  /// Compresses the current epoch's cached sample index with `scheme`.
-  Result<CompressedIndex> CompressOnSample(const IndexDescriptor& descriptor,
-                                           const CompressionScheme& scheme);
-
-  /// What-if sizes one candidate on the current epoch.
-  Result<SizedCandidate> Estimate(const CandidateConfiguration& candidate);
-
-  /// What-if sizes a batch of candidates, fanning out across the pool.
-  /// The whole batch runs against ONE pinned epoch, so results are
-  /// positionally aligned with `candidates`, identical to calling
-  /// Estimate() per candidate serially, and internally consistent even
-  /// while appends stream in.
-  Result<std::vector<SizedCandidate>> EstimateAll(
-      std::span<const CandidateConfiguration> candidates);
 
   // -------------------------------------------------------------------
   // Write path (serialized on the writer mutex; never blocks readers)
@@ -325,12 +291,6 @@ class EstimationEngine {
   };
   CacheStats cache_stats() const;
 
-  /// The engine's worker pool (created on first use, sized by
-  /// options.num_threads). Exposed so layered consumers — the adaptive
-  /// flow in estimator/adaptive.h — fan their per-round work across the
-  /// same workers instead of spinning a second pool per call.
-  ThreadPool* shared_pool() { return Pool(); }
-
  private:
   /// Draws the initial sample and publishes epoch 1. Caller holds mu_ and
   /// has checked that no epoch exists yet.
@@ -340,7 +300,6 @@ class EstimationEngine {
       std::shared_ptr<const TableView> view, uint64_t table_rows)
       REQUIRES(mu_);
   void PublishLocked(std::shared_ptr<SampleEpoch> epoch) REQUIRES(mu_);
-  ThreadPool* Pool() EXCLUDES(pool_mu_);
 
   const Table& table_;
   EstimationEngineOptions options_;
@@ -375,11 +334,6 @@ class EstimationEngine {
   /// The frozen-draw RNG stream (default mode, engine-owned seed only).
   /// Kept alive past the initial draw so GrowSample can resume it.
   Random draw_rng_ GUARDED_BY(mu_){0};
-
-  /// Pool creation is guarded separately from mu_ so estimate fan-out can
-  /// never contend with the writer path.
-  mutable Mutex pool_mu_;
-  std::unique_ptr<ThreadPool> pool_ GUARDED_BY(pool_mu_);
 };
 
 /// The engine's sample-index cache key for `descriptor`: one build per

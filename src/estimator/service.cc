@@ -1,6 +1,5 @@
 #include "estimator/service.h"
 
-#include <chrono>
 #include <utility>
 
 #include "common/metrics.h"
@@ -41,9 +40,6 @@ Result<EstimationEngine*> CatalogEstimationService::Engine(
   EstimationEngineOptions engine_options;
   engine_options.base = options_.base;
   engine_options.seed = SeedForTable(table_name);
-  // All parallelism lives in the service's shared pool; per-table engines
-  // stay serial so a fan-out never spins nested pools.
-  engine_options.num_threads = 1;
   engine_options.maintain_reservoir = options_.maintain_reservoirs;
   engine_options.reservoir_capacity = options_.reservoir_capacity;
   // Per-table metric labels: the engine's cfest.engine.* counters register
@@ -64,28 +60,34 @@ ThreadPool* CatalogEstimationService::Pool() {
   return pool_.get();
 }
 
-Result<std::vector<SizedCandidate>> CatalogEstimationService::EstimateAll(
+Result<std::vector<CatalogEstimationService::TableGroup>>
+CatalogEstimationService::GroupByTable(
     std::span<const CandidateConfiguration> candidates) {
-  trace::Span batch_span("service.estimate_all");
-  // Group by table name: resolve each distinct table's engine exactly once
-  // (creating it if needed) before any estimation work starts, so a
-  // missing table fails the whole batch up front.
-  std::map<std::string, EstimationEngine*> group_engines;
-  std::vector<EstimationEngine*> engine_of(candidates.size(), nullptr);
+  std::vector<TableGroup> groups;
+  std::map<std::string, size_t> group_of_table;
   for (size_t i = 0; i < candidates.size(); ++i) {
     const std::string& name = candidates[i].table_name;
-    auto it = group_engines.find(name);
-    if (it == group_engines.end()) {
+    auto it = group_of_table.find(name);
+    if (it == group_of_table.end()) {
       Result<EstimationEngine*> engine = Engine(name);
       if (!engine.ok()) {
         return Status::NotFound("candidate " + std::to_string(i) + " (" +
                                 candidates[i].index.name + "): " +
                                 engine.status().message());
       }
-      it = group_engines.emplace(name, *engine).first;
+      it = group_of_table.emplace(name, groups.size()).first;
+      groups.push_back(TableGroup{name, *engine, {}});
     }
-    engine_of[i] = it->second;
+    groups[it->second].members.push_back(i);
   }
+  return groups;
+}
+
+Result<std::vector<SizedCandidate>> CatalogEstimationService::EstimateAll(
+    std::span<const CandidateConfiguration> candidates) {
+  trace::Span batch_span("service.estimate_all");
+  CFEST_ASSIGN_OR_RETURN(std::vector<TableGroup> groups,
+                         GroupByTable(candidates));
 
   // Pin ONE epoch per distinct table for the whole batch: every candidate
   // of a table is sized against the same refcounted sample snapshot, so
@@ -93,64 +95,33 @@ Result<std::vector<SizedCandidate>> CatalogEstimationService::EstimateAll(
   // quiesced run at those epochs) even while appends stream in
   // concurrently. Pinning is the lock-free fast path after each engine's
   // first draw; the draw itself happens here, before fan-out, so worker
-  // lambdas never fall through to the writer mutex.
-  std::map<std::string, std::shared_ptr<const SampleEpoch>> group_epochs;
-  std::vector<const SampleEpoch*> epoch_of(candidates.size(), nullptr);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const std::string& name = candidates[i].table_name;
-    auto it = group_epochs.find(name);
-    if (it == group_epochs.end()) {
-      Result<std::shared_ptr<const SampleEpoch>> epoch =
-          group_engines[name]->PinEpoch();
-      if (!epoch.ok()) return epoch.status();
-      it = group_epochs.emplace(name, *epoch).first;
-    }
-    epoch_of[i] = it->second.get();
-  }
-
-  const bool serial = options_.num_threads == 1 || candidates.size() < 2;
-  std::vector<SizedCandidate> results(candidates.size());
-
-  if (!options_.coalesce_requests) {
-    // Plain fan-out: every candidate of every group across the shared
-    // pool. Per-candidate granularity keeps all workers busy even when
-    // group sizes are skewed.
-    CFEST_RETURN_NOT_OK(StatusParallelFor(
-        serial ? nullptr : Pool(), candidates.size(), [&](uint64_t i) {
-          CFEST_ASSIGN_OR_RETURN(
-              results[i], engine_of[i]->EstimateAt(*epoch_of[i], candidates[i]));
-          return Status::OK();
-        }));
-    return results;
+  // lambdas never fall through to the writer mutex. Per-table telemetry
+  // handles (labeled admission counters and wait histograms) are resolved
+  // here too, so admission and collection do no label work per candidate.
+  std::vector<std::shared_ptr<const SampleEpoch>> epochs(groups.size());
+  std::vector<RequestCoalescer::TableCounters*> group_counters(groups.size());
+  std::vector<metrics::Histogram*> group_wait_hists(groups.size());
+  std::vector<size_t> group_of(candidates.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    CFEST_ASSIGN_OR_RETURN(epochs[g], groups[g].engine->PinEpoch());
+    group_counters[g] = coalescer_.CountersForTable(groups[g].table_name);
+    group_wait_hists[g] = metrics::MetricRegistry::Global().GetHistogram(
+        "cfest.coalescer.wait_ns", {{"table", groups[g].table_name}});
+    for (size_t i : groups[g].members) group_of[i] = g;
   }
 
   // Coalesced admission: structurally identical candidates at the same
   // epoch — within this batch or racing in from concurrent EstimateAll
   // calls — share one computation. Owners compute; sharers just collect
-  // the owner's future below. Per-table telemetry handles (labeled
-  // admission counters and wait histograms) are resolved once per
-  // distinct table here, at batch setup, so admission and collection do
-  // no label work per candidate.
-  std::map<std::string, RequestCoalescer::TableCounters*> group_counters;
-  std::map<std::string, metrics::Histogram*> group_wait_hists;
-  std::vector<RequestCoalescer::TableCounters*> counters_of(candidates.size());
-  std::vector<metrics::Histogram*> wait_hist_of(candidates.size());
-  for (const auto& [name, engine] : group_engines) {
-    (void)engine;
-    group_counters[name] = coalescer_.CountersForTable(name);
-    group_wait_hists[name] = metrics::MetricRegistry::Global().GetHistogram(
-        "cfest.coalescer.wait_ns", {{"table", name}});
-  }
+  // the owner's future below.
   std::vector<std::string> keys(candidates.size());
   std::vector<RequestCoalescer::Ticket> tickets(candidates.size());
   std::vector<uint64_t> owned;
   owned.reserve(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    const std::string& name = candidates[i].table_name;
-    counters_of[i] = group_counters[name];
-    wait_hist_of[i] = group_wait_hists[name];
-    keys[i] = CoalesceKey(name, candidates[i], *epoch_of[i]);
-    tickets[i] = coalescer_.Admit(keys[i], counters_of[i]);
+    const size_t g = group_of[i];
+    keys[i] = CoalesceKey(groups[g].table_name, candidates[i], *epochs[g]);
+    tickets[i] = coalescer_.Admit(keys[i], group_counters[g]);
     if (tickets[i].owner) owned.push_back(i);
   }
 
@@ -158,8 +129,9 @@ Result<std::vector<SizedCandidate>> CatalogEstimationService::EstimateAll(
   // Complete their key — a failed estimate travels as the outcome's
   // status, never as a thrown-away promise that would strand waiters
   // (including waiters in other threads' batches).
+  const bool serial = options_.num_threads == 1 || owned.size() < 2;
   CFEST_RETURN_NOT_OK(StatusParallelFor(
-      serial || owned.size() < 2 ? nullptr : Pool(), owned.size(),
+      serial ? nullptr : Pool(), owned.size(),
       [&](uint64_t k) {
         const uint64_t i = owned[k];
         SizingOutcome outcome;
@@ -173,8 +145,9 @@ Result<std::vector<SizedCandidate>> CatalogEstimationService::EstimateAll(
           if (tickets[i].flow_id != 0) {
             compute_span.SetFlow(tickets[i].flow_id, trace::FlowRole::kSource);
           }
+          const size_t g = group_of[i];
           Result<SizedCandidate> sized =
-              engine_of[i]->EstimateAt(*epoch_of[i], candidates[i]);
+              groups[g].engine->EstimateAt(*epochs[g], candidates[i]);
           if (sized.ok()) {
             outcome.sized = std::move(*sized);
           } else {
@@ -186,8 +159,9 @@ Result<std::vector<SizedCandidate>> CatalogEstimationService::EstimateAll(
       }));
 
   // Collect every result in input order — owners and sharers alike read
-  // their future (an owner's is already ready). First failure wins, like
-  // the plain fan-out's StatusParallelFor.
+  // their future (an owner's is already ready). First failure in input
+  // order wins.
+  std::vector<SizedCandidate> results(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
     SizingOutcome outcome;
     if (!tickets[i].owner) {
@@ -203,7 +177,7 @@ Result<std::vector<SizedCandidate>> CatalogEstimationService::EstimateAll(
       if (metrics::TimingEnabled()) {
         const uint64_t t0 = metrics::NowNanos();
         outcome = tickets[i].future.get();
-        wait_hist_of[i]->Record(metrics::NowNanos() - t0);
+        group_wait_hists[group_of[i]]->Record(metrics::NowNanos() - t0);
       } else {
         outcome = tickets[i].future.get();
       }
@@ -237,34 +211,6 @@ Status CatalogEstimationService::NotifyAppend(const std::string& table_name,
     engine = it->second.engine.get();
   }
   return engine->NotifyAppend(range);
-}
-
-CatalogEstimationService::Stats CatalogEstimationService::stats() const {
-  Stats stats;
-  {
-    MutexLock lock(mu_);
-    stats.engines_created = engines_.size();
-    for (const auto& [name, entry] : engines_) {
-      (void)name;
-      const EstimationEngine::CacheStats s = entry.engine->cache_stats();
-      stats.samples_drawn += s.samples_drawn;
-      stats.index_builds += s.index_builds;
-      stats.index_cache_hits += s.index_cache_hits;
-      stats.invalidations += s.invalidations;
-      // sample_version is 1 after an engine's initial draw and +1 per
-      // effective refresh, so the refresh count is version - draws.
-      stats.refreshes += s.sample_version - s.samples_drawn;
-      stats.lock_free_pins += s.lock_free_pins;
-      stats.locked_pins += s.locked_pins;
-      stats.epochs_published += s.epochs_published;
-      stats.epochs_retired += s.epochs_retired;
-    }
-  }
-  const RequestCoalescer::Stats c = coalescer_.stats();
-  stats.coalesce_requests = c.requests;
-  stats.coalesce_admitted = c.admitted;
-  stats.coalesce_merged = c.merged;
-  return stats;
 }
 
 }  // namespace cfest

@@ -3,22 +3,24 @@
 // CatalogEstimationService — cross-table batched what-if sizing for many
 // concurrent clients.
 //
-// PR 1's EstimationEngine amortizes one sample across many candidates, but
-// only within a single table. A real advisor sizes a candidate set spanning
-// a whole schema ("lineitem" *and* "orders") against tables that keep
+// EstimationEngine amortizes one sample across many candidates, but only
+// within a single table. A real advisor sizes a candidate set spanning a
+// whole schema ("lineitem" *and* "orders") against tables that keep
 // growing, and a live DBMS queries it from many threads at once. The
-// service lifts the engine to catalog level:
+// service lifts the engine to catalog level and is the single sizing front
+// door: every batched, parallel, adaptive, or advising entry point takes a
+// service, and a standalone table is a one-table Catalog.
 //
 //   - One lazily created EstimationEngine per catalog table, each seeded by
 //     SeedForTable(name) so results are reproducible per table regardless
 //     of which candidates arrive first.
-//   - EstimateAll groups candidates by table_name, pins ONE epoch per
-//     distinct table (estimator/epoch.h) for the whole batch, and fans the
-//     work across one shared ThreadPool (per-table engines are built with
-//     num_threads = 1 — they never spin nested pools). Results are
-//     positionally aligned with the input and bit-identical to running each
-//     table's group through its own per-table EstimateAll under the same
-//     per-table seeds.
+//   - EstimateAll groups candidates by table_name (GroupByTable), pins ONE
+//     epoch per distinct table (estimator/epoch.h) for the whole batch, and
+//     fans the work across the service's ThreadPool — the only pool in the
+//     system; engines are serial primitives. Results are positionally
+//     aligned with the input and bit-identical to sizing each candidate
+//     serially with EstimateAt on a standalone engine seeded
+//     SeedForTable(name).
 //   - Concurrent EstimateAll calls flow through a RequestCoalescer
 //     (estimator/coalesce.h): structurally identical candidates at the same
 //     epoch share one computation — the first caller computes, everyone
@@ -27,6 +29,10 @@
 //   - NotifyAppend(table, range) forwards a growth delta to exactly that
 //     table's engine, which publishes a successor epoch without quiescing
 //     in-flight estimates; every other table is untouched.
+//
+// Work counters live in the metric registry (common/metrics.h): every
+// engine labels its cfest.engine.* children with its table name, and the
+// coalescer reports cfest.coalescer.*.
 //
 // The service borrows the catalog; the catalog (and its tables) must
 // outlive the service.
@@ -69,12 +75,6 @@ struct CatalogEstimationServiceOptions {
   /// Reservoir capacity per engine when maintain_reservoirs is set
   /// (0 = derive from base.fraction at each table's first draw).
   uint64_t reservoir_capacity = 0;
-  /// Deduplicate structurally identical (candidate, epoch) requests across
-  /// concurrent EstimateAll calls through the request coalescer (in-flight
-  /// work only — completed results are never memoized, so sequential
-  /// batches hit the engines' own caches exactly as before). Sharing is
-  /// bit-exact; disable only to measure its effect.
-  bool coalesce_requests = true;
 };
 
 /// \brief Catalog-level batched CF estimation: one engine per table, one
@@ -103,20 +103,39 @@ class CatalogEstimationService {
   /// against the new table — a removed table's engine is never served.
   Result<EstimationEngine*> Engine(const std::string& table_name);
 
+  /// \brief One table's share of a mixed-table candidate batch.
+  struct TableGroup {
+    std::string table_name;
+    EstimationEngine* engine = nullptr;
+    /// Positions of the table's candidates in the input, ascending.
+    std::vector<size_t> members;
+  };
+
+  /// Groups `candidates` by table_name in first-appearance order and
+  /// resolves each distinct table's engine exactly once (Engine() takes
+  /// the service mutex, so never once per candidate). A missing table
+  /// fails the whole batch up front — NotFound("candidate i (name): ...")
+  /// naming its first candidate — before any estimation work starts. The
+  /// shared setup of EstimateAll, EstimateAllAdaptive, and
+  /// AdviseConfigurationsLazy.
+  Result<std::vector<TableGroup>> GroupByTable(
+      std::span<const CandidateConfiguration> candidates);
+
   /// What-if sizes a mixed-table batch: candidates are grouped by
   /// table_name, every group's table engine is resolved (creating engines
   /// as needed), one epoch per distinct table is pinned for the whole
   /// batch, and all candidates fan out across the shared pool — after the
-  /// coalescer merges duplicates with identical in-flight or completed
-  /// requests. Results are positionally aligned with `candidates` and
-  /// bit-identical to per-table EstimateAll under the same per-table seeds.
+  /// coalescer merges duplicates with identical in-flight requests.
+  /// Results are positionally aligned with `candidates` and bit-identical
+  /// to a serial PinEpoch + EstimateAt loop on a standalone engine per
+  /// table under the same per-table seeds.
   Result<std::vector<SizedCandidate>> EstimateAll(
       std::span<const CandidateConfiguration> candidates);
 
-  /// The service's shared cross-table worker pool (created on first use).
-  /// Exposed so layered consumers — the adaptive estimation flow in
-  /// estimator/adaptive.h — fan their per-round candidate work across the
-  /// same workers instead of spinning a second pool.
+  /// The service's shared cross-table worker pool (created on first use),
+  /// the only pool the estimation stack runs. Exposed so layered consumers
+  /// — the adaptive flow, the lazy advisor, the CLI's interval pass — fan
+  /// their work across the same workers instead of spinning a second pool.
   ThreadPool* shared_pool() { return Pool(); }
 
   /// Forwards an append delta to the named table's engine (see
@@ -125,33 +144,6 @@ class CatalogEstimationService {
   /// table. Requires maintain_reservoirs for created engines. Safe to run
   /// concurrently with EstimateAll.
   Status NotifyAppend(const std::string& table_name, RowRange range);
-
-  /// \brief Aggregate work-avoidance counters across every engine created
-  /// so far (sums of the per-engine CacheStats; per-engine sample versions
-  /// are reduced to an additive refresh count), plus the coalescer's
-  /// traffic counters.
-  struct Stats {
-    uint64_t engines_created = 0;
-    uint64_t samples_drawn = 0;
-    uint64_t index_builds = 0;
-    uint64_t index_cache_hits = 0;
-    uint64_t invalidations = 0;
-    /// Effective reservoir refreshes (NotifyAppend calls that changed a
-    /// reservoir) summed across engines.
-    uint64_t refreshes = 0;
-    /// Epoch pins served lock-free vs through the writer mutex (summed;
-    /// locked pins only ever happen on initial draws).
-    uint64_t lock_free_pins = 0;
-    uint64_t locked_pins = 0;
-    uint64_t epochs_published = 0;
-    uint64_t epochs_retired = 0;
-    /// Coalescer traffic: total requests, computations actually run, and
-    /// requests served by merging into an in-flight computation.
-    uint64_t coalesce_requests = 0;
-    uint64_t coalesce_admitted = 0;
-    uint64_t coalesce_merged = 0;
-  };
-  Stats stats() const;
 
  private:
   /// An engine stamped with the catalog's registration version for its
@@ -168,7 +160,7 @@ class CatalogEstimationService {
   CatalogEstimationServiceOptions options_;
   RequestCoalescer coalescer_;
 
-  mutable Mutex mu_;
+  Mutex mu_;
   std::map<std::string, EngineEntry> engines_ GUARDED_BY(mu_);
   std::unique_ptr<ThreadPool> pool_ GUARDED_BY(mu_);
 };

@@ -2,6 +2,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -135,6 +136,13 @@ void TelemetryHttpServer::AcceptLoop() {
       if (!running_.load(std::memory_order_acquire)) break;
       break;
     }
+    // Bound every read and write: a timed-out recv/send returns an error,
+    // which ends the request like a peer hang-up would.
+    timeval timeout{};
+    timeout.tv_sec = kClientIoTimeoutMs / 1000;
+    timeout.tv_usec = (kClientIoTimeoutMs % 1000) * 1000;
+    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
     HandleConnection(client);
     ::close(client);
   }

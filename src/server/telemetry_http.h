@@ -18,6 +18,10 @@
 // Connections are handled serially on the accept thread (Connection: close,
 // Content-Length always set); a telemetry scrape every few seconds does not
 // need concurrency, and serial handling keeps the server trivially correct.
+// Every accepted socket gets fixed receive and send timeouts
+// (kClientIoTimeoutMs), so a client that connects and never sends — or
+// never reads — holds the accept thread for at most that long instead of
+// stalling every later scrape (and Stop()) forever.
 //
 // Lifecycle: Start(port) binds (port 0 picks an ephemeral port — use
 // port() to learn it, handy for tests and for CI scrapes), Stop() shuts
@@ -43,6 +47,10 @@ class TelemetryHttpServer {
 
   TelemetryHttpServer(const TelemetryHttpServer&) = delete;
   TelemetryHttpServer& operator=(const TelemetryHttpServer&) = delete;
+
+  /// SO_RCVTIMEO / SO_SNDTIMEO of every accepted connection: the longest a
+  /// silent or stalled client can hold the serial accept thread.
+  static constexpr int kClientIoTimeoutMs = 2000;
 
   /// Binds `port` on all interfaces and starts the accept thread. Port 0
   /// binds an ephemeral port (read it back with port()). Fails if the

@@ -53,6 +53,13 @@ CandidateConfiguration Candidate(const char* col, CompressionType type,
   return c;
 }
 
+/// Pins the engine's current epoch, drawing the sample on first use.
+std::shared_ptr<const SampleEpoch> Pin(EstimationEngine& engine) {
+  auto epoch = engine.PinEpoch();
+  EXPECT_TRUE(epoch.ok());
+  return std::move(epoch).ValueOrDie();
+}
+
 // ---------------------------------------------------------------------------
 // Confidence helpers
 // ---------------------------------------------------------------------------
@@ -180,7 +187,7 @@ TEST(GrowSampleTest, GrownSampleEqualsFreshDrawAtFinalFraction) {
   options.seed = 17;
 
   EstimationEngine grown(*table, options);
-  ASSERT_TRUE(grown.SampleTable().ok());
+  ASSERT_TRUE(grown.PinEpoch().ok());
   EXPECT_EQ(grown.sample_rows(), 200u);
   auto rows = grown.GrowSample(1500);
   ASSERT_TRUE(rows.ok());
@@ -191,14 +198,14 @@ TEST(GrowSampleTest, GrownSampleEqualsFreshDrawAtFinalFraction) {
       1500.0 / static_cast<double>(table->num_rows());
   EstimationEngine fresh(*table, fresh_options);
 
-  auto grown_sample = grown.SampleTable();
-  auto fresh_sample = fresh.SampleTable();
-  ASSERT_TRUE(grown_sample.ok());
-  ASSERT_TRUE(fresh_sample.ok());
-  ASSERT_EQ((*grown_sample)->num_rows(), (*fresh_sample)->num_rows());
-  for (RowId i = 0; i < (*grown_sample)->num_rows(); ++i) {
-    Slice a = (*grown_sample)->row(i);
-    Slice b = (*fresh_sample)->row(i);
+  const std::shared_ptr<const SampleEpoch> grown_epoch = Pin(grown);
+  const std::shared_ptr<const SampleEpoch> fresh_epoch = Pin(fresh);
+  const Table& grown_sample = grown_epoch->sample();
+  const Table& fresh_sample = fresh_epoch->sample();
+  ASSERT_EQ(grown_sample.num_rows(), fresh_sample.num_rows());
+  for (RowId i = 0; i < grown_sample.num_rows(); ++i) {
+    Slice a = grown_sample.row(i);
+    Slice b = fresh_sample.row(i);
     ASSERT_EQ(a.size(), b.size());
     ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size())) << "row " << i;
   }
@@ -216,7 +223,8 @@ TEST(GrowSampleTest, ExtendsCachedIndexesBitIdentically) {
 
   EstimationEngine grown(*table, options);
   const IndexDescriptor desc{"ix", {"city"}, /*clustered=*/false};
-  ASSERT_TRUE(grown.SampleIndex(desc).ok());  // cache a build pre-growth
+  // Cache a build pre-growth.
+  ASSERT_TRUE(grown.SampleIndexAt(*Pin(grown), desc).ok());
   ASSERT_TRUE(grown.GrowSample(2000).ok());
   EXPECT_EQ(grown.cache_stats().index_extensions, 1u);
   EXPECT_EQ(grown.cache_stats().index_builds, 1u);
@@ -226,8 +234,8 @@ TEST(GrowSampleTest, ExtendsCachedIndexesBitIdentically) {
       2000.0 / static_cast<double>(table->num_rows());
   EstimationEngine fresh(*table, fresh_options);
 
-  auto extended = grown.SampleIndex(desc);
-  auto rebuilt = fresh.SampleIndex(desc);
+  auto extended = grown.SampleIndexAt(*Pin(grown), desc);
+  auto rebuilt = fresh.SampleIndexAt(*Pin(fresh), desc);
   ASSERT_TRUE(extended.ok());
   ASSERT_TRUE(rebuilt.ok());
   ASSERT_EQ((*extended)->num_rows(), (*rebuilt)->num_rows());
@@ -243,8 +251,8 @@ TEST(GrowSampleTest, ExtendsCachedIndexesBitIdentically) {
   // Estimates off the extended index equal the fresh engine's bitwise.
   const CompressionScheme scheme =
       CompressionScheme::Uniform(CompressionType::kDictionaryPage);
-  auto grown_cf = grown.EstimateCF(desc, scheme);
-  auto fresh_cf = fresh.EstimateCF(desc, scheme);
+  auto grown_cf = grown.EstimateCFAt(*Pin(grown), desc, scheme);
+  auto fresh_cf = fresh.EstimateCFAt(*Pin(fresh), desc, scheme);
   ASSERT_TRUE(grown_cf.ok());
   ASSERT_TRUE(fresh_cf.ok());
   EXPECT_EQ(grown_cf->cf.value, fresh_cf->cf.value);
@@ -262,7 +270,7 @@ TEST(GrowSampleTest, ReservoirGrowthEqualsFreshDrawAtNewCapacity) {
   const IndexDescriptor desc{"ix", {"status"}, false};
   const CompressionScheme scheme =
       CompressionScheme::Uniform(CompressionType::kRle);
-  ASSERT_TRUE(grown.EstimateCF(desc, scheme).ok());
+  ASSERT_TRUE(grown.EstimateCFAt(*Pin(grown), desc, scheme).ok());
   auto rows = grown.GrowSample(600);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(*rows, 600u);
@@ -271,8 +279,8 @@ TEST(GrowSampleTest, ReservoirGrowthEqualsFreshDrawAtNewCapacity) {
   fresh_options.reservoir_capacity = 600;
   EstimationEngine fresh(*table, fresh_options);
 
-  auto grown_cf = grown.EstimateCF(desc, scheme);
-  auto fresh_cf = fresh.EstimateCF(desc, scheme);
+  auto grown_cf = grown.EstimateCFAt(*Pin(grown), desc, scheme);
+  auto fresh_cf = fresh.EstimateCFAt(*Pin(fresh), desc, scheme);
   ASSERT_TRUE(grown_cf.ok());
   ASSERT_TRUE(fresh_cf.ok());
   EXPECT_EQ(grown_cf->cf.value, fresh_cf->cf.value);
@@ -304,29 +312,44 @@ TEST(GrowSampleTest, RejectsExternalRngAndCustomSamplers) {
 // ---------------------------------------------------------------------------
 
 std::vector<CandidateConfiguration> AdaptiveWorkload() {
-  return {Candidate("status", CompressionType::kRle),
-          Candidate("city", CompressionType::kDictionaryPage),
-          Candidate("status", CompressionType::kNullSuppression),
-          Candidate("city", CompressionType::kNone)};
+  return {Candidate("status", CompressionType::kRle, "t"),
+          Candidate("city", CompressionType::kDictionaryPage, "t"),
+          Candidate("status", CompressionType::kNullSuppression, "t"),
+          Candidate("city", CompressionType::kNone, "t")};
+}
+
+/// A standalone table is a one-table catalog: registers the workload table
+/// as "t" (the AdaptiveWorkload table name) and returns it.
+const Table& AddWorkloadTable(Catalog* catalog) {
+  EXPECT_TRUE(catalog->AddTable("t", WorkloadTable()).ok());
+  return *catalog->GetTable("t").ValueOrDie();
+}
+
+/// Service options of the single-table adaptive tests: a small base
+/// fraction, a fixed seed, and a serial fan-out.
+CatalogEstimationServiceOptions SerialServiceOptions(double fraction) {
+  CatalogEstimationServiceOptions options;
+  options.base.fraction = fraction;
+  options.seed = 42;
+  options.num_threads = 1;
+  return options;
 }
 
 TEST(AdaptiveEstimatorTest, ConvergesWithinTargetAndBudget) {
-  auto table = WorkloadTable();
-  EstimationEngineOptions options;
-  options.base.fraction = 0.005;
-  options.seed = 42;
-  options.num_threads = 1;
-  EstimationEngine engine(*table, options);
+  Catalog catalog;
+  AddWorkloadTable(&catalog);
+  CatalogEstimationService service(catalog, SerialServiceOptions(0.005));
 
   PrecisionTarget target;
   target.rel_error = 0.10;
   target.confidence = 0.90;
-  auto result = EstimateAllAdaptive(engine, AdaptiveWorkload(), target);
+  auto result = EstimateAllAdaptive(service, AdaptiveWorkload(), target);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->candidates.size(), 4u);
   EXPECT_FALSE(result->budget_exhausted);
   ASSERT_EQ(result->tables.size(), 1u);
-  EXPECT_EQ(result->tables[0].final_sample_rows, engine.sample_rows());
+  EXPECT_EQ(result->tables[0].final_sample_rows,
+            (*service.Engine("t"))->sample_rows());
 
   for (const AdaptiveCandidateResult& r : result->candidates) {
     EXPECT_TRUE(r.converged) << r.sized.config.index.name;
@@ -360,28 +383,26 @@ TEST(AdaptiveEstimatorTest, ConvergesWithinTargetAndBudget) {
 }
 
 TEST(AdaptiveEstimatorTest, ConvergedResultEqualsFixedFractionRun) {
-  auto table = WorkloadTable();
-  EstimationEngineOptions options;
-  options.base.fraction = 0.005;
-  options.seed = 42;
-  options.num_threads = 1;
-  EstimationEngine engine(*table, options);
+  Catalog catalog;
+  const Table& table = AddWorkloadTable(&catalog);
+  CatalogEstimationService service(catalog, SerialServiceOptions(0.005));
 
   PrecisionTarget target;
   target.rel_error = 0.08;
   target.confidence = 0.90;
   const std::vector<CandidateConfiguration> candidates = AdaptiveWorkload();
-  auto result = EstimateAllAdaptive(engine, candidates, target);
+  auto result = EstimateAllAdaptive(service, candidates, target);
   ASSERT_TRUE(result.ok());
 
   for (size_t i = 0; i < candidates.size(); ++i) {
     const AdaptiveCandidateResult& r = result->candidates[i];
     if (r.rows_sampled == 0) continue;  // uncompressed: no sampling
-    EstimationEngineOptions fixed_options = options;
+    EstimationEngineOptions fixed_options;
     fixed_options.base.fraction = static_cast<double>(r.rows_sampled) /
-                                  static_cast<double>(table->num_rows());
-    EstimationEngine fixed(*table, fixed_options);
-    auto sized = fixed.Estimate(candidates[i]);
+                                  static_cast<double>(table.num_rows());
+    fixed_options.seed = service.SeedForTable("t");
+    EstimationEngine fixed(table, fixed_options);
+    auto sized = fixed.EstimateAt(*Pin(fixed), candidates[i]);
     ASSERT_TRUE(sized.ok());
     EXPECT_EQ(sized->estimated_cf, r.sized.estimated_cf)
         << candidates[i].index.name;
@@ -389,24 +410,22 @@ TEST(AdaptiveEstimatorTest, ConvergedResultEqualsFixedFractionRun) {
         << candidates[i].index.name;
     EXPECT_EQ(sized->sample_rows, r.rows_sampled)
         << candidates[i].index.name;
-    auto cf = fixed.EstimateCF(candidates[i].index, candidates[i].scheme);
+    auto cf = fixed.EstimateCFAt(*Pin(fixed), candidates[i].index,
+                                 candidates[i].scheme);
     ASSERT_TRUE(cf.ok());
     EXPECT_EQ(cf->cf.value, r.cf) << candidates[i].index.name;
   }
 }
 
 TEST(AdaptiveEstimatorTest, ReportsBudgetExhaustion) {
-  auto table = WorkloadTable();
-  EstimationEngineOptions options;
-  options.base.fraction = 0.005;
-  options.seed = 42;
-  options.num_threads = 1;
-  EstimationEngine engine(*table, options);
+  Catalog catalog;
+  AddWorkloadTable(&catalog);
+  CatalogEstimationService service(catalog, SerialServiceOptions(0.005));
 
   PrecisionTarget target;
   target.rel_error = 0.0005;  // unreachable within the budget
   target.row_budget = 500;
-  auto result = EstimateAllAdaptive(engine, AdaptiveWorkload(), target);
+  auto result = EstimateAllAdaptive(service, AdaptiveWorkload(), target);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->budget_exhausted);
   EXPECT_LE(result->tables[0].final_sample_rows, 500u);
@@ -472,18 +491,15 @@ TEST(AdaptiveEstimatorTest, ServiceLevelGrowsEachTableIndependently) {
 }
 
 TEST(AdaptiveEstimatorTest, PrecisionTargetedAdvisorSelectsUnderBound) {
-  auto table = WorkloadTable();
-  EstimationEngineOptions options;
-  options.base.fraction = 0.005;
-  options.seed = 42;
-  options.num_threads = 1;
-  EstimationEngine engine(*table, options);
+  Catalog catalog;
+  AddWorkloadTable(&catalog);
+  CatalogEstimationService service(catalog, SerialServiceOptions(0.005));
 
   PrecisionTarget target;
   target.rel_error = 0.10;
   target.confidence = 0.90;
   AdaptiveBatchResult adaptive;
-  auto rec = AdviseConfigurations(engine, AdaptiveWorkload(),
+  auto rec = AdviseConfigurations(service, AdaptiveWorkload(),
                                   /*storage_bound=*/1 << 20, target,
                                   AdvisorStrategy::kGreedy, &adaptive);
   ASSERT_TRUE(rec.ok());
@@ -501,7 +517,6 @@ TEST(CandidateRefinerTest, RefinesToConvergenceAndMatchesFixedFraction) {
   EstimationEngineOptions options;
   options.base.fraction = 0.002;
   options.seed = 42;
-  options.num_threads = 1;
   EstimationEngine engine(*table, options);
 
   PrecisionTarget target;
@@ -524,7 +539,7 @@ TEST(CandidateRefinerTest, RefinesToConvergenceAndMatchesFixedFraction) {
   fixed_options.base.fraction = static_cast<double>(refined->rows_sampled) /
                                 static_cast<double>(table->num_rows());
   EstimationEngine fixed(*table, fixed_options);
-  auto fixed_estimate = fixed.EstimateCF(c.index, c.scheme);
+  auto fixed_estimate = fixed.EstimateCFAt(*Pin(fixed), c.index, c.scheme);
   ASSERT_TRUE(fixed_estimate.ok());
   EXPECT_EQ(fixed_estimate->cf.value, refined->cf);
   EXPECT_EQ(fixed_estimate->sample_rows, refined->rows_sampled);
@@ -535,7 +550,6 @@ TEST(CandidateRefinerTest, DonePredicateStopsBeforeConvergence) {
   EstimationEngineOptions options;
   options.base.fraction = 0.002;
   options.seed = 42;
-  options.num_threads = 1;
   EstimationEngine engine(*table, options);
 
   PrecisionTarget target;
@@ -583,13 +597,10 @@ TEST(CandidateRefinerTest, UncompressedCandidatesAreExact) {
 }
 
 TEST(EstimateAllTest, PopulatesSampleRows) {
-  auto table = WorkloadTable();
-  EstimationEngineOptions options;
-  options.base.fraction = 0.01;
-  options.seed = 42;
-  options.num_threads = 1;
-  EstimationEngine engine(*table, options);
-  auto sized = engine.EstimateAll(AdaptiveWorkload());
+  Catalog catalog;
+  AddWorkloadTable(&catalog);
+  CatalogEstimationService service(catalog, SerialServiceOptions(0.01));
+  auto sized = service.EstimateAll(AdaptiveWorkload());
   ASSERT_TRUE(sized.ok());
   EXPECT_EQ((*sized)[0].sample_rows, 200u);
   EXPECT_EQ((*sized)[3].sample_rows, 0u);  // uncompressed

@@ -456,8 +456,10 @@ std::vector<CandidateConfiguration> EngineWorkloadCandidates() {
   return candidates;
 }
 
-TEST(LazyAdvisorTest, MatchesEagerOptimalSelectionsOnEngine) {
-  auto table = WorkloadTable(60000);
+TEST(LazyAdvisorTest, MatchesEagerOptimalSelectionsOnOneTableService) {
+  // A standalone table is a one-table catalog.
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("t", WorkloadTable(60000)).ok());
   const std::vector<CandidateConfiguration> candidates =
       EngineWorkloadCandidates();
   // A tight target keeps both paths' page-metric footprints in the
@@ -466,24 +468,24 @@ TEST(LazyAdvisorTest, MatchesEagerOptimalSelectionsOnEngine) {
   // only be compared up to its estimation precision — see search.h).
   PrecisionTarget target;
   target.rel_error = 0.02;
-  EstimationEngineOptions options;
+  CatalogEstimationServiceOptions options;
   options.base.fraction = 0.005;
   options.num_threads = 1;
   // Several bounds so take/skip decisions land on different candidates.
   for (uint64_t bound : {uint64_t{300000}, uint64_t{750000},
                          uint64_t{1200000}, uint64_t{2250000}}) {
-    // Fresh engines per pass: the eager pass grows its engine's sample.
-    EstimationEngine eager_engine(*table, options);
+    // Fresh services per pass: the eager pass grows its table's sample.
+    CatalogEstimationService eager_service(catalog, options);
     AdaptiveBatchResult adaptive;
     Result<AdvisorRecommendation> eager =
-        AdviseConfigurations(eager_engine, candidates, bound, target,
+        AdviseConfigurations(eager_service, candidates, bound, target,
                              AdvisorStrategy::kOptimal, &adaptive);
     ASSERT_TRUE(eager.ok()) << "bound " << bound;
 
-    EstimationEngine lazy_engine(*table, options);
+    CatalogEstimationService lazy_service(catalog, options);
     LazyAdvisorStats stats;
     Result<AdvisorRecommendation> lazy = AdviseConfigurationsLazy(
-        lazy_engine, candidates, bound, target, &stats);
+        lazy_service, candidates, bound, target, &stats);
     ASSERT_TRUE(lazy.ok()) << "bound " << bound;
 
     EXPECT_EQ(SelectedNames(*eager), SelectedNames(*lazy))
@@ -498,7 +500,7 @@ TEST(LazyAdvisorTest, MatchesEagerOptimalSelectionsOnEngine) {
   }
 }
 
-TEST(LazyAdvisorTest, MatchesEagerOptimalSelectionsOnService) {
+TEST(LazyAdvisorTest, MatchesEagerOptimalSelectionsOnTwoTableService) {
   // Two tables of different sizes tier the candidate footprints, so
   // feasibility decisions sit well away from the estimate noise.
   Catalog catalog;

@@ -1,6 +1,7 @@
 // Tests for the EstimationEngine stack: TableView zero-copy sampling,
-// the descriptor-level sample-index cache, batch-vs-single-shot estimate
-// equality, thread-pool determinism, and the engine-backed consumers.
+// the descriptor-level sample-index cache, epoch-pinned vs single-shot
+// estimate equality, service fan-out determinism, and the engine-backed
+// consumers.
 
 #include <atomic>
 #include <memory>
@@ -18,7 +19,9 @@
 #include "estimator/hybrid.h"
 #include "estimator/sample_cf.h"
 #include "estimator/scheme_advisor.h"
+#include "estimator/service.h"
 #include "sampling/sampler.h"
+#include "storage/catalog.h"
 #include "storage/table_view.h"
 
 namespace cfest {
@@ -132,11 +135,32 @@ TEST(ThreadPoolTest, SubmitAndWaitDrainsAllTasks) {
   EXPECT_EQ(100, count.load());
 }
 
+/// Pins the engine's current epoch, drawing the sample on first use.
+std::shared_ptr<const SampleEpoch> Pin(EstimationEngine& engine) {
+  auto epoch = engine.PinEpoch();
+  EXPECT_TRUE(epoch.ok());
+  return std::move(epoch).ValueOrDie();
+}
+
+/// The serial reference: every candidate sized at one pinned epoch.
+std::vector<SizedCandidate> EstimateSerially(
+    EstimationEngine& engine,
+    const std::vector<CandidateConfiguration>& candidates) {
+  const std::shared_ptr<const SampleEpoch> epoch = Pin(engine);
+  std::vector<SizedCandidate> sized;
+  for (const CandidateConfiguration& c : candidates) {
+    auto one = engine.EstimateAt(*epoch, c);
+    EXPECT_TRUE(one.ok()) << c.index.name;
+    sized.push_back(std::move(one).ValueOrDie());
+  }
+  return sized;
+}
+
 // ---------------------------------------------------------------------------
 // EstimationEngine: batch equals single-shot SampleCF
 // ---------------------------------------------------------------------------
 
-TEST(EngineTest, BatchMatchesPerCandidateSampleCF) {
+TEST(EngineTest, PinnedEstimatesMatchPerCandidateSampleCF) {
   auto table = WorkloadTable();
   auto candidates = Candidates();
   constexpr uint64_t kSeed = 42;
@@ -149,24 +173,23 @@ TEST(EngineTest, BatchMatchesPerCandidateSampleCF) {
   engine_options.base = options;
   engine_options.seed = kSeed;
   EstimationEngine engine(*table, engine_options);
-  auto sized = engine.EstimateAll(candidates);
-  ASSERT_TRUE(sized.ok());
-  ASSERT_EQ(candidates.size(), sized->size());
+  const std::shared_ptr<const SampleEpoch> epoch = Pin(engine);
 
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const bool uncompressed =
-        candidates[i].scheme.default_type == CompressionType::kNone;
-    if (uncompressed) {
-      EXPECT_EQ(1.0, (*sized)[i].estimated_cf);
-      EXPECT_EQ((*sized)[i].uncompressed_bytes, (*sized)[i].estimated_bytes);
+  for (const CandidateConfiguration& c : candidates) {
+    auto sized = engine.EstimateAt(*epoch, c);
+    ASSERT_TRUE(sized.ok());
+    if (c.scheme.default_type == CompressionType::kNone) {
+      EXPECT_EQ(1.0, sized->estimated_cf);
+      EXPECT_EQ(sized->uncompressed_bytes, sized->estimated_bytes);
       continue;
     }
     Random rng(kSeed);
-    auto single = SampleCF(*table, candidates[i].index, candidates[i].scheme,
-                           options, &rng);
+    auto single = SampleCF(*table, c.index, c.scheme, options, &rng);
     ASSERT_TRUE(single.ok());
-    EXPECT_EQ(single->cf.value, (*sized)[i].estimated_cf)
-        << "candidate " << candidates[i].index.name;
+    auto pinned = engine.EstimateCFAt(*epoch, c.index, c.scheme);
+    ASSERT_TRUE(pinned.ok());
+    EXPECT_EQ(single->cf.value, pinned->cf.value) << c.index.name;
+    EXPECT_EQ(single->cf.value, sized->estimated_cf) << c.index.name;
   }
   EXPECT_EQ(1u, engine.cache_stats().samples_drawn);
 }
@@ -182,7 +205,7 @@ TEST(EngineTest, EstimateCFMatchesSampleCFResultFields) {
   engine_options.base.fraction = 0.02;
   engine_options.seed = kSeed;
   EstimationEngine engine(*table, engine_options);
-  auto batch = engine.EstimateCF(desc, scheme);
+  auto batch = engine.EstimateCFAt(*Pin(engine), desc, scheme);
   ASSERT_TRUE(batch.ok());
 
   Random rng(kSeed);
@@ -209,8 +232,7 @@ TEST(EngineTest, IndexBuildCacheIsHitAcrossSchemes) {
   EstimationEngineOptions engine_options;
   engine_options.base.fraction = 0.02;
   EstimationEngine engine(*table, engine_options);
-  auto sized = engine.EstimateAll(candidates);
-  ASSERT_TRUE(sized.ok());
+  const std::vector<SizedCandidate> sized = EstimateSerially(engine, candidates);
 
   const EstimationEngine::CacheStats stats = engine.cache_stats();
   EXPECT_EQ(1u, stats.samples_drawn);
@@ -220,14 +242,13 @@ TEST(EngineTest, IndexBuildCacheIsHitAcrossSchemes) {
   EXPECT_EQ(9u, stats.index_cache_hits);
 
   // A second batch over the same candidates is served entirely from cache.
-  auto again = engine.EstimateAll(candidates);
-  ASSERT_TRUE(again.ok());
+  const std::vector<SizedCandidate> again = EstimateSerially(engine, candidates);
   const EstimationEngine::CacheStats stats2 = engine.cache_stats();
   EXPECT_EQ(1u, stats2.samples_drawn);
   EXPECT_EQ(4u, stats2.index_builds);
   EXPECT_EQ(22u, stats2.index_cache_hits);
-  for (size_t i = 0; i < sized->size(); ++i) {
-    EXPECT_EQ((*sized)[i].estimated_cf, (*again)[i].estimated_cf);
+  for (size_t i = 0; i < sized.size(); ++i) {
+    EXPECT_EQ(sized[i].estimated_cf, again[i].estimated_cf);
   }
 }
 
@@ -236,41 +257,40 @@ TEST(EngineTest, DescriptorNameDoesNotDefeatTheCache) {
   EstimationEngineOptions engine_options;
   engine_options.base.fraction = 0.02;
   EstimationEngine engine(*table, engine_options);
-  ASSERT_TRUE(
-      engine.SampleIndex(IndexDescriptor{"a", {"city"}, false}).ok());
-  ASSERT_TRUE(
-      engine.SampleIndex(IndexDescriptor{"b", {"city"}, false}).ok());
+  const std::shared_ptr<const SampleEpoch> epoch = Pin(engine);
+  auto build = [&](IndexDescriptor descriptor) {
+    return engine.SampleIndexAt(*epoch, descriptor).ok();
+  };
+  ASSERT_TRUE(build(IndexDescriptor{"a", {"city"}, false}));
+  ASSERT_TRUE(build(IndexDescriptor{"b", {"city"}, false}));
   EXPECT_EQ(1u, engine.cache_stats().index_builds);
   EXPECT_EQ(1u, engine.cache_stats().index_cache_hits);
 
   // Clustered vs non-clustered and different key order are distinct builds.
-  ASSERT_TRUE(
-      engine.SampleIndex(IndexDescriptor{"c", {"city"}, true}).ok());
-  ASSERT_TRUE(
-      engine.SampleIndex(IndexDescriptor{"d", {"status", "city"}, false})
-          .ok());
-  ASSERT_TRUE(
-      engine.SampleIndex(IndexDescriptor{"e", {"city", "status"}, false})
-          .ok());
+  ASSERT_TRUE(build(IndexDescriptor{"c", {"city"}, true}));
+  ASSERT_TRUE(build(IndexDescriptor{"d", {"status", "city"}, false}));
+  ASSERT_TRUE(build(IndexDescriptor{"e", {"city", "status"}, false}));
   EXPECT_EQ(4u, engine.cache_stats().index_builds);
 }
 
 // ---------------------------------------------------------------------------
-// EstimationEngine: thread-pool determinism
+// One-table service: fan-out determinism
 // ---------------------------------------------------------------------------
 
 TEST(EngineTest, ParallelBatchIsDeterministicUnderFixedSeed) {
-  auto table = WorkloadTable();
+  // A standalone table is a one-table catalog; the service owns the pool.
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("workload", WorkloadTable()).ok());
   auto candidates = Candidates();
   constexpr uint64_t kSeed = 123;
 
   auto run = [&](uint32_t threads) {
-    EstimationEngineOptions engine_options;
-    engine_options.base.fraction = 0.02;
-    engine_options.seed = kSeed;
-    engine_options.num_threads = threads;
-    EstimationEngine engine(*table, engine_options);
-    auto sized = engine.EstimateAll(candidates);
+    CatalogEstimationServiceOptions options;
+    options.base.fraction = 0.02;
+    options.seed = kSeed;
+    options.num_threads = threads;
+    CatalogEstimationService service(catalog, options);
+    auto sized = service.EstimateAll(candidates);
     EXPECT_TRUE(sized.ok());
     return std::move(sized).ValueOrDie();
   };
@@ -302,32 +322,32 @@ TEST(EngineTest, EstimateCandidateSizeStillMatchesEngine) {
   engine_options.base = options;
   engine_options.seed = kSeed;
   EstimationEngine engine(*table, engine_options);
-  auto batch = engine.EstimateAll(candidates);
-  ASSERT_TRUE(batch.ok());
+  const std::vector<SizedCandidate> batch = EstimateSerially(engine, candidates);
 
   for (size_t i = 0; i < candidates.size(); ++i) {
     Random rng(kSeed);
     auto single = EstimateCandidateSize(*table, candidates[i], options, &rng);
     ASSERT_TRUE(single.ok());
-    EXPECT_EQ(single->estimated_cf, (*batch)[i].estimated_cf);
-    EXPECT_EQ(single->estimated_bytes, (*batch)[i].estimated_bytes);
-    EXPECT_EQ(single->uncompressed_bytes, (*batch)[i].uncompressed_bytes);
+    EXPECT_EQ(single->estimated_cf, batch[i].estimated_cf);
+    EXPECT_EQ(single->estimated_bytes, batch[i].estimated_bytes);
+    EXPECT_EQ(single->uncompressed_bytes, batch[i].uncompressed_bytes);
   }
 }
 
 TEST(EngineTest, AdviseConfigurationsSelectsUnderBound) {
-  auto table = WorkloadTable();
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("workload", WorkloadTable()).ok());
   auto candidates = Candidates();
-  EstimationEngineOptions engine_options;
-  engine_options.base.fraction = 0.02;
-  EstimationEngine engine(*table, engine_options);
+  CatalogEstimationServiceOptions options;
+  options.base.fraction = 0.02;
+  CatalogEstimationService service(catalog, options);
 
-  auto sized = engine.EstimateAll(candidates);
+  auto sized = service.EstimateAll(candidates);
   ASSERT_TRUE(sized.ok());
   uint64_t total = 0;
   for (const SizedCandidate& s : *sized) total += s.estimated_bytes;
 
-  auto rec = AdviseConfigurations(engine, candidates, total / 2);
+  auto rec = AdviseConfigurations(service, candidates, total / 2);
   ASSERT_TRUE(rec.ok());
   EXPECT_LE(rec->total_bytes, total / 2);
   EXPECT_FALSE(rec->selected.empty());

@@ -22,6 +22,8 @@
 #include "estimator/adaptive.h"
 #include "estimator/coalesce.h"
 #include "estimator/engine.h"
+#include "estimator/service.h"
+#include "storage/catalog.h"
 
 namespace cfest {
 namespace {
@@ -98,23 +100,31 @@ TEST(MetricsTest, ConcurrentSnapshotReaderSeesMonotoneExactTotals) {
   constexpr int kWriters = 4;
   constexpr uint64_t kAddsPerThread = 20000;
   std::atomic<bool> done{false};
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kWriters; ++t) {
-    writers.emplace_back([counter] {
-      for (uint64_t i = 0; i < kAddsPerThread; ++i) counter->Increment();
-    });
-  }
+  // Start barrier: writers wait for the reader's first snapshot, so the
+  // reader always overlaps the writes (under load it could otherwise be
+  // scheduled only after every writer finished and take no snapshot).
+  std::atomic<bool> reader_started{false};
   uint64_t last_seen = before;
   uint64_t snapshots_taken = 0;
   std::thread reader([&] {
-    while (!done.load(std::memory_order_relaxed)) {
+    do {
       const uint64_t seen =
           MetricRegistry::Global().Snapshot().CounterValue(name);
       EXPECT_GE(seen, last_seen);
       last_seen = seen;
       ++snapshots_taken;
-    }
+      reader_started.store(true, std::memory_order_release);
+    } while (!done.load(std::memory_order_relaxed));
   });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([counter, &reader_started] {
+      while (!reader_started.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      for (uint64_t i = 0; i < kAddsPerThread; ++i) counter->Increment();
+    });
+  }
   for (std::thread& t : writers) t.join();
   done.store(true, std::memory_order_relaxed);
   reader.join();
@@ -391,14 +401,16 @@ TEST(MetricsParityTest, EngineCacheStatsMatchesRegistryDeltas) {
 
   EstimationEngineOptions options;
   options.base.fraction = 0.02;
-  options.num_threads = 1;
   EstimationEngine engine(*table, options);
   std::vector<CandidateConfiguration> candidates = {
       Candidate("status", CompressionType::kNullSuppression),
       Candidate("status", CompressionType::kDictionaryPage),
       Candidate("city", CompressionType::kRle)};
-  auto sized = engine.EstimateAll(candidates);
-  ASSERT_TRUE(sized.ok());
+  auto epoch = engine.PinEpoch();
+  ASSERT_TRUE(epoch.ok());
+  for (const CandidateConfiguration& c : candidates) {
+    ASSERT_TRUE(engine.EstimateAt(**epoch, c).ok());
+  }
   const EstimationEngine::CacheStats stats = engine.cache_stats();
 
   const MetricsSnapshot after = MetricRegistry::Global().Snapshot();
@@ -441,20 +453,21 @@ TEST(MetricsParityTest, CoalescerStatsMatchesRegistryDeltas) {
 }
 
 TEST(MetricsParityTest, LazyAdvisorStatsMatchesRegistryDeltas) {
-  std::unique_ptr<Table> table = WorkloadTable();
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("t", WorkloadTable()).ok());
   const MetricsSnapshot before = MetricRegistry::Global().Snapshot();
 
-  EstimationEngineOptions options;
+  CatalogEstimationServiceOptions options;
   options.base.fraction = 0.01;
   options.num_threads = 1;
-  EstimationEngine engine(*table, options);
+  CatalogEstimationService service(catalog, options);
   std::vector<CandidateConfiguration> candidates = {
-      Candidate("status", CompressionType::kNullSuppression),
-      Candidate("city", CompressionType::kDictionaryPage),
-      Candidate("amount", CompressionType::kNullSuppression),
-      Candidate("status", CompressionType::kNone)};
+      Candidate("status", CompressionType::kNullSuppression, "t"),
+      Candidate("city", CompressionType::kDictionaryPage, "t"),
+      Candidate("amount", CompressionType::kNullSuppression, "t"),
+      Candidate("status", CompressionType::kNone, "t")};
   LazyAdvisorStats stats;
-  auto rec = AdviseConfigurationsLazy(engine, candidates,
+  auto rec = AdviseConfigurationsLazy(service, candidates,
                                       /*storage_bound=*/1ull << 40,
                                       PrecisionTarget{}, &stats);
   ASSERT_TRUE(rec.ok());
@@ -479,20 +492,21 @@ TEST(MetricsParityTest, LazyAdvisorStatsMatchesRegistryDeltas) {
 // ---------------------------------------------------------------------------
 
 TEST(MetricsParityTest, AdaptiveCumulativeRowsSizedSumsRoundsParticipated) {
-  std::unique_ptr<Table> table = WorkloadTable();
-  EstimationEngineOptions options;
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("t", WorkloadTable()).ok());
+  CatalogEstimationServiceOptions options;
   options.base.fraction = 0.005;
   options.num_threads = 1;
-  EstimationEngine engine(*table, options);
+  CatalogEstimationService service(catalog, options);
 
   PrecisionTarget target;
   target.rel_error = 0.01;  // tight: forces several growth rounds
   target.min_rows = 100;
   std::vector<CandidateConfiguration> candidates = {
-      Candidate("status", CompressionType::kNullSuppression),
-      Candidate("city", CompressionType::kDictionaryPage),
-      Candidate("status", CompressionType::kNone)};
-  auto batch = EstimateAllAdaptive(engine, candidates, target);
+      Candidate("status", CompressionType::kNullSuppression, "t"),
+      Candidate("city", CompressionType::kDictionaryPage, "t"),
+      Candidate("status", CompressionType::kNone, "t")};
+  auto batch = EstimateAllAdaptive(service, candidates, target);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->tables.size(), 1u);
   const std::vector<uint64_t>& rows_per_round =

@@ -1,5 +1,6 @@
 // Tests for the catalog estimation stack: CatalogEstimationService's
-// cross-table batching (bit-identical to per-table engines), the
+// cross-table batching (bit-identical to per-table engines, and a
+// one-table catalog bit-identical to a standalone engine), the
 // reservoir-maintained engine sample with NotifyAppend delta refresh
 // (equal to a fresh draw over the grown table), invalidation granularity
 // (cache-stats assertions), and the storage-layer append plumbing it all
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "advisor/advisor.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "datagen/table_gen.h"
 #include "estimator/engine.h"
@@ -55,6 +57,21 @@ std::unique_ptr<Catalog> TwoTableCatalog() {
   EXPECT_TRUE(catalog->AddTable("orders", OrdersTable()).ok());
   EXPECT_TRUE(catalog->AddTable("lineitem", LineitemTable()).ok());
   return catalog;
+}
+
+/// Pins the engine's current epoch, drawing the sample on first use.
+std::shared_ptr<const SampleEpoch> Pin(EstimationEngine& engine) {
+  auto epoch = engine.PinEpoch();
+  EXPECT_TRUE(epoch.ok());
+  return std::move(epoch).ValueOrDie();
+}
+
+/// Registry delta of one {table=<table>} counter child between snapshots.
+uint64_t TableDelta(const metrics::MetricsSnapshot& before,
+                    const metrics::MetricsSnapshot& after,
+                    const std::string& name, const std::string& table) {
+  return after.LabeledCounterValue(name, {{"table", table}}) -
+         before.LabeledCounterValue(name, {{"table", table}});
 }
 
 /// Candidates interleaved across the two tables — the service must group
@@ -174,21 +191,31 @@ TEST(ServiceTest, CrossTableBatchMatchesPerTableEnginesBitForBit) {
   EXPECT_EQ(42u, service.SeedForTable("orders"));
   EXPECT_EQ(1234u, service.SeedForTable("lineitem"));
 
+  const metrics::MetricsSnapshot before =
+      metrics::MetricRegistry::Global().Snapshot();
   auto batch = service.EstimateAll(candidates);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(candidates.size(), batch->size());
+  const metrics::MetricsSnapshot after =
+      metrics::MetricRegistry::Global().Snapshot();
 
-  // Reference: one engine per table, same seeds, same shared options.
+  // Reference: one standalone engine per table, same seeds, same shared
+  // options, each candidate sized serially at one pinned epoch.
   std::map<std::string, std::unique_ptr<EstimationEngine>> engines;
+  std::map<std::string, std::shared_ptr<const SampleEpoch>> epochs;
   for (const std::string& name : catalog->TableNames()) {
     EstimationEngineOptions engine_options;
     engine_options.base = options.base;
     engine_options.seed = service.SeedForTable(name);
-    engines.emplace(name, std::make_unique<EstimationEngine>(
-                              **catalog->GetTable(name), engine_options));
+    auto engine = std::make_unique<EstimationEngine>(
+        **catalog->GetTable(name), engine_options);
+    epochs.emplace(name, Pin(*engine));
+    engines.emplace(name, std::move(engine));
   }
   for (size_t i = 0; i < candidates.size(); ++i) {
-    auto single = engines.at(candidates[i].table_name)->Estimate(candidates[i]);
+    const std::string& table = candidates[i].table_name;
+    auto single = engines.at(table)->EstimateAt(*epochs.at(table),
+                                                candidates[i]);
     ASSERT_TRUE(single.ok());
     EXPECT_EQ(single->estimated_cf, (*batch)[i].estimated_cf)
         << "candidate " << i << " (" << candidates[i].index.name << ")";
@@ -197,10 +224,51 @@ TEST(ServiceTest, CrossTableBatchMatchesPerTableEnginesBitForBit) {
     EXPECT_EQ(candidates[i].index.name, (*batch)[i].config.index.name);
   }
 
-  // One engine and one sample per table, regardless of candidate count.
-  const CatalogEstimationService::Stats stats = service.stats();
-  EXPECT_EQ(2u, stats.engines_created);
-  EXPECT_EQ(2u, stats.samples_drawn);
+  // One sample per table, regardless of candidate count (the reference
+  // engines are unlabeled, so the table children count the service only).
+  EXPECT_EQ(1u, TableDelta(before, after, "cfest.engine.samples_drawn",
+                           "orders"));
+  EXPECT_EQ(1u, TableDelta(before, after, "cfest.engine.samples_drawn",
+                           "lineitem"));
+}
+
+// The one-table front door: a standalone table is a one-table catalog, and
+// its EstimateAll (coalesced, pool-fanned) equals a serial PinEpoch +
+// EstimateAt loop on a standalone engine with the same seed, bit for bit.
+TEST(ServiceTest, OneTableCatalogMatchesSerialEngineLoopBitForBit) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("orders", OrdersTable()).ok());
+  std::vector<CandidateConfiguration> candidates;
+  for (const CandidateConfiguration& c : MixedCandidates()) {
+    if (c.table_name == "orders") candidates.push_back(c);
+  }
+  candidates.push_back(candidates.front());  // a coalesced duplicate
+
+  CatalogEstimationServiceOptions options;
+  options.base.fraction = 0.03;
+  options.seed = 2024;
+  options.num_threads = 4;
+  CatalogEstimationService service(catalog, options);
+  auto batch = service.EstimateAll(candidates);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(candidates.size(), batch->size());
+
+  EstimationEngineOptions engine_options;
+  engine_options.base = options.base;
+  engine_options.seed = options.seed;
+  EstimationEngine engine(**catalog.GetTable("orders"), engine_options);
+  const std::shared_ptr<const SampleEpoch> epoch = Pin(engine);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    auto serial = engine.EstimateAt(*epoch, candidates[i]);
+    ASSERT_TRUE(serial.ok());
+    const SizedCandidate& fanned = (*batch)[i];
+    EXPECT_EQ(serial->estimated_cf, fanned.estimated_cf)
+        << "candidate " << i << " (" << candidates[i].index.name << ")";
+    EXPECT_EQ(serial->estimated_bytes, fanned.estimated_bytes);
+    EXPECT_EQ(serial->uncompressed_bytes, fanned.uncompressed_bytes);
+    EXPECT_EQ(serial->sample_rows, fanned.sample_rows);
+    EXPECT_EQ(candidates[i].index.name, fanned.config.index.name);
+  }
 }
 
 TEST(ServiceTest, ParallelFanOutIsDeterministic) {
@@ -328,12 +396,14 @@ TEST(ReservoirEngineTest, IncrementalRefreshEqualsFreshDrawOverGrownTable) {
   const IndexDescriptor desc{"ix", {"city"}, false};
   const CompressionScheme scheme =
       CompressionScheme::Uniform(CompressionType::kDictionaryPage);
-  ASSERT_TRUE(engine_a.EstimateCF(desc, scheme).ok());  // draw over base
+  // Draw over the base table.
+  ASSERT_TRUE(engine_a.EstimateCFAt(*Pin(engine_a), desc, scheme).ok());
 
   auto range = catalog->AppendRows("orders", DeltaRows(*table_a, delta));
   ASSERT_TRUE(range.ok());
   ASSERT_TRUE(engine_a.NotifyAppend(*range).ok());
-  auto incremental = engine_a.EstimateCF(desc, scheme);
+  const std::shared_ptr<const SampleEpoch> epoch_a = Pin(engine_a);
+  auto incremental = engine_a.EstimateCFAt(*epoch_a, desc, scheme);
   ASSERT_TRUE(incremental.ok());
 
   // Engine B: fresh, drawn in one pass over an identically grown table.
@@ -343,19 +413,12 @@ TEST(ReservoirEngineTest, IncrementalRefreshEqualsFreshDrawOverGrownTable) {
   }
   ASSERT_EQ(base_rows + delta, grown->num_rows());
   EstimationEngine engine_b(*grown, options);
-  auto fresh = engine_b.EstimateCF(desc, scheme);
+  const std::shared_ptr<const SampleEpoch> epoch_b = Pin(engine_b);
+  auto fresh = engine_b.EstimateCFAt(*epoch_b, desc, scheme);
   ASSERT_TRUE(fresh.ok());
 
   // Same reservoir contents (row ids, slot for slot) ...
-  auto sample_a = engine_a.SampleTable();
-  auto sample_b = engine_b.SampleTable();
-  ASSERT_TRUE(sample_a.ok());
-  ASSERT_TRUE(sample_b.ok());
-  const auto* view_a = dynamic_cast<const TableView*>(*sample_a);
-  const auto* view_b = dynamic_cast<const TableView*>(*sample_b);
-  ASSERT_NE(nullptr, view_a);
-  ASSERT_NE(nullptr, view_b);
-  EXPECT_EQ(view_a->row_ids(), view_b->row_ids());
+  EXPECT_EQ(epoch_a->sample().row_ids(), epoch_b->sample().row_ids());
 
   // ... hence bit-identical estimates.
   EXPECT_EQ(fresh->cf.value, incremental->cf.value);
@@ -380,7 +443,7 @@ TEST(ReservoirEngineTest, NotifyAppendValidatesModeAndRanges) {
   EXPECT_TRUE(engine.NotifyAppend({900, 1000}).ok());
   EXPECT_EQ(0u, engine.cache_stats().samples_drawn);
 
-  ASSERT_TRUE(engine.SampleTable().ok());
+  ASSERT_TRUE(engine.PinEpoch().ok());
   // Ranges past the table end, inverted, or non-contiguous are rejected.
   EXPECT_FALSE(engine.NotifyAppend({1000, 1200}).ok());
   EXPECT_FALSE(engine.NotifyAppend({900, 800}).ok());
@@ -391,7 +454,7 @@ TEST(ReservoirEngineTest, NotifyAppendValidatesModeAndRanges) {
   EstimationEngineOptions bad = options;
   bad.rng = &rng;
   EstimationEngine external(*table, bad);
-  EXPECT_FALSE(external.SampleTable().ok());
+  EXPECT_FALSE(external.PinEpoch().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -407,6 +470,8 @@ TEST(ServiceTest, NotifyAppendInvalidatesOnlyTheAffectedTable) {
   options.maintain_reservoirs = true;
   CatalogEstimationService service(*catalog, options);
   ASSERT_TRUE(service.EstimateAll(candidates).ok());
+  const metrics::MetricsSnapshot registry_before =
+      metrics::MetricRegistry::Global().Snapshot();
 
   auto orders_engine = service.Engine("orders");
   auto lineitem_engine = service.Engine("lineitem");
@@ -425,13 +490,19 @@ TEST(ServiceTest, NotifyAppendInvalidatesOnlyTheAffectedTable) {
   ASSERT_TRUE(range.ok());
   ASSERT_TRUE(service.NotifyAppend("orders", *range).ok());
 
-  // Orders: its cached indexes were dropped, version bumped; the service
-  // aggregate counts exactly one effective refresh.
+  // Orders: its cached indexes were dropped and the version bumped by
+  // exactly one effective refresh; the registry's per-table children see
+  // the same invalidations, and none on lineitem.
   const auto orders_after = (*orders_engine)->cache_stats();
   EXPECT_EQ(orders_before.index_builds, orders_after.invalidations);
   EXPECT_EQ(2u, orders_after.sample_version);
-  EXPECT_EQ(1u, service.stats().refreshes);
-  EXPECT_EQ(orders_after.invalidations, service.stats().invalidations);
+  const metrics::MetricsSnapshot registry_after =
+      metrics::MetricRegistry::Global().Snapshot();
+  EXPECT_EQ(orders_after.invalidations,
+            TableDelta(registry_before, registry_after,
+                       "cfest.engine.invalidations", "orders"));
+  EXPECT_EQ(0u, TableDelta(registry_before, registry_after,
+                           "cfest.engine.invalidations", "lineitem"));
 
   // Lineitem: untouched — same version, nothing invalidated.
   const auto lineitem_after = (*lineitem_engine)->cache_stats();
@@ -466,7 +537,7 @@ TEST(ReservoirEngineTest, RejectedAppendInvalidatesNothing) {
   const IndexDescriptor desc{"ix", {"status"}, false};
   const CompressionScheme scheme =
       CompressionScheme::Uniform(CompressionType::kRle);
-  ASSERT_TRUE(engine.EstimateCF(desc, scheme).ok());
+  ASSERT_TRUE(engine.EstimateCFAt(*Pin(engine), desc, scheme).ok());
   const auto before = engine.cache_stats();
   ASSERT_EQ(1u, before.sample_version);
 
@@ -482,7 +553,7 @@ TEST(ReservoirEngineTest, RejectedAppendInvalidatesNothing) {
   EXPECT_EQ(0u, after.invalidations);
 
   // The cached index is still served.
-  ASSERT_TRUE(engine.EstimateCF(desc, scheme).ok());
+  ASSERT_TRUE(engine.EstimateCFAt(*Pin(engine), desc, scheme).ok());
   EXPECT_EQ(before.index_builds, engine.cache_stats().index_builds);
   EXPECT_GT(engine.cache_stats().index_cache_hits, before.index_cache_hits);
 }
@@ -511,6 +582,8 @@ TEST(ConcurrentServiceTest, EstimatesStayEpochConsistentUnderAppendsAndGrowth) {
 
   // Warm-up draws both samples, so every pin below is steady-state.
   ASSERT_TRUE(service.EstimateAll(candidates).ok());
+  const metrics::MetricsSnapshot before =
+      metrics::MetricRegistry::Global().Snapshot();
 
   auto orders_engine = service.Engine("orders");
   auto lineitem_engine = service.Engine("lineitem");
@@ -536,11 +609,16 @@ TEST(ConcurrentServiceTest, EstimatesStayEpochConsistentUnderAppendsAndGrowth) {
   std::vector<std::vector<PinnedResult>> pinned(kClients);
   std::atomic<int> failures{0};
   std::atomic<bool> stop{false};
+  // Start barrier: clients begin only after both writers have published
+  // (or failed) once, so the estimates really race appends and growth
+  // instead of finishing before the writers are scheduled.
+  std::atomic<int> writers_started{0};
 
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int id = 0; id < kClients; ++id) {
     clients.emplace_back([&, id] {
+      while (writers_started.load() < 2) std::this_thread::yield();
       EstimationEngine* engine = *orders_engine;
       for (int round = 0; round < kRoundsPerClient; ++round) {
         // Service path: coalesced, pool-fanned batches mid-stream.
@@ -575,24 +653,33 @@ TEST(ConcurrentServiceTest, EstimatesStayEpochConsistentUnderAppendsAndGrowth) {
 
   std::thread appender([&] {
     const Table* orders = *catalog->GetTable("orders");
-    while (!stop.load(std::memory_order_relaxed)) {
+    bool first = true;
+    do {
       auto range = catalog->AppendRows("orders", DeltaRows(*orders, 200));
-      if (!range.ok() || !service.NotifyAppend("orders", *range).ok()) {
+      const bool ok =
+          range.ok() && service.NotifyAppend("orders", *range).ok();
+      if (first) writers_started.fetch_add(1);
+      first = false;
+      if (!ok) {
         ++failures;
         return;
       }
-    }
+    } while (!stop.load(std::memory_order_relaxed));
   });
   std::thread grower([&] {
     EstimationEngine* engine = *lineitem_engine;
     uint64_t target = engine->sample_rows();
-    while (!stop.load(std::memory_order_relaxed)) {
+    bool first = true;
+    do {
       target += 40;
-      if (!engine->GrowSampleToEpoch(target).ok()) {
+      const bool ok = engine->GrowSampleToEpoch(target).ok();
+      if (first) writers_started.fetch_add(1);
+      first = false;
+      if (!ok) {
         ++failures;
         return;
       }
-    }
+    } while (!stop.load(std::memory_order_relaxed));
   });
 
   for (std::thread& t : clients) t.join();
@@ -621,10 +708,15 @@ TEST(ConcurrentServiceTest, EstimatesStayEpochConsistentUnderAppendsAndGrowth) {
   // fast path.
   EXPECT_EQ(1u, (*orders_engine)->cache_stats().locked_pins);
   EXPECT_EQ(1u, (*lineitem_engine)->cache_stats().locked_pins);
-  const CatalogEstimationService::Stats stats = service.stats();
-  EXPECT_GT(stats.lock_free_pins, 0u);
-  EXPECT_EQ(stats.coalesce_requests,
-            stats.coalesce_admitted + stats.coalesce_merged);
+  const metrics::MetricsSnapshot after =
+      metrics::MetricRegistry::Global().Snapshot();
+  auto delta = [&](const char* name) {
+    return after.CounterValue(name) - before.CounterValue(name);
+  };
+  EXPECT_GT(delta("cfest.engine.lock_free_pins"), 0u);
+  EXPECT_EQ(delta("cfest.coalescer.requests"),
+            delta("cfest.coalescer.admitted") +
+                delta("cfest.coalescer.merged"));
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <string>
 
@@ -21,12 +23,17 @@
 namespace cfest {
 namespace {
 
-/// Blocking one-shot HTTP client: connects to 127.0.0.1:`port`, sends the
-/// request verbatim, and returns everything the server wrote until it
-/// closed the connection.
-std::string HttpRoundTrip(uint16_t port, const std::string& request) {
+/// Client-side receive timeout: a server that stalls fails the test
+/// instead of hanging it.
+constexpr int kClientTimeoutSec = 10;
+
+/// Connects a blocking TCP client to 127.0.0.1:`port`.
+int Connect(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0) << std::strerror(errno);
+  timeval timeout{};
+  timeout.tv_sec = kClientTimeoutSec;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -35,6 +42,14 @@ std::string HttpRoundTrip(uint16_t port, const std::string& request) {
                       sizeof(addr)),
             0)
       << std::strerror(errno);
+  return fd;
+}
+
+/// Blocking one-shot HTTP client: connects to 127.0.0.1:`port`, sends the
+/// request verbatim, and returns everything the server wrote until it
+/// closed the connection.
+std::string HttpRoundTrip(uint16_t port, const std::string& request) {
+  const int fd = Connect(port);
   size_t sent = 0;
   while (sent < request.size()) {
     const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
@@ -99,6 +114,30 @@ TEST(TelemetryHttpTest, UnknownRouteIs404AndNonGetIs405) {
       server.port(),
       "POST /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n");
   EXPECT_NE(post.find("405 Method Not Allowed"), std::string::npos) << post;
+  server.Stop();
+}
+
+TEST(TelemetryHttpTest, SilentClientDoesNotStallLaterScrapes) {
+  TelemetryHttpServer server;
+  ASSERT_TRUE(server.Start(0).ok());
+  // Connects and never sends a byte. The serial accept thread takes it
+  // first (the accept queue is FIFO) and blocks reading its request head.
+  const int silent = Connect(server.port());
+  const auto start = std::chrono::steady_clock::now();
+  const std::string response = Get(server.port(), "/healthz");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(
+                         TelemetryHttpServer::kClientIoTimeoutMs) +
+                         std::chrono::seconds(3));
+  // The server gave up on the silent client and closed it: reading drains
+  // to end-of-stream instead of timing out.
+  char buf[512];
+  ssize_t n = 0;
+  while ((n = ::recv(silent, buf, sizeof(buf), 0)) > 0) {
+  }
+  EXPECT_EQ(n, 0) << std::strerror(errno);
+  ::close(silent);
   server.Stop();
 }
 

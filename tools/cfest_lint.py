@@ -9,12 +9,6 @@ warnings) cannot express:
                  src/common/mutex.h. Everything else must use the
                  thread-safety-annotated Mutex/MutexLock/CondVar wrappers,
                  or clang's -Wthread-safety analysis has nothing to check.
-  epoch-compat   Estimator/advisor internals must size against a pinned
-                 epoch via the *At(epoch, ...) surface. The pin-and-forward
-                 compat wrappers (Estimate, EstimateCF, CompressOnSample,
-                 SampleIndex, SampleTable) are for external callers only:
-                 an internal multi-call sequence through them may straddle
-                 a concurrent refresh and mix samples.
   kernel-parity  Every kernels:: entry point declared in
                  src/compression/kernels.h has a kernels::scalar::
                  reference implementation (the semantics-defining loop the
@@ -159,16 +153,6 @@ RAW_MUTEX_RE = re.compile(
     r"lock_guard|unique_lock|scoped_lock|shared_lock)\b"
 )
 
-# Receiver spelled like an engine (engine, engine_, &engine, *engine_) calling
-# a pin-and-forward compat wrapper. The (?=\s*\() lookahead keeps the
-# epoch-pinned surface (EstimateAt, EstimateCFAt, SampleIndexAt, ...) and the
-# pin-once batch API (EstimateAll) from matching.
-EPOCH_COMPAT_RE = re.compile(
-    r"\b[A-Za-z_]*[Ee]ngine\w*\s*(?:\.|->)\s*"
-    r"(SampleTable|SampleIndex|EstimateCF|CompressOnSample|Estimate)"
-    r"(?=\s*\()"
-)
-
 ROW_COUNT_DECL_RE = re.compile(
     r"(?<![\w])(?<!unsigned )(?<!long )(?:int|int32_t|long)\s+"
     r"(\w*(?:num_rows|row_count|total_rows|n_rows|rows)\w*)\s*(?:=|;|,|\))"
@@ -192,15 +176,6 @@ def is_mutex_home(path):
     return path.replace(os.sep, "/").endswith("src/common/mutex.h")
 
 
-def is_estimator_internal(path):
-    p = path.replace(os.sep, "/")
-    if p.endswith("src/estimator/engine.h") or p.endswith(
-        "src/estimator/engine.cc"
-    ):
-        return False  # the wrappers' own definitions live here
-    return "/src/estimator/" in p or "/src/advisor/" in p
-
-
 def check_raw_mutex(path, stripped, everywhere=False):
     if not everywhere and is_mutex_home(path):
         return []
@@ -213,24 +188,6 @@ def check_raw_mutex(path, stripped, everywhere=False):
                     "raw-mutex",
                     "raw std::%s; use the annotated wrappers in "
                     "common/mutex.h" % match.group(1),
-                )
-            )
-    return findings
-
-
-def check_epoch_compat(path, stripped, everywhere=False):
-    if not everywhere and not is_estimator_internal(path):
-        return []
-    findings = []
-    for i, line in enumerate(stripped.split("\n"), start=1):
-        for match in EPOCH_COMPAT_RE.finditer(line):
-            findings.append(
-                (
-                    i,
-                    "epoch-compat",
-                    "compat wrapper %s() in estimator/advisor internals; "
-                    "pin an epoch and use %sAt(epoch, ...)"
-                    % (match.group(1), match.group(1)),
                 )
             )
     return findings
@@ -393,7 +350,6 @@ def lint_file(path, everywhere=False):
     comment_stripped = strip_comments(text)
     findings = []
     findings += check_raw_mutex(path, stripped, everywhere)
-    findings += check_epoch_compat(path, stripped, everywhere)
     findings += check_row_count_int(path, stripped, everywhere)
     findings += check_metric_name_concat(path, comment_stripped, everywhere)
     norm = path.replace(os.sep, "/")
@@ -447,8 +403,8 @@ def run_fixture_check():
                 failures += 1
             continue
         expected = None
-        for rule in ("raw-mutex", "epoch-compat", "kernel-parity",
-                     "row-count-int", "metric-name-concat"):
+        for rule in ("raw-mutex", "kernel-parity", "row-count-int",
+                     "metric-name-concat"):
             if name.startswith(rule.replace("-", "_")):
                 expected = rule
                 break

@@ -11,8 +11,9 @@
 //   batch     <csv> <schema-spec> --candidates <file> [--threads N]
 //             [--target-rel-error E] [--confidence C] [--json]
 //             [fraction] [seed]
-//       Sizes every (key-columns, scheme) pair in <file> through the
-//       EstimationEngine in one invocation: one shared sample, one index
+//       Sizes every (key-columns, scheme) pair in <file> in one
+//       invocation through a one-table CatalogEstimationService (the table
+//       is named after the CSV file's stem): one shared sample, one index
 //       build per distinct key set, and a comparison table at the end.
 //       Each line of <file> is "key-cols scheme [clustered]"; blank lines
 //       and lines starting with '#' are skipped. With --target-rel-error
@@ -71,7 +72,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -246,16 +246,17 @@ std::string JoinKeys(const IndexDescriptor& index) {
 /// One "JSON {...}" line per candidate, so precision is scrapeable without
 /// the bench harness. `adaptive` is null for fixed-fraction runs (the
 /// interval then comes from EstimateCandidateInterval around `ci_cf`).
+/// `with_table` adds the candidate's table name (advise; batch sizes one
+/// table and leaves it out).
 void PrintCandidateJson(const SizedCandidate& sized, double ci_cf,
                         const ConfidenceInterval& interval,
                         const std::string& method, SizeMetric ci_metric,
                         double confidence,
-                        const AdaptiveCandidateResult* adaptive) {
+                        const AdaptiveCandidateResult* adaptive,
+                        bool with_table) {
   JsonWriter json;
   json.AddString("index", sized.config.index.name);
-  if (!sized.config.table_name.empty()) {
-    json.AddString("table", sized.config.table_name);
-  }
+  if (with_table) json.AddString("table", sized.config.table_name);
   json.AddString("keys", JoinKeys(sized.config.index));
   json.AddString("scheme", sized.config.scheme.ToString());
   json.AddBool("clustered", sized.config.index.clustered);
@@ -281,27 +282,65 @@ void PrintCandidateJson(const SizedCandidate& sized, double ci_cf,
 }
 
 /// Fixed-fraction JSON path: batch-computes the base-metric CF' estimates
-/// and their intervals (replicate index builds shared per key set, exactly
-/// like one adaptive round) and prints one line per candidate.
-Status PrintFixedCandidatesJson(EstimationEngine& engine,
+/// and their intervals per table (replicate index builds shared per key
+/// set, exactly like one adaptive round) and prints one line per candidate
+/// in input order.
+Status PrintFixedCandidatesJson(CatalogEstimationService& service,
                                 const std::vector<SizedCandidate>& sized,
-                                double confidence) {
+                                double confidence, bool with_table) {
   CFEST_ASSIGN_OR_RETURN(const double z, NumSigmasForConfidence(confidence));
   std::vector<CandidateConfiguration> configs;
   configs.reserve(sized.size());
   for (const SizedCandidate& s : sized) configs.push_back(s.config);
-  ThreadPool* pool =
-      engine.options().num_threads != 1 ? engine.shared_pool() : nullptr;
   CFEST_ASSIGN_OR_RETURN(
-      std::vector<CandidateIntervalResult> intervals,
-      EstimateCandidateIntervals(engine, configs, z,
-                                 PrecisionTarget{}.interval_groups, pool));
+      std::vector<CatalogEstimationService::TableGroup> groups,
+      service.GroupByTable(configs));
+  ThreadPool* pool =
+      service.options().num_threads != 1 ? service.shared_pool() : nullptr;
+  std::vector<CandidateIntervalResult> intervals(sized.size());
+  for (const CatalogEstimationService::TableGroup& group : groups) {
+    std::vector<CandidateConfiguration> group_configs;
+    group_configs.reserve(group.members.size());
+    for (size_t i : group.members) group_configs.push_back(configs[i]);
+    CFEST_ASSIGN_OR_RETURN(
+        std::vector<CandidateIntervalResult> group_intervals,
+        EstimateCandidateIntervals(*group.engine, group_configs, z,
+                                   PrecisionTarget{}.interval_groups, pool));
+    for (size_t k = 0; k < group.members.size(); ++k) {
+      intervals[group.members[k]] = std::move(group_intervals[k]);
+    }
+  }
   for (size_t i = 0; i < sized.size(); ++i) {
     PrintCandidateJson(sized[i], intervals[i].cf, intervals[i].interval,
-                       intervals[i].method, engine.options().base.metric,
-                       confidence, nullptr);
+                       intervals[i].method, service.options().base.metric,
+                       confidence, nullptr, with_table);
   }
   return Status::OK();
+}
+
+/// Work counters summed over the engines that sized `candidates` (only the
+/// cache fields the summary lines print are summed).
+struct SizingWork {
+  uint64_t tables = 0;
+  EstimationEngine::CacheStats cache;
+};
+
+Result<SizingWork> SumSizingWork(
+    CatalogEstimationService& service,
+    std::span<const CandidateConfiguration> candidates) {
+  CFEST_ASSIGN_OR_RETURN(
+      std::vector<CatalogEstimationService::TableGroup> groups,
+      service.GroupByTable(candidates));
+  SizingWork work;
+  work.tables = groups.size();
+  for (const CatalogEstimationService::TableGroup& group : groups) {
+    const EstimationEngine::CacheStats s = group.engine->cache_stats();
+    work.cache.samples_drawn += s.samples_drawn;
+    work.cache.index_builds += s.index_builds;
+    work.cache.index_cache_hits += s.index_cache_hits;
+    work.cache.index_extensions += s.index_extensions;
+  }
+  return work;
 }
 
 int CmdEstimate(const std::vector<std::string>& args) {
@@ -463,7 +502,7 @@ int CmdBatch(std::vector<std::string> args) {
   }
   if (candidates.empty()) return Fail("no candidates in " + args[3]);
 
-  EstimationEngineOptions options;
+  CatalogEstimationServiceOptions options;
   options.base.fraction = 0.01;
   options.seed = 42;
   if (args.size() > 4) {
@@ -479,10 +518,17 @@ int CmdBatch(std::vector<std::string> args) {
   auto num_threads = ParseThreadsArg(*threads);
   if (!num_threads.ok()) return Fail(num_threads.status().ToString());
   options.num_threads = *num_threads;
-  EstimationEngine engine(**table, options);
+
+  // A standalone table is a one-table catalog sized through the service.
+  const std::string table_name = std::filesystem::path(args[0]).stem();
+  Catalog catalog;
+  Status added = catalog.AddTable(table_name, std::move(*table));
+  if (!added.ok()) return Fail(added.ToString());
+  for (CandidateConfiguration& c : candidates) c.table_name = table_name;
+  CatalogEstimationService service(catalog, options);
 
   if (precision->adaptive) {
-    auto adaptive = EstimateAllAdaptive(engine, candidates, precision->target);
+    auto adaptive = EstimateAllAdaptive(service, candidates, precision->target);
     if (!adaptive.ok()) return Fail(adaptive.status().ToString());
     TablePrinter out({"key columns", "scheme", "est. CF'", "est. size",
                       "rows", "CF' interval", "ok"});
@@ -500,7 +546,8 @@ int CmdBatch(std::vector<std::string> args) {
     out.Print();
     const AdaptiveTableReport& report = adaptive->tables[0];
     const std::string schedule = FormatGrowthSchedule(report.rows_per_round);
-    const EstimationEngine::CacheStats stats = engine.cache_stats();
+    auto work = SumSizingWork(service, candidates);
+    if (!work.ok()) return Fail(work.status().ToString());
     std::printf(
         "\n%zu candidates; rel. error target %.3g at %.3g confidence; %u "
         "growth round(s): %s rows%s; %llu index extension(s), %llu cache "
@@ -508,29 +555,25 @@ int CmdBatch(std::vector<std::string> args) {
         adaptive->candidates.size(), precision->target.rel_error,
         precision->target.confidence, report.rounds, schedule.c_str(),
         report.budget_exhausted ? " (budget exhausted)" : "",
-        static_cast<unsigned long long>(stats.index_extensions),
-        static_cast<unsigned long long>(stats.index_cache_hits));
+        static_cast<unsigned long long>(work->cache.index_extensions),
+        static_cast<unsigned long long>(work->cache.index_cache_hits));
     if (precision->json) {
       for (const AdaptiveCandidateResult& r : adaptive->candidates) {
         PrintCandidateJson(r.sized, r.cf, r.interval, r.interval_method,
-                           engine.options().base.metric,
-                           precision->target.confidence, &r);
+                           options.base.metric, precision->target.confidence,
+                           &r, /*with_table=*/false);
       }
     }
     return 0;
   }
 
-  auto sized = engine.EstimateAll(candidates);
+  auto sized = service.EstimateAll(candidates);
   if (!sized.ok()) return Fail(sized.status().ToString());
 
   TablePrinter out({"key columns", "scheme", "est. CF'", "est. size",
                     "uncompressed", "saved"});
   for (const SizedCandidate& s : *sized) {
-    std::string keys;
-    for (const std::string& k : s.config.index.key_columns) {
-      if (!keys.empty()) keys += ",";
-      keys += k;
-    }
+    std::string keys = JoinKeys(s.config.index);
     if (s.config.index.clustered) keys += " (clustered)";
     // A scheme can inflate an index (CF' > 1); show that as a negative
     // saving instead of wrapping the unsigned subtraction.
@@ -543,19 +586,20 @@ int CmdBatch(std::vector<std::string> args) {
                 HumanBytes(s.uncompressed_bytes), saved});
   }
   out.Print();
-  const EstimationEngine::CacheStats stats = engine.cache_stats();
+  auto work = SumSizingWork(service, candidates);
+  if (!work.ok()) return Fail(work.status().ToString());
   std::printf(
       "\n%zu candidates sized from %llu sample draw(s), %llu index "
       "build(s), %llu cache hit(s) (f = %.4f, seed %llu, %u thread(s))\n",
-      sized->size(), static_cast<unsigned long long>(stats.samples_drawn),
-      static_cast<unsigned long long>(stats.index_builds),
-      static_cast<unsigned long long>(stats.index_cache_hits),
-      options.base.fraction,
-      static_cast<unsigned long long>(options.seed),
+      sized->size(),
+      static_cast<unsigned long long>(work->cache.samples_drawn),
+      static_cast<unsigned long long>(work->cache.index_builds),
+      static_cast<unsigned long long>(work->cache.index_cache_hits),
+      options.base.fraction, static_cast<unsigned long long>(options.seed),
       ThreadPool::ResolveThreadCount(options.num_threads));
   if (precision->json) {
-    Status st =
-        PrintFixedCandidatesJson(engine, *sized, precision->target.confidence);
+    Status st = PrintFixedCandidatesJson(
+        service, *sized, precision->target.confidence, /*with_table=*/false);
     if (!st.ok()) return Fail(st.ToString());
   }
   return 0;
@@ -793,7 +837,8 @@ int CmdAdvise(std::vector<std::string> args) {
       for (const AdaptiveCandidateResult& r : adaptive->candidates) {
         PrintCandidateJson(r.sized, r.cf, r.interval, r.interval_method,
                            options.base.metric,
-                           precision->target.confidence, &r);
+                           precision->target.confidence, &r,
+                           /*with_table=*/true);
       }
     }
   } else {
@@ -812,47 +857,25 @@ int CmdAdvise(std::vector<std::string> args) {
     }
     out.Print();
 
-    const CatalogEstimationService::Stats stats = service.stats();
+    auto work = SumSizingWork(service, candidates);
+    if (!work.ok()) return Fail(work.status().ToString());
     std::printf(
         "\n%zu candidates across %llu table(s) sized from %llu sample "
         "draw(s), %llu index build(s), %llu cache hit(s) (f = %.4f, seed "
         "%llu, %u thread(s))\n",
         sized_candidates.size(),
-        static_cast<unsigned long long>(stats.engines_created),
-        static_cast<unsigned long long>(stats.samples_drawn),
-        static_cast<unsigned long long>(stats.index_builds),
-        static_cast<unsigned long long>(stats.index_cache_hits),
+        static_cast<unsigned long long>(work->tables),
+        static_cast<unsigned long long>(work->cache.samples_drawn),
+        static_cast<unsigned long long>(work->cache.index_builds),
+        static_cast<unsigned long long>(work->cache.index_cache_hits),
         options.base.fraction, static_cast<unsigned long long>(options.seed),
         ThreadPool::ResolveThreadCount(options.num_threads));
     if (precision->json) {
-      // Per-table batches (sharing replicate builds per key set), printed
-      // back in input order.
-      auto z = NumSigmasForConfidence(precision->target.confidence);
-      if (!z.ok()) return Fail(z.status().ToString());
-      std::map<std::string, std::vector<size_t>> by_table;
-      for (size_t i = 0; i < sized_candidates.size(); ++i) {
-        by_table[sized_candidates[i].config.table_name].push_back(i);
-      }
-      std::vector<CandidateIntervalResult> all(sized_candidates.size());
-      for (const auto& [name, idxs] : by_table) {
-        auto engine = service.Engine(name);
-        if (!engine.ok()) return Fail(engine.status().ToString());
-        std::vector<CandidateConfiguration> configs;
-        configs.reserve(idxs.size());
-        for (size_t i : idxs) configs.push_back(sized_candidates[i].config);
-        auto intervals = EstimateCandidateIntervals(
-            **engine, configs, *z, PrecisionTarget{}.interval_groups,
-            options.num_threads != 1 ? service.shared_pool() : nullptr);
-        if (!intervals.ok()) return Fail(intervals.status().ToString());
-        for (size_t k = 0; k < idxs.size(); ++k) {
-          all[idxs[k]] = std::move((*intervals)[k]);
-        }
-      }
-      for (size_t i = 0; i < sized_candidates.size(); ++i) {
-        PrintCandidateJson(sized_candidates[i], all[i].cf, all[i].interval,
-                           all[i].method, options.base.metric,
-                           precision->target.confidence, nullptr);
-      }
+      Status st =
+          PrintFixedCandidatesJson(service, sized_candidates,
+                                   precision->target.confidence,
+                                   /*with_table=*/true);
+      if (!st.ok()) return Fail(st.ToString());
     }
   }
 
