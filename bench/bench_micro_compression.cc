@@ -21,7 +21,8 @@ std::vector<std::string> MakeCells(size_t count, uint32_t k, uint64_t d) {
   std::vector<std::string> cells;
   cells.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    std::string value = "v" + std::to_string(rng.NextBounded(d));
+    std::string value = "v";
+    value += std::to_string(rng.NextBounded(d));
     value.append(k - value.size(), ' ');
     cells.push_back(std::move(value));
   }

@@ -9,10 +9,12 @@
 //   (b) RLE run detection — CountRuns over 16-byte cells with ~8-cell
 //       runs, SIMD vs scalar. Gate: >= 2x when a vector level is active,
 //       and identical run counts always.
-//   (c) End-to-end compress — CompressedIndexBuilder::AddRows (batched,
-//       arena transpose + kernels) vs the per-row Add loop on the same
-//       200k-row sorted input. Gate: bit-identical page stats (the batched
-//       path is a pure fast path; see compressor.h). Speedup reported.
+//   (c) End-to-end compress, for every CompressionType —
+//       CompressedIndexBuilder::AddRows (batched, arena transpose + kernels)
+//       vs the per-row Add loop on the same 200k-row sorted string+integer
+//       input. Gate: bit-identical page stats (data pages, used bytes, chunk
+//       bytes, dictionary entries: the batched path is a pure fast path;
+//       see compressor.h). Each scheme's speedup reported.
 //   (d) Lazy-search bound — SearchSizedCandidates over 100k candidates,
 //       incremental Fenwick bound vs the legacy per-node rescan. Gate:
 //       identical selections, total benefit, total bytes, and node counts.
@@ -163,10 +165,11 @@ double HashGibPerSec(size_t bytes) {
 }
 
 // ---------------------------------------------------------------------------
-// (c) End-to-end compress: AddRows vs per-row Add.
+// (c) End-to-end compress, per scheme: AddRows vs per-row Add.
 // ---------------------------------------------------------------------------
 
 struct CompressOutcome {
+  CompressionType type = CompressionType::kNone;
   double per_row_seconds = 0;
   double batched_seconds = 0;
   double speedup = 1.0;
@@ -174,26 +177,50 @@ struct CompressOutcome {
   uint64_t data_pages = 0;
 };
 
-CompressOutcome RunCompressGate(size_t rows_n) {
-  Random rng(105);
-  Schema schema({{"k", Int64Type()},
-                 {"status", CharType(12)},
+/// Sorted int64 keys (small FOR range, short deltas), a char(12) column of
+/// ~40-cell runs over few distinct values, and a random int32 column.
+Schema CompressSchema() {
+  return Schema({{"k", Int64Type()}, {"status", CharType(12)},
                  {"qty", Int32Type()}});
-  CompressionScheme scheme;
-  scheme.per_column = {CompressionType::kFrameOfReference,
-                       CompressionType::kRle,
-                       CompressionType::kNullSuppression};
+}
+
+std::string CompressInput(const Schema& schema, size_t rows_n) {
+  Random rng(105);
   std::string rows;
   rows.reserve(rows_n * schema.row_width());
   for (size_t i = 0; i < rows_n; ++i) {
-    const uint64_t k = i / 3;  // sorted keys, small FOR range
+    const uint64_t k = i / 3;
     rows.append(reinterpret_cast<const char*>(&k), 8);
-    std::string v = "s" + std::to_string(i / 40);  // ~40-cell RLE runs
+    std::string v = "s";
+    v += std::to_string(i / 40);
     v.append(12 - v.size(), ' ');
     rows += v;
     const uint32_t q = static_cast<uint32_t>(rng.NextBounded(100000));
     rows.append(reinterpret_cast<const char*>(&q), 4);
   }
+  return rows;
+}
+
+/// `type` on every column; the integer-only schemes (delta, FOR) leave the
+/// string column null-suppressed.
+CompressionScheme CompressSchemeFor(CompressionType type,
+                                    const Schema& schema) {
+  CompressionScheme scheme = CompressionScheme::Uniform(type);
+  const bool integer_only = type == CompressionType::kDelta ||
+                            type == CompressionType::kFrameOfReference;
+  if (integer_only) {
+    for (const Column& column : schema.columns()) {
+      scheme.per_column.push_back(column.type.IsInteger()
+                                      ? type
+                                      : CompressionType::kNullSuppression);
+    }
+  }
+  return scheme;
+}
+
+CompressOutcome RunCompressGate(CompressionType type, const Schema& schema,
+                                const std::string& rows, size_t rows_n) {
+  const CompressionScheme scheme = CompressSchemeFor(type, schema);
   IndexBuildOptions options;
   options.keep_pages = false;  // size accounting only; this is the what-if path
   auto build = [&](bool batched) {
@@ -213,18 +240,26 @@ CompressOutcome RunCompressGate(size_t rows_n) {
     return bench::CheckResult(builder->Finish(), "compress finish");
   };
   CompressOutcome out;
-  {
-    bench::Timer timer;
-    const CompressedIndex reference = build(false);
-    out.per_row_seconds = timer.Seconds();
-    bench::Timer timer2;
-    const CompressedIndex batched = build(true);
-    out.batched_seconds = timer2.Seconds();
-    out.identical =
-        batched.stats().data_pages == reference.stats().data_pages &&
-        batched.stats().used_bytes == reference.stats().used_bytes &&
-        batched.stats().chunk_bytes == reference.stats().chunk_bytes;
-    out.data_pages = batched.stats().data_pages;
+  out.type = type;
+  const CompressedIndexStats reference = build(false).stats();
+  const CompressedIndexStats batched = build(true).stats();
+  out.identical = batched.data_pages == reference.data_pages &&
+                  batched.used_bytes == reference.used_bytes &&
+                  batched.chunk_bytes == reference.chunk_bytes &&
+                  batched.dictionary_entries == reference.dictionary_entries;
+  out.data_pages = batched.data_pages;
+  // Alternating warm runs, per-mode minimum, as in (d).
+  out.per_row_seconds = 1e9;
+  out.batched_seconds = 1e9;
+  for (int rep = 0; rep < 3; ++rep) {
+    bench::Timer per_row_timer;
+    build(false);
+    out.per_row_seconds =
+        std::min(out.per_row_seconds, per_row_timer.Seconds());
+    bench::Timer batched_timer;
+    build(true);
+    out.batched_seconds =
+        std::min(out.batched_seconds, batched_timer.Seconds());
   }
   out.speedup = out.per_row_seconds / out.batched_seconds;
   return out;
@@ -259,8 +294,8 @@ std::vector<SizedCandidate> SearchWorkload(size_t real_n, size_t total_n,
   *real_bytes_total = 0;
   for (size_t i = 0; i < total_n; ++i) {
     SizedCandidate& c = candidates[i];
-    c.config.table_name = "t";
-    c.config.index.name = "ix" + std::to_string(i);
+    c.config.table_name = std::string("t");
+    c.config.index.name = std::string("ix") + std::to_string(i);
     c.config.scheme =
         CompressionScheme::Uniform(CompressionType::kNullSuppression);
     if (i < real_n) {
@@ -364,14 +399,29 @@ int main() {
   const double hash_gib = HashGibPerSec(1 << 16);
   std::printf("minmax %.2f GiB/s, hash %.2f GiB/s\n", minmax_gib, hash_gib);
 
-  const CompressOutcome compress = RunCompressGate(200000);
-  std::printf(
-      "compress 200k rows (%llu pages): per-row %.3f s, batched %.3f s, "
-      "%.2fx, identical=%d\n",
-      static_cast<unsigned long long>(compress.data_pages),
-      compress.per_row_seconds, compress.batched_seconds, compress.speedup,
-      compress.identical ? 1 : 0);
-  CheckGate(compress.identical, "batched compress pages bit-identical");
+  constexpr size_t kCompressRows = 200000;
+  const Schema compress_schema = CompressSchema();
+  const std::string compress_rows =
+      CompressInput(compress_schema, kCompressRows);
+  std::vector<CompressOutcome> compress;
+  double per_row_total = 0;
+  double batched_total = 0;
+  for (const CompressionType type : AllCompressionTypes()) {
+    const CompressOutcome c = RunCompressGate(type, compress_schema,
+                                              compress_rows, kCompressRows);
+    std::printf(
+        "compress %s, %zu rows (%llu pages): per-row %.4f s, batched "
+        "%.4f s, %.2fx, identical=%d\n",
+        CompressionTypeName(type), kCompressRows,
+        static_cast<unsigned long long>(c.data_pages), c.per_row_seconds,
+        c.batched_seconds, c.speedup, c.identical ? 1 : 0);
+    CheckGate(c.identical, "batched compress pages bit-identical");
+    per_row_total += c.per_row_seconds;
+    batched_total += c.batched_seconds;
+    compress.push_back(c);
+  }
+  std::printf("compress, all schemes: per-row %.4f s, batched %.4f s, %.2fx\n",
+              per_row_total, batched_total, per_row_total / batched_total);
 
   const SearchOutcome search = RunSearchGate(8000, 100000, 0.5);
   std::printf(
@@ -395,9 +445,14 @@ int main() {
   json.AddDouble("rle_speedup", rle.speedup);
   json.AddDouble("minmax_gib_per_sec", minmax_gib);
   json.AddDouble("hash_gib_per_sec", hash_gib);
-  json.AddDouble("compress_per_row_seconds", compress.per_row_seconds);
-  json.AddDouble("compress_batched_seconds", compress.batched_seconds);
-  json.AddDouble("compress_speedup", compress.speedup);
+  json.AddDouble("compress_per_row_seconds", per_row_total);
+  json.AddDouble("compress_batched_seconds", batched_total);
+  json.AddDouble("compress_speedup", per_row_total / batched_total);
+  for (const CompressOutcome& c : compress) {
+    json.AddDouble(
+        std::string("compress_") + CompressionTypeName(c.type) + "_speedup",
+        c.speedup);
+  }
   json.AddInt("search_candidates", 100000);
   json.AddInt("search_nodes", static_cast<int64_t>(search.nodes_visited));
   json.AddDouble("search_legacy_seconds", search.legacy_seconds);

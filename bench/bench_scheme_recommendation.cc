@@ -29,17 +29,15 @@ CompressionScheme OracleScheme(const Table& table,
   const Schema& schema = index.schema();
   std::vector<double> best(schema.num_columns(),
                            std::numeric_limits<double>::infinity());
-  std::vector<CompressionType> winner(schema.num_columns(),
-                                      CompressionType::kNone);
+  CompressionScheme oracle;
+  oracle.per_column.resize(schema.num_columns(), CompressionType::kNone);
   for (CompressionType type : AllCompressionTypes()) {
-    CompressionScheme scheme;
-    scheme.per_column.assign(schema.num_columns(), CompressionType::kNone);
+    CompressionScheme scheme = CompressionScheme::Uniform(type);
     bool any = false;
     for (size_t c = 0; c < schema.num_columns(); ++c) {
-      if (MakeColumnCompressor(type, schema.column(c).type).ok()) {
-        scheme.per_column[c] = type;
-        any = true;
-      }
+      const bool fits = MakeColumnCompressor(type, schema.column(c).type).ok();
+      scheme.per_column.push_back(fits ? type : CompressionType::kNone);
+      any = any || fits;
     }
     if (!any) continue;
     CompressedIndex compressed =
@@ -51,13 +49,11 @@ CompressionScheme OracleScheme(const Table& table,
           static_cast<double>(col.chunk_bytes + col.aux_bytes);
       if (bytes < best[c]) {
         best[c] = bytes;
-        winner[c] = type;
+        oracle.per_column[c] = type;
       }
     }
   }
-  CompressionScheme scheme;
-  scheme.per_column = winner;
-  return scheme;
+  return oracle;
 }
 
 void Run() {

@@ -52,26 +52,26 @@ std::string EncodeLabels(const LabelSet& canonical) {
 /// `cfest.engine.lock_free_pins` → `cfest_engine_lock_free_pins`.
 std::string PrometheusName(const std::string& name) {
   std::string out;
-  out.reserve(name.size());
+  out.reserve(name.size() + 1);
+  if (name.empty() || (name[0] >= '0' && name[0] <= '9')) out.push_back('_');
   for (char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     out.push_back(ok ? c : '_');
   }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
   return out;
 }
 
 /// Label names are a strict subset of metric names (no colon).
 std::string PrometheusLabelName(const std::string& name) {
   std::string out;
-  out.reserve(name.size());
+  out.reserve(name.size() + 1);
+  if (name.empty() || (name[0] >= '0' && name[0] <= '9')) out.push_back('_');
   for (char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_';
     out.push_back(ok ? c : '_');
   }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
   return out;
 }
 

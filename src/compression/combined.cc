@@ -2,21 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bit_util.h"
+#include "compression/cell_dictionary.h"
 #include "compression/encoding_util.h"
 
 namespace cfest {
 namespace {
-
-size_t CommonPrefixLen(const Slice& a, const Slice& b) {
-  const size_t limit = std::min(a.size(), b.size());
-  size_t i = 0;
-  while (i < limit && a[i] == b[i]) ++i;
-  return i;
-}
 
 class CombinedChunk final : public ColumnChunkCompressor {
  public:
@@ -27,42 +20,49 @@ class CombinedChunk final : public ColumnChunkCompressor {
 
   size_t CostWith(const Slice& cell) override {
     const uint32_t l = NullSuppressedLength(cell, type_);
-    const std::string key(cell.data(), l);
-    size_t dict_count = entries_.size();
+    size_t dict_count = dict_.size();
     size_t sum_lens = sum_entry_lengths_;
     size_t prefix = prefix_len_;
-    if (dict_index_.find(key) == dict_index_.end()) {
+    if (!dict_.Contains(cell.data(), l)) {
       ++dict_count;
       sum_lens += l;
-      prefix = entries_.empty()
-                   ? l
-                   : std::min(prefix,
-                              CommonPrefixLen(Slice(key), PrefixSlice()));
+      prefix = dict_.empty() ? l : SharedPrefix(cell.data(), l);
     }
     return ChunkCost(dict_count, sum_lens, prefix, codes_.size() + 1);
   }
 
   void Add(const Slice& cell) override {
     assert(cell.size() == type_.FixedWidth());
-    const uint32_t l = NullSuppressedLength(cell, type_);
-    std::string key(cell.data(), l);
-    auto [it, inserted] = dict_index_.emplace(
-        std::move(key), static_cast<uint32_t>(entries_.size()));
-    if (inserted) {
-      if (entries_.empty()) {
-        prefix_len_ = l;
-      } else {
-        prefix_len_ = std::min(
-            prefix_len_, CommonPrefixLen(Slice(it->first), PrefixSlice()));
-      }
-      entries_.push_back(it->first);
-      sum_entry_lengths_ += l;
-    }
-    codes_.push_back(it->second);
+    codes_.push_back(Encode(cell.data(), NullSuppressedLength(cell, type_)));
+  }
+
+  /// Exact batch cost including intra-batch dedup: the batch's new distinct
+  /// payloads are inserted tentatively, and the dictionary, prefix length
+  /// and entry-length sum all roll back together.
+  size_t CostWithBatch(const char* cells, size_t n) override {
+    const size_t base_lens = sum_entry_lengths_;
+    const size_t base_prefix = prefix_len_;
+    dict_.BeginTentative();
+    encoding::ForEachSuppressed(
+        cells, type_, n,
+        [this](const char* cell, uint32_t l) { Encode(cell, l); });
+    const size_t cost = ChunkCost(dict_.size(), sum_entry_lengths_,
+                                  prefix_len_, codes_.size() + n);
+    dict_.RollBack();
+    sum_entry_lengths_ = base_lens;
+    prefix_len_ = base_prefix;
+    return cost;
+  }
+
+  void AddBatch(const char* cells, size_t n) override {
+    encoding::ForEachSuppressed(
+        cells, type_, n, [this](const char* cell, uint32_t l) {
+          codes_.push_back(Encode(cell, l));
+        });
   }
 
   size_t Cost() const override {
-    return ChunkCost(entries_.size(), sum_entry_lengths_, prefix_len_,
+    return ChunkCost(dict_.size(), sum_entry_lengths_, prefix_len_,
                      codes_.size());
   }
 
@@ -71,38 +71,43 @@ class CombinedChunk final : public ColumnChunkCompressor {
   }
 
   std::string Finish() override {
-    const int bits = BitsFor(entries_.size());
+    const int bits = BitsFor(dict_.size());
     std::string out;
     out.reserve(Cost());
-    encoding::PutU16(&out, static_cast<uint16_t>(entries_.size()));
+    encoding::PutU16(&out, static_cast<uint16_t>(dict_.size()));
     out.push_back(static_cast<char>(bits));
-    const size_t prefix = entries_.empty() ? 0 : prefix_len_;
-    PutLen(&out, prefix);
-    if (!entries_.empty()) {
-      out.append(entries_.front().data(), prefix);
-    }
-    for (const std::string& entry : entries_) {
-      PutLen(&out, entry.size() - prefix);
+    const size_t prefix = dict_.empty() ? 0 : prefix_len_;
+    encoding::PutLength(&out, prefix, len_hdr_);
+    if (!dict_.empty()) out.append(dict_.entry(0).data(), prefix);
+    for (uint32_t code = 0; code < dict_.size(); ++code) {
+      const Slice entry = dict_.entry(code);
+      encoding::PutLength(&out, entry.size() - prefix, len_hdr_);
       out.append(entry.data() + prefix, entry.size() - prefix);
     }
     encoding::PutU16(&out, static_cast<uint16_t>(codes_.size()));
     BitWriter writer(&out);
     for (uint32_t code : codes_) writer.Put(code, bits);
-    *total_dict_entries_ += entries_.size();
+    *total_dict_entries_ += dict_.size();
     return out;
   }
 
  private:
-  Slice PrefixSlice() const {
-    return Slice(entries_.front().data(), prefix_len_);
+  /// The code of the null-suppressed payload (the cell's first `l` bytes);
+  /// a new entry grows the entry-length sum and may shorten the prefix.
+  uint32_t Encode(const char* cell, uint32_t l) {
+    const CellDictionary::Insertion ins = dict_.Insert(cell, l);
+    if (ins.inserted) {
+      sum_entry_lengths_ += l;
+      prefix_len_ = ins.code == 0 ? l : SharedPrefix(cell, l);
+    }
+    return ins.code;
   }
 
-  void PutLen(std::string* out, size_t len) const {
-    if (len_hdr_ == 1) {
-      out->push_back(static_cast<char>(len & 0xFF));
-    } else {
-      encoding::PutU16(out, static_cast<uint16_t>(len));
-    }
+  /// The common prefix of the current prefix and the `l` payload bytes.
+  size_t SharedPrefix(const char* payload, uint32_t l) const {
+    return encoding::CommonPrefixLength(
+        payload, dict_.entry(0).data(),
+        std::min<size_t>(prefix_len_, l));
   }
 
   size_t ChunkCost(size_t dict_count, size_t sum_lens, size_t prefix,
@@ -119,8 +124,7 @@ class CombinedChunk final : public ColumnChunkCompressor {
   DataType type_;
   uint32_t len_hdr_;
   uint64_t* total_dict_entries_;  // owned by the parent compressor
-  std::unordered_map<std::string, uint32_t> dict_index_;
-  std::vector<std::string> entries_;  // null-suppressed payloads
+  CellDictionary dict_;           // null-suppressed payloads
   size_t sum_entry_lengths_ = 0;
   size_t prefix_len_ = 0;
   std::vector<uint32_t> codes_;
@@ -160,7 +164,8 @@ class CombinedCompressor final : public ColumnCompressor {
       return Status::Corruption("combined pointer width too large");
     }
     uint32_t prefix_len = 0;
-    CFEST_RETURN_NOT_OK(GetLen(chunk, &pos, len_hdr, &prefix_len));
+    CFEST_RETURN_NOT_OK(
+        encoding::GetLength(chunk, &pos, len_hdr, &prefix_len));
     if (pos + prefix_len > chunk.size()) {
       return Status::Corruption("combined chunk truncated prefix");
     }
@@ -170,7 +175,8 @@ class CombinedCompressor final : public ColumnCompressor {
     entries.reserve(dict_count);
     for (uint16_t i = 0; i < dict_count; ++i) {
       uint32_t suffix_len = 0;
-      CFEST_RETURN_NOT_OK(GetLen(chunk, &pos, len_hdr, &suffix_len));
+      CFEST_RETURN_NOT_OK(
+          encoding::GetLength(chunk, &pos, len_hdr, &suffix_len));
       if (pos + suffix_len > chunk.size()) {
         return Status::Corruption("combined chunk truncated suffix");
       }
@@ -206,27 +212,8 @@ class CombinedCompressor final : public ColumnCompressor {
   }
 
  private:
-  uint64_t total_dict_entries_ = 0;
-
-  static Status GetLen(Slice chunk, size_t* pos, uint32_t len_hdr,
-                       uint32_t* len) {
-    if (len_hdr == 1) {
-      if (*pos + 1 > chunk.size()) {
-        return Status::Corruption("truncated length header");
-      }
-      *len = static_cast<unsigned char>(chunk[*pos]);
-      *pos += 1;
-      return Status::OK();
-    }
-    uint16_t l16 = 0;
-    if (!encoding::GetU16(chunk, pos, &l16)) {
-      return Status::Corruption("truncated length header");
-    }
-    *len = l16;
-    return Status::OK();
-  }
-
   DataType type_;
+  uint64_t total_dict_entries_ = 0;
 };
 
 }  // namespace

@@ -59,10 +59,6 @@ CompressedIndexBuilder::CompressedIndexBuilder(
     stats_.columns[c].type = compressors_->column(c)->type();
   }
   OpenPage();
-  batch_capable_ = !chunks_.empty();
-  for (const auto& chunk : chunks_) {
-    batch_capable_ = batch_capable_ && chunk->SupportsBatch();
-  }
 }
 
 Result<std::unique_ptr<CompressedIndexBuilder>> CompressedIndexBuilder::Make(
@@ -143,12 +139,6 @@ Status CompressedIndexBuilder::AddRows(const char* rows, uint64_t n) {
   if (finished_) return Status::InvalidArgument("builder already finished");
   const size_t row_width = schema_.row_width();
   const size_t ncols = schema_.num_columns();
-  if (!batch_capable_) {
-    for (uint64_t i = 0; i < n; ++i) {
-      CFEST_RETURN_NOT_OK(Add(Slice(rows + i * row_width, row_width)));
-    }
-    return Status::OK();
-  }
   // Page splits are identical to the per-row path: a batch is accepted only
   // when its exact total prospective page cost fits, and chunk costs are
   // monotone nondecreasing in the cells added, so whenever a whole batch

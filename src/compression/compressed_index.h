@@ -116,8 +116,7 @@ class CompressedIndexBuilder {
 
   /// Adds `n` contiguous encoded rows (n * row_width bytes at `rows`).
   /// Equivalent to n Add() calls — identical pages, stats, and errors — but
-  /// routes each column through the batched kernels (compression/kernels.h)
-  /// when every chunk in the scheme supports them: rows are transposed into
+  /// sizes through every chunk's batched path: rows are transposed into
   /// arena-backed column slices and sized/appended per column, not per cell.
   Status AddRows(const char* rows, uint64_t n);
 
@@ -143,8 +142,6 @@ class CompressedIndexBuilder {
   Options options_;
   std::shared_ptr<ColumnCompressorSet> compressors_;
   std::vector<std::unique_ptr<ColumnChunkCompressor>> chunks_;
-  /// True when every chunk of the scheme implements the batched path.
-  bool batch_capable_ = false;
   /// Scratch for the row-major -> column-major transpose of AddRows.
   Arena transpose_arena_;
   std::vector<Page> pages_;

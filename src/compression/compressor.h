@@ -73,6 +73,13 @@ struct CompressionOptions {
 /// Contract: Cost() is the exact number of bytes Finish() will produce for
 /// the cells added so far; CostWith(cell) is the exact cost if `cell` were
 /// added next. Cells must be exactly the column's fixed width.
+///
+/// Every chunk sizes two equivalent ways: per cell (CostWith/Add, the
+/// reference the tests compare against, and the path that closes a full
+/// page) and batched (CostWithBatch/AddBatch, the page packer's fast path
+/// over column-major slices). The batch calls over n cells produce exactly
+/// the state and costs of n CostWith/Add calls, so the packer may mix the
+/// two freely without changing any page split.
 class ColumnChunkCompressor {
  public:
   virtual ~ColumnChunkCompressor() = default;
@@ -83,26 +90,12 @@ class ColumnChunkCompressor {
   /// Appends a cell. Must only be called with fixed-width cells.
   virtual void Add(const Slice& cell) = 0;
 
-  /// True if this chunk implements the batched sizing path below. Batching
-  /// is purely a fast path: CostWithBatch/AddBatch over n cells produce
-  /// exactly the state and costs of n CostWith/Add calls, so the page packer
-  /// may mix the two freely without changing any page split.
-  virtual bool SupportsBatch() const { return false; }
-
   /// Exact serialized size if the `n` contiguous fixed-width cells at
-  /// `cells` were all appended next. Only called when SupportsBatch().
-  virtual size_t CostWithBatch(const char* cells, size_t n) {
-    (void)cells;
-    (void)n;
-    return Cost();
-  }
+  /// `cells` were all appended next. Leaves the chunk's state as it was.
+  virtual size_t CostWithBatch(const char* cells, size_t n) = 0;
 
-  /// Appends `n` contiguous fixed-width cells. Only called when
-  /// SupportsBatch().
-  virtual void AddBatch(const char* cells, size_t n) {
-    (void)cells;
-    (void)n;
-  }
+  /// Appends `n` contiguous fixed-width cells.
+  virtual void AddBatch(const char* cells, size_t n) = 0;
 
   /// Exact serialized size of the cells added so far.
   virtual size_t Cost() const = 0;

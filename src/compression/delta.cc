@@ -16,6 +16,12 @@ int64_t UnZigZag(uint64_t v) {
   return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
+/// v - prev with two's-complement wraparound (no signed overflow).
+int64_t Delta(int64_t v, int64_t prev) {
+  return static_cast<int64_t>(static_cast<uint64_t>(v) -
+                              static_cast<uint64_t>(prev));
+}
+
 size_t VarintSize(uint64_t v) {
   size_t bytes = 1;
   while (v >= 0x80) {
@@ -66,24 +72,34 @@ class DeltaChunk final : public ColumnChunkCompressor {
   explicit DeltaChunk(const DataType& type) : type_(type) {}
 
   size_t CostWith(const Slice& cell) override {
-    const int64_t v = DecodeCellValue(cell, type_.FixedWidth());
-    if (count_ == 0) return Cost() + 8;
-    return Cost() + VarintSize(ZigZag(v - prev_));
+    return Cost() + ValueCost(DecodeCellValue(cell, type_.FixedWidth()),
+                              count_, prev_);
   }
 
   void Add(const Slice& cell) override {
     assert(cell.size() == type_.FixedWidth());
-    const int64_t v = DecodeCellValue(cell, type_.FixedWidth());
-    if (count_ == 0) {
-      for (int i = 0; i < 8; ++i) {
-        buf_.push_back(
-            static_cast<char>((static_cast<uint64_t>(v) >> (8 * i)) & 0xFF));
-      }
-    } else {
-      PutVarint(ZigZag(v - prev_), &buf_);
-    }
-    prev_ = v;
-    ++count_;
+    Append(DecodeCellValue(cell, type_.FixedWidth()));
+  }
+
+  size_t CostWithBatch(const char* cells, size_t n) override {
+    size_t cost = Cost();
+    uint32_t count = count_;
+    int64_t prev = prev_;
+    encoding::ForEachIntBlock(
+        cells, type_.FixedWidth(), n, [&](const int64_t* values, size_t m) {
+          for (size_t i = 0; i < m; ++i) {
+            cost += ValueCost(values[i], count++, prev);
+            prev = values[i];
+          }
+        });
+    return cost;
+  }
+
+  void AddBatch(const char* cells, size_t n) override {
+    encoding::ForEachIntBlock(
+        cells, type_.FixedWidth(), n, [this](const int64_t* values, size_t m) {
+          for (size_t i = 0; i < m; ++i) Append(values[i]);
+        });
   }
 
   size_t Cost() const override { return 2 + buf_.size(); }
@@ -98,6 +114,25 @@ class DeltaChunk final : public ColumnChunkCompressor {
   }
 
  private:
+  /// Bytes `v` adds after `count` values ending in `prev`: the first value
+  /// is stored raw in 8 bytes, every later one as a zigzag-varint delta.
+  static size_t ValueCost(int64_t v, uint32_t count, int64_t prev) {
+    return count == 0 ? 8 : VarintSize(ZigZag(Delta(v, prev)));
+  }
+
+  void Append(int64_t v) {
+    if (count_ == 0) {
+      for (int i = 0; i < 8; ++i) {
+        buf_.push_back(
+            static_cast<char>((static_cast<uint64_t>(v) >> (8 * i)) & 0xFF));
+      }
+    } else {
+      PutVarint(ZigZag(Delta(v, prev_)), &buf_);
+    }
+    prev_ = v;
+    ++count_;
+  }
+
   DataType type_;
   std::string buf_;
   int64_t prev_ = 0;
@@ -148,7 +183,8 @@ class DeltaCompressor final : public ColumnCompressor {
       if (!GetVarint(chunk, &pos, &zz)) {
         return Status::Corruption("delta chunk truncated varint");
       }
-      value += UnZigZag(zz);
+      value = static_cast<int64_t>(static_cast<uint64_t>(value) +
+                                   static_cast<uint64_t>(UnZigZag(zz)));
       AppendCell(value, cells);
     }
     if (pos != chunk.size()) {

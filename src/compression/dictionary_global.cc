@@ -1,11 +1,9 @@
 #include "compression/dictionary_global.h"
 
-#include <cassert>
-#include <cstring>
 #include <vector>
 
+#include "compression/cell_dictionary.h"
 #include "compression/encoding_util.h"
-#include "compression/kernels.h"
 
 namespace cfest {
 namespace {
@@ -19,7 +17,6 @@ class GlobalDictChunk final : public ColumnChunkCompressor {
 
   size_t CostWith(const Slice& cell) override;
   void Add(const Slice& cell) override;
-  bool SupportsBatch() const override { return true; }
   size_t CostWithBatch(const char* cells, size_t n) override;
   void AddBatch(const char* cells, size_t n) override;
 
@@ -84,85 +81,44 @@ class GlobalDictCompressor final : public ColumnCompressor {
                 << (8 * b);
       }
       pos += pointer_bytes_;
-      if (code >= entries_.size()) {
+      if (code >= dict_.size()) {
         return Status::Corruption("global-dict pointer out of range");
       }
-      cells->push_back(entries_[static_cast<size_t>(code)]);
+      cells->push_back(dict_.entry(static_cast<uint32_t>(code)).ToString());
     }
     return Status::OK();
   }
 
   /// The paper's d * k: every distinct value stored once at full width.
   uint64_t AuxiliaryBytes() const override {
-    return static_cast<uint64_t>(entries_.size()) * type_.FixedWidth();
+    return static_cast<uint64_t>(dict_.size()) * type_.FixedWidth();
   }
 
-  uint64_t TotalDictionaryEntries() const override { return entries_.size(); }
+  uint64_t TotalDictionaryEntries() const override { return dict_.size(); }
 
   Status Validate() const override {
     const uint64_t capacity =
         pointer_bytes_ >= 4 ? ~uint64_t{0} : (uint64_t{1} << (8 * pointer_bytes_));
-    if (entries_.size() > capacity) {
+    if (dict_.size() > capacity) {
       return Status::CapacityExceeded(
-          "global dictionary has " + std::to_string(entries_.size()) +
+          "global dictionary has " + std::to_string(dict_.size()) +
           " entries but " + std::to_string(pointer_bytes_) +
           "-byte pointers address only " + std::to_string(capacity));
     }
     return Status::OK();
   }
 
-  /// Codes are assigned in first-appearance order, so the probe table is an
-  /// internal accelerator only: the hash function (kernels::HashBytes, CRC
-  /// or FNV depending on the active SIMD level) never influences the codes
-  /// or any serialized byte.
-  uint32_t Encode(const Slice& cell) {
-    const size_t slot = FindSlot(cell);
-    if (slots_[slot] != 0) return slots_[slot] - 1;
-    const uint32_t code = static_cast<uint32_t>(entries_.size());
-    entries_.push_back(cell.ToString());
-    slots_[slot] = code + 1;
-    if ((entries_.size() + 1) * 4 > slots_.size() * 3) Grow();
-    return code;
+  /// The cell's code in the global dictionary, in first-appearance order.
+  uint32_t Encode(const char* cell) {
+    return dict_.Insert(cell, type_.FixedWidth()).code;
   }
 
   uint32_t pointer_bytes() const { return pointer_bytes_; }
 
  private:
-  /// Linear probe: the slot holding `cell`'s code + 1, or the empty slot
-  /// where it would be inserted.
-  size_t FindSlot(const Slice& cell) const {
-    const size_t mask = slots_.size() - 1;
-    size_t i = kernels::HashBytes(cell.data(), cell.size()) & mask;
-    while (slots_[i] != 0) {
-      const std::string& entry = entries_[slots_[i] - 1];
-      if (entry.size() == cell.size() &&
-          std::memcmp(entry.data(), cell.data(), entry.size()) == 0) {
-        return i;
-      }
-      i = (i + 1) & mask;
-    }
-    return i;
-  }
-
-  void Grow() {
-    std::vector<uint32_t> old = std::move(slots_);
-    slots_.assign(old.size() * 2, 0);
-    const size_t mask = slots_.size() - 1;
-    for (const uint32_t stored : old) {
-      if (stored == 0) continue;
-      const std::string& entry = entries_[stored - 1];
-      size_t i = kernels::HashBytes(entry.data(), entry.size()) & mask;
-      while (slots_[i] != 0) i = (i + 1) & mask;
-      slots_[i] = stored;
-    }
-  }
-
   DataType type_;
   uint32_t pointer_bytes_;
-  /// Open-addressing probe table: entry code + 1, 0 = empty. Power-of-two
-  /// sized, grown at 75% load.
-  std::vector<uint32_t> slots_ = std::vector<uint32_t>(1024, 0);
-  std::vector<std::string> entries_;
+  CellDictionary dict_{1024};
 };
 
 size_t GlobalDictChunk::CostWith(const Slice& cell) {
@@ -171,7 +127,7 @@ size_t GlobalDictChunk::CostWith(const Slice& cell) {
 }
 
 void GlobalDictChunk::Add(const Slice& cell) {
-  codes_.push_back(parent_->Encode(cell));
+  codes_.push_back(parent_->Encode(cell.data()));
 }
 
 size_t GlobalDictChunk::CostWithBatch(const char* cells, size_t n) {
@@ -181,9 +137,8 @@ size_t GlobalDictChunk::CostWithBatch(const char* cells, size_t n) {
 
 void GlobalDictChunk::AddBatch(const char* cells, size_t n) {
   const uint32_t w = parent_->data_type().FixedWidth();
-  codes_.reserve(codes_.size() + n);
   for (size_t i = 0; i < n; ++i) {
-    codes_.push_back(parent_->Encode(Slice(cells + i * w, w)));
+    codes_.push_back(parent_->Encode(cells + i * w));
   }
 }
 

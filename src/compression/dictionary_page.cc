@@ -1,17 +1,14 @@
 #include "compression/dictionary_page.h"
 
 #include <cassert>
-#include <cstring>
 #include <vector>
 
 #include "common/bit_util.h"
+#include "compression/cell_dictionary.h"
 #include "compression/encoding_util.h"
-#include "compression/kernels.h"
 
 namespace cfest {
 namespace {
-
-class PageDictCompressor;
 
 class PageDictChunk final : public ColumnChunkCompressor {
  public:
@@ -22,82 +19,37 @@ class PageDictChunk final : public ColumnChunkCompressor {
         total_dict_entries_(total_dict_entries) {}
 
   size_t CostWith(const Slice& cell) override {
-    const bool is_new = slots_[FindSlot(cell.data(), cell.size())] == 0;
-    const size_t dict_count = entries_.size() + (is_new ? 1 : 0);
-    const size_t dict_bytes =
-        dict_bytes_ +
-        (is_new ? EntryCost(cell) : 0);
+    const bool is_new = !dict_.Contains(cell.data(), type_.FixedWidth());
+    const size_t dict_count = dict_.size() + (is_new ? 1 : 0);
+    const size_t dict_bytes = dict_bytes_ + (is_new ? EntryCost(cell) : 0);
     return ChunkCost(dict_count, dict_bytes, codes_.size() + 1);
   }
 
   void Add(const Slice& cell) override {
     assert(cell.size() == type_.FixedWidth());
-    const size_t slot = FindSlot(cell.data(), cell.size());
-    uint32_t code;
-    if (slots_[slot] != 0) {
-      code = slots_[slot] - 1;
-    } else {
-      code = static_cast<uint32_t>(entries_.size());
-      slots_[slot] = code + 1;
-      entries_.emplace_back(cell.data(), cell.size());
-      dict_bytes_ += EntryCost(cell);
-      if ((entries_.size() + 1) * 4 > slots_.size() * 3) Grow();
-    }
-    codes_.push_back(code);
+    codes_.push_back(Encode(cell.data()));
   }
 
-  bool SupportsBatch() const override { return true; }
-
   /// Exact batch cost including intra-batch dictionary dedup: the batch's
-  /// new distinct values are tentatively inserted into the probe table
-  /// (capacity pre-grown so no rehash can move them) and rolled back —
-  /// zeroing exactly the slots the batch filled restores the table, since
-  /// tentative entries only ever extend existing probe chains.
+  /// new distinct values are inserted tentatively and rolled back.
   size_t CostWithBatch(const char* cells, size_t n) override {
     const uint32_t w = type_.FixedWidth();
-    const size_t base_entries = entries_.size();
     const size_t base_bytes = dict_bytes_;
-    EnsureCapacity(n);
-    std::vector<size_t> added;
-    for (size_t i = 0; i < n; ++i) {
-      const char* cell = cells + i * w;
-      const size_t slot = FindSlot(cell, w);
-      if (slots_[slot] != 0) continue;
-      slots_[slot] = static_cast<uint32_t>(entries_.size()) + 1;
-      entries_.emplace_back(cell, w);
-      dict_bytes_ += EntryCost(Slice(cell, w));
-      added.push_back(slot);
-    }
-    const size_t cost =
-        ChunkCost(entries_.size(), dict_bytes_, codes_.size() + n);
-    for (size_t slot : added) slots_[slot] = 0;
-    entries_.resize(base_entries);
+    dict_.BeginTentative();
+    for (size_t i = 0; i < n; ++i) Encode(cells + i * w);
+    const size_t cost = ChunkCost(dict_.size(), dict_bytes_, codes_.size() + n);
+    dict_.RollBack();
     dict_bytes_ = base_bytes;
     return cost;
   }
 
   void AddBatch(const char* cells, size_t n) override {
     const uint32_t w = type_.FixedWidth();
-    EnsureCapacity(n);
-    codes_.reserve(codes_.size() + n);
-    for (size_t i = 0; i < n; ++i) {
-      const char* cell = cells + i * w;
-      const size_t slot = FindSlot(cell, w);
-      uint32_t code;
-      if (slots_[slot] != 0) {
-        code = slots_[slot] - 1;
-      } else {
-        code = static_cast<uint32_t>(entries_.size());
-        slots_[slot] = code + 1;
-        entries_.emplace_back(cell, w);
-        dict_bytes_ += EntryCost(Slice(cell, w));
-      }
-      codes_.push_back(code);
-    }
+    for (size_t i = 0; i < n; ++i) codes_.push_back(Encode(cells + i * w));
   }
 
   size_t Cost() const override {
-    return ChunkCost(entries_.size(), dict_bytes_, codes_.size());
+    return ChunkCost(dict_.size(), dict_bytes_, codes_.size());
   }
 
   uint32_t count() const override {
@@ -107,6 +59,14 @@ class PageDictChunk final : public ColumnChunkCompressor {
   std::string Finish() override;
 
  private:
+  /// The cell's code, charging a new entry's bytes to the dictionary.
+  uint32_t Encode(const char* cell) {
+    const uint32_t w = type_.FixedWidth();
+    const CellDictionary::Insertion ins = dict_.Insert(cell, w);
+    if (ins.inserted) dict_bytes_ += EntryCost(Slice(cell, w));
+    return ins.code;
+  }
+
   size_t EntryCost(const Slice& cell) const {
     return options_.dict_entries_full_width
                ? type_.FixedWidth()
@@ -128,69 +88,26 @@ class PageDictChunk final : public ColumnChunkCompressor {
            BytesForBits(bits * row_count);
   }
 
-  /// Linear probe: the slot holding `cell`'s code + 1, or the empty slot
-  /// where it would be inserted. Codes are assigned in first-appearance
-  /// order, so the hash (kernels::HashBytes — CRC or FNV depending on the
-  /// active SIMD level) never influences any serialized byte.
-  size_t FindSlot(const char* cell, size_t size) const {
-    const size_t mask = slots_.size() - 1;
-    size_t i = kernels::HashBytes(cell, size) & mask;
-    while (slots_[i] != 0) {
-      const std::string& entry = entries_[slots_[i] - 1];
-      if (entry.size() == size &&
-          std::memcmp(entry.data(), cell, size) == 0) {
-        return i;
-      }
-      i = (i + 1) & mask;
-    }
-    return i;
-  }
-
-  /// Keeps the table under 75% load even if the next `extra` inserts are
-  /// all new — the batch paths grow up front so no rehash can happen (and
-  /// invalidate remembered slots) mid-batch.
-  void EnsureCapacity(size_t extra) {
-    while ((entries_.size() + extra + 1) * 4 > slots_.size() * 3) Grow();
-  }
-
-  void Grow() {
-    std::vector<uint32_t> old = std::move(slots_);
-    slots_.assign(old.size() * 2, 0);
-    const size_t mask = slots_.size() - 1;
-    for (const uint32_t stored : old) {
-      if (stored == 0) continue;
-      const std::string& entry = entries_[stored - 1];
-      size_t i = kernels::HashBytes(entry.data(), entry.size()) & mask;
-      while (slots_[i] != 0) i = (i + 1) & mask;
-      slots_[i] = stored;
-    }
-  }
-
   DataType type_;
   CompressionOptions options_;
   uint64_t* total_dict_entries_;  // owned by the parent compressor
-
-  /// Open-addressing probe table: entry code + 1, 0 = empty. Power-of-two
-  /// sized, grown at 75% load. Replaces the old per-probe
-  /// std::string-keyed map — CostWith was allocating a key per call on the
-  /// page packer's hottest loop.
-  std::vector<uint32_t> slots_ = std::vector<uint32_t>(256, 0);
-  std::vector<std::string> entries_;  // insertion order
+  CellDictionary dict_;           // full-width cells
   size_t dict_bytes_ = 0;
   std::vector<uint32_t> codes_;
 };
 
 std::string PageDictChunk::Finish() {
-  const int bits = PointerBits(entries_.size());
+  const int bits = PointerBits(dict_.size());
   std::string out;
   out.reserve(Cost());
-  encoding::PutU16(&out, static_cast<uint16_t>(entries_.size()));
+  encoding::PutU16(&out, static_cast<uint16_t>(dict_.size()));
   out.push_back(static_cast<char>(bits));
-  for (const std::string& entry : entries_) {
+  for (uint32_t code = 0; code < dict_.size(); ++code) {
+    const Slice entry = dict_.entry(code);
     if (options_.dict_entries_full_width) {
-      out += entry;
+      out.append(entry.data(), entry.size());
     } else {
-      encoding::PutNullSuppressed(Slice(entry), type_, &out);
+      encoding::PutNullSuppressed(entry, type_, &out);
     }
   }
   encoding::PutU16(&out, static_cast<uint16_t>(codes_.size()));
@@ -198,7 +115,7 @@ std::string PageDictChunk::Finish() {
   for (uint32_t code : codes_) {
     writer.Put(code, bits);
   }
-  *total_dict_entries_ += entries_.size();
+  *total_dict_entries_ += dict_.size();
   return out;
 }
 

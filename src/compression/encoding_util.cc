@@ -3,33 +3,35 @@
 namespace cfest {
 namespace encoding {
 
+Status GetLength(Slice in, size_t* pos, uint32_t header_bytes,
+                 uint32_t* len) {
+  if (header_bytes == 1) {
+    if (*pos + 1 > in.size()) {
+      return Status::Corruption("truncated length header");
+    }
+    *len = static_cast<unsigned char>(in[*pos]);
+    *pos += 1;
+    return Status::OK();
+  }
+  uint16_t l16 = 0;
+  if (!GetU16(in, pos, &l16)) {
+    return Status::Corruption("truncated length header");
+  }
+  *len = l16;
+  return Status::OK();
+}
+
 void PutNullSuppressed(const Slice& cell, const DataType& type,
                        std::string* out) {
   const uint32_t len = NullSuppressedLength(cell, type);
-  if (LengthHeaderBytes(type) == 1) {
-    out->push_back(static_cast<char>(len & 0xFF));
-  } else {
-    PutU16(out, static_cast<uint16_t>(len));
-  }
+  PutLength(out, len, LengthHeaderBytes(type));
   out->append(cell.data(), len);
 }
 
 Status GetNullSuppressed(Slice in, size_t* pos, const DataType& type,
                          std::string* cell_out) {
   uint32_t len = 0;
-  if (LengthHeaderBytes(type) == 1) {
-    if (*pos + 1 > in.size()) {
-      return Status::Corruption("truncated NS length header");
-    }
-    len = static_cast<unsigned char>(in[*pos]);
-    *pos += 1;
-  } else {
-    uint16_t l16 = 0;
-    if (!GetU16(in, pos, &l16)) {
-      return Status::Corruption("truncated NS length header");
-    }
-    len = l16;
-  }
+  CFEST_RETURN_NOT_OK(GetLength(in, pos, LengthHeaderBytes(type), &len));
   if (len > type.FixedWidth()) {
     return Status::Corruption("NS length exceeds column width");
   }

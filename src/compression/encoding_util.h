@@ -6,11 +6,15 @@
 #ifndef CFEST_COMPRESSION_ENCODING_UTIL_H_
 #define CFEST_COMPRESSION_ENCODING_UTIL_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "common/slice.h"
 #include "common/status.h"
+#include "compression/kernels.h"
 #include "storage/row_codec.h"
 #include "storage/types.h"
 
@@ -49,10 +53,70 @@ inline bool GetU32(Slice in, size_t* pos, uint32_t* v) {
   return true;
 }
 
+/// Appends a 1- or 2-byte length header (LengthHeaderBytes()).
+inline void PutLength(std::string* out, size_t len, uint32_t header_bytes) {
+  if (header_bytes == 1) {
+    out->push_back(static_cast<char>(len & 0xFF));
+  } else {
+    PutU16(out, static_cast<uint16_t>(len));
+  }
+}
+
+/// Reads a 1- or 2-byte length header at *pos, advancing it.
+Status GetLength(Slice in, size_t* pos, uint32_t header_bytes, uint32_t* len);
+
 /// Bytes a null-suppressed cell of this column costs on the wire:
 /// length header + suppressed payload.
 inline size_t NullSuppressedCost(const Slice& cell, const DataType& type) {
   return LengthHeaderBytes(type) + NullSuppressedLength(cell, type);
+}
+
+/// Calls fn(cell, len) for each of the `n` contiguous fixed-width cells at
+/// `cells`, in order, with its null-suppressed length. The lengths come from
+/// the batched kernel in stack-sized blocks, so the batch paths of the
+/// chunk compressors need no scratch allocation.
+template <typename Fn>
+void ForEachSuppressed(const char* cells, const DataType& type, size_t n,
+                       Fn&& fn) {
+  constexpr size_t kBlock = 256;
+  uint32_t lengths[kBlock] = {};
+  const uint32_t w = type.FixedWidth();
+  for (size_t start = 0; start < n; start += kBlock) {
+    const size_t m = std::min(kBlock, n - start);
+    const char* block = cells + start * w;
+    kernels::NullSuppressedLengths(block, w, m, type.IsString(), lengths);
+    for (size_t i = 0; i < m; ++i) fn(block + i * w, lengths[i]);
+  }
+}
+
+/// Calls fn(values, m) for consecutive blocks of the `n` contiguous
+/// `width`-byte integer cells at `cells`, in order, each block decoded to
+/// sign-extended int64s by the batched kernel into a stack buffer.
+template <typename Fn>
+void ForEachIntBlock(const char* cells, uint32_t width, size_t n, Fn&& fn) {
+  constexpr size_t kBlock = 256;
+  int64_t values[kBlock] = {};
+  for (size_t start = 0; start < n; start += kBlock) {
+    const size_t m = std::min(kBlock, n - start);
+    kernels::DecodeInts(cells + start * width, width, m, values);
+    fn(values, m);
+  }
+}
+
+/// Length of the common prefix of the first `limit` bytes of `a` and `b`.
+inline size_t CommonPrefixLength(const char* a, const char* b, size_t limit) {
+  size_t i = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; i + 8 <= limit; i += 8) {
+      uint64_t x;
+      uint64_t y;
+      std::memcpy(&x, a + i, 8);
+      std::memcpy(&y, b + i, 8);
+      if (x != y) return i + static_cast<size_t>(std::countr_zero(x ^ y)) / 8;
+    }
+  }
+  while (i < limit && a[i] == b[i]) ++i;
+  return i;
 }
 
 /// Appends length header + suppressed payload of `cell`.

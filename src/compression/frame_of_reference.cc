@@ -54,17 +54,18 @@ class ForChunk final : public ColumnChunkCompressor {
     values_.push_back(v);
   }
 
-  bool SupportsBatch() const override { return true; }
-
   size_t CostWithBatch(const char* cells, size_t n) override {
     if (n == 0) return Cost();
-    const uint32_t w = type_.FixedWidth();
-    std::vector<int64_t>& decoded = DecodeScratch();
-    if (decoded.size() < n) decoded.resize(n);
-    kernels::DecodeInts(cells, w, n, decoded.data());
-    const kernels::MinMax mm = kernels::MinMaxInts(decoded.data(), n);
-    const int64_t lo = values_.empty() ? mm.min : std::min(min_, mm.min);
-    const int64_t hi = values_.empty() ? mm.max : std::max(max_, mm.max);
+    bool first = values_.empty();
+    int64_t lo = min_;
+    int64_t hi = max_;
+    encoding::ForEachIntBlock(
+        cells, type_.FixedWidth(), n, [&](const int64_t* values, size_t m) {
+          const kernels::MinMax mm = kernels::MinMaxInts(values, m);
+          lo = first ? mm.min : std::min(lo, mm.min);
+          hi = first ? mm.max : std::max(hi, mm.max);
+          first = false;
+        });
     return ChunkCost(values_.size() + n,
                      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo));
   }
@@ -115,11 +116,6 @@ class ForChunk final : public ColumnChunkCompressor {
   }
 
  private:
-  static std::vector<int64_t>& DecodeScratch() {
-    thread_local std::vector<int64_t> scratch;
-    return scratch;
-  }
-
   size_t ChunkCost(size_t n, uint64_t span) const {
     if (n == 0) return 2;
     return 2 + 8 + 1 + BytesForBits(static_cast<size_t>(OffsetBits(span)) * n);

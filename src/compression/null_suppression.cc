@@ -27,8 +27,6 @@ class NsChunk final : public ColumnChunkCompressor {
     ++count_;
   }
 
-  bool SupportsBatch() const override { return true; }
-
   size_t CostWithBatch(const char* cells, size_t n) override {
     const uint32_t w = type_.FixedWidth();
     return Cost() + n * LengthHeaderBytes(type_) +
@@ -36,21 +34,12 @@ class NsChunk final : public ColumnChunkCompressor {
   }
 
   void AddBatch(const char* cells, size_t n) override {
-    const uint32_t w = type_.FixedWidth();
     const uint32_t header = LengthHeaderBytes(type_);
-    thread_local std::vector<uint32_t> lengths;
-    if (lengths.size() < n) lengths.resize(n);
-    kernels::NullSuppressedLengths(cells, w, n, type_.IsString(),
-                                   lengths.data());
-    uint64_t payload = 0;
-    for (size_t i = 0; i < n; ++i) payload += lengths[i];
-    buf_.reserve(buf_.size() + n * header + payload);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t len = lengths[i];
-      buf_.push_back(static_cast<char>(len & 0xFF));
-      if (header == 2) buf_.push_back(static_cast<char>((len >> 8) & 0xFF));
-      buf_.append(cells + i * w, len);
-    }
+    encoding::ForEachSuppressed(
+        cells, type_, n, [&](const char* cell, uint32_t len) {
+          encoding::PutLength(&buf_, len, header);
+          buf_.append(cell, len);
+        });
     count_ += static_cast<uint32_t>(n);
   }
 
@@ -123,8 +112,6 @@ class NoneChunk final : public ColumnChunkCompressor {
     buf_.append(cell.data(), cell.size());
     ++count_;
   }
-
-  bool SupportsBatch() const override { return true; }
 
   size_t CostWithBatch(const char* cells, size_t n) override {
     (void)cells;

@@ -9,14 +9,6 @@
 namespace cfest {
 namespace {
 
-/// Length of the longest common prefix of two byte strings.
-size_t CommonPrefixLen(const Slice& a, const Slice& b) {
-  const size_t limit = std::min(a.size(), b.size());
-  size_t i = 0;
-  while (i < limit && a[i] == b[i]) ++i;
-  return i;
-}
-
 class PrefixChunk final : public ColumnChunkCompressor {
  public:
   explicit PrefixChunk(const DataType& type)
@@ -24,66 +16,74 @@ class PrefixChunk final : public ColumnChunkCompressor {
 
   size_t CostWith(const Slice& cell) override {
     const uint32_t l = NullSuppressedLength(cell, type_);
-    size_t prefix = prefix_len_;
-    if (values_.empty()) {
-      prefix = l;  // the first value's full suppressed bytes form the prefix
-    } else {
-      prefix = std::min(prefix,
-                        CommonPrefixLen(Slice(cell.data(), l), PrefixSlice()));
-    }
-    const size_t n = values_.size() + 1;
+    // The first value's full suppressed bytes form the prefix.
+    const size_t prefix = lengths_.empty() ? l : SharedPrefix(cell.data(), l);
     // sum of suffix lengths = sum of l_i - n * prefix
-    return ChunkCost(n, sum_lengths_ + l, prefix);
+    return ChunkCost(lengths_.size() + 1, sum_lengths_ + l, prefix);
   }
 
   void Add(const Slice& cell) override {
     assert(cell.size() == type_.FixedWidth());
-    const uint32_t l = NullSuppressedLength(cell, type_);
-    if (values_.empty()) {
-      prefix_len_ = l;
-    } else {
-      prefix_len_ = std::min(
-          prefix_len_,
-          CommonPrefixLen(Slice(cell.data(), l), PrefixSlice()));
-    }
-    values_.emplace_back(cell.data(), l);
-    sum_lengths_ += l;
+    Append(cell.data(), NullSuppressedLength(cell, type_));
+  }
+
+  size_t CostWithBatch(const char* cells, size_t n) override {
+    // An empty chunk takes its prefix from the batch's first value.
+    const char* first = lengths_.empty() ? cells : pool_.data();
+    size_t prefix = lengths_.empty() ? type_.FixedWidth() : prefix_len_;
+    size_t sum = sum_lengths_;
+    encoding::ForEachSuppressed(
+        cells, type_, n, [&](const char* cell, uint32_t l) {
+          prefix = encoding::CommonPrefixLength(cell, first,
+                                                std::min<size_t>(prefix, l));
+          sum += l;
+        });
+    return ChunkCost(lengths_.size() + n, sum, prefix);
+  }
+
+  void AddBatch(const char* cells, size_t n) override {
+    encoding::ForEachSuppressed(
+        cells, type_, n,
+        [this](const char* cell, uint32_t l) { Append(cell, l); });
   }
 
   size_t Cost() const override {
-    return ChunkCost(values_.size(), sum_lengths_, prefix_len_);
+    return ChunkCost(lengths_.size(), sum_lengths_, prefix_len_);
   }
 
   uint32_t count() const override {
-    return static_cast<uint32_t>(values_.size());
+    return static_cast<uint32_t>(lengths_.size());
   }
 
   std::string Finish() override {
     std::string out;
     out.reserve(Cost());
-    encoding::PutU16(&out, static_cast<uint16_t>(values_.size()));
-    PutLen(&out, values_.empty() ? 0 : prefix_len_);
-    if (!values_.empty()) {
-      out.append(values_.front().data(), prefix_len_);
-    }
-    for (const std::string& v : values_) {
-      PutLen(&out, v.size() - prefix_len_);
-      out.append(v.data() + prefix_len_, v.size() - prefix_len_);
+    encoding::PutU16(&out, static_cast<uint16_t>(lengths_.size()));
+    const size_t prefix = lengths_.empty() ? 0 : prefix_len_;
+    encoding::PutLength(&out, prefix, len_hdr_);
+    out.append(pool_.data(), prefix);
+    size_t offset = 0;
+    for (const uint32_t l : lengths_) {
+      encoding::PutLength(&out, l - prefix, len_hdr_);
+      out.append(pool_.data() + offset + prefix, l - prefix);
+      offset += l;
     }
     return out;
   }
 
  private:
-  Slice PrefixSlice() const {
-    return Slice(values_.front().data(), prefix_len_);
+  /// Appends the cell's `l` null-suppressed payload bytes.
+  void Append(const char* cell, uint32_t l) {
+    prefix_len_ = lengths_.empty() ? l : SharedPrefix(cell, l);
+    pool_.append(cell, l);
+    lengths_.push_back(l);
+    sum_lengths_ += l;
   }
 
-  void PutLen(std::string* out, size_t len) const {
-    if (len_hdr_ == 1) {
-      out->push_back(static_cast<char>(len & 0xFF));
-    } else {
-      encoding::PutU16(out, static_cast<uint16_t>(len));
-    }
+  /// The common prefix of the current prefix and the `l` payload bytes.
+  size_t SharedPrefix(const char* payload, uint32_t l) const {
+    return encoding::CommonPrefixLength(payload, pool_.data(),
+                                        std::min<size_t>(prefix_len_, l));
   }
 
   size_t ChunkCost(size_t n, size_t total_lengths, size_t prefix) const {
@@ -93,7 +93,8 @@ class PrefixChunk final : public ColumnChunkCompressor {
 
   DataType type_;
   uint32_t len_hdr_;
-  std::vector<std::string> values_;  // null-suppressed payloads
+  std::string pool_;               // null-suppressed payloads, back to back
+  std::vector<uint32_t> lengths_;  // payload length per value
   size_t sum_lengths_ = 0;
   size_t prefix_len_ = 0;
 };
@@ -118,7 +119,8 @@ class PrefixCompressor final : public ColumnCompressor {
       return Status::Corruption("prefix chunk missing count");
     }
     uint32_t prefix_len = 0;
-    CFEST_RETURN_NOT_OK(GetLen(chunk, &pos, len_hdr, &prefix_len));
+    CFEST_RETURN_NOT_OK(
+        encoding::GetLength(chunk, &pos, len_hdr, &prefix_len));
     if (pos + prefix_len > chunk.size()) {
       return Status::Corruption("truncated prefix bytes");
     }
@@ -126,7 +128,8 @@ class PrefixCompressor final : public ColumnCompressor {
     pos += prefix_len;
     for (uint16_t i = 0; i < count; ++i) {
       uint32_t suffix_len = 0;
-      CFEST_RETURN_NOT_OK(GetLen(chunk, &pos, len_hdr, &suffix_len));
+      CFEST_RETURN_NOT_OK(
+          encoding::GetLength(chunk, &pos, len_hdr, &suffix_len));
       if (pos + suffix_len > chunk.size()) {
         return Status::Corruption("truncated prefix-chunk suffix");
       }
@@ -147,24 +150,6 @@ class PrefixCompressor final : public ColumnCompressor {
   }
 
  private:
-  static Status GetLen(Slice chunk, size_t* pos, uint32_t len_hdr,
-                       uint32_t* len) {
-    if (len_hdr == 1) {
-      if (*pos + 1 > chunk.size()) {
-        return Status::Corruption("truncated length header");
-      }
-      *len = static_cast<unsigned char>(chunk[*pos]);
-      *pos += 1;
-      return Status::OK();
-    }
-    uint16_t l16 = 0;
-    if (!encoding::GetU16(chunk, pos, &l16)) {
-      return Status::Corruption("truncated length header");
-    }
-    *len = l16;
-    return Status::OK();
-  }
-
   DataType type_;
 };
 

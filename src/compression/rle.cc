@@ -1,6 +1,7 @@
 #include "compression/rle.h"
 
 #include <cassert>
+#include <cstring>
 #include <vector>
 
 #include "compression/encoding_util.h"
@@ -9,17 +10,12 @@
 namespace cfest {
 namespace {
 
-struct Run {
-  std::string value;  // fixed-width cell bytes
-  uint32_t length = 0;
-};
-
 class RleChunk final : public ColumnChunkCompressor {
  public:
   explicit RleChunk(const DataType& type) : type_(type) {}
 
   size_t CostWith(const Slice& cell) override {
-    if (!runs_.empty() && Slice(runs_.back().value) == cell) {
+    if (ExtendsOpenRun(cell.data())) {
       return Cost();  // extends the open run; u32 length already counted
     }
     return Cost() + 4 + encoding::NullSuppressedCost(cell, type_);
@@ -27,23 +23,19 @@ class RleChunk final : public ColumnChunkCompressor {
 
   void Add(const Slice& cell) override {
     assert(cell.size() == type_.FixedWidth());
-    if (!runs_.empty() && Slice(runs_.back().value) == cell) {
-      ++runs_.back().length;
+    if (ExtendsOpenRun(cell.data())) {
+      ++run_lengths_.back();
     } else {
-      runs_.push_back({cell.ToString(), 1});
-      runs_bytes_ += 4 + encoding::NullSuppressedCost(cell, type_);
+      OpenRun(cell.data(), 1);
     }
     ++count_;
   }
-
-  bool SupportsBatch() const override { return true; }
 
   size_t CostWithBatch(const char* cells, size_t n) override {
     const uint32_t w = type_.FixedWidth();
     std::vector<uint32_t>& starts = StartsScratch();
     starts.clear();
-    const char* prev = runs_.empty() ? nullptr : runs_.back().value.data();
-    kernels::RunStarts(cells, w, n, prev, &starts);
+    kernels::RunStarts(cells, w, n, OpenRunValue(), &starts);
     size_t cost = Cost();
     for (const uint32_t s : starts) {
       cost += 4 + encoding::NullSuppressedCost(
@@ -56,21 +48,17 @@ class RleChunk final : public ColumnChunkCompressor {
     const uint32_t w = type_.FixedWidth();
     std::vector<uint32_t>& starts = StartsScratch();
     starts.clear();
-    const char* prev = runs_.empty() ? nullptr : runs_.back().value.data();
-    kernels::RunStarts(cells, w, n, prev, &starts);
+    kernels::RunStarts(cells, w, n, OpenRunValue(), &starts);
     // Cells before the first boundary extend the run left open by Add();
-    // a non-zero head implies runs_ is non-empty (cell 0 matched prev).
+    // a non-zero head implies a run is open (cell 0 matched it).
     const uint32_t head =
         starts.empty() ? static_cast<uint32_t>(n) : starts[0];
-    if (head > 0) runs_.back().length += head;
-    runs_.reserve(runs_.size() + starts.size());
+    if (head > 0) run_lengths_.back() += head;
     for (size_t k = 0; k < starts.size(); ++k) {
       const uint32_t s = starts[k];
       const uint32_t e =
           k + 1 < starts.size() ? starts[k + 1] : static_cast<uint32_t>(n);
-      const Slice cell(cells + static_cast<size_t>(s) * w, w);
-      runs_.push_back({cell.ToString(), e - s});
-      runs_bytes_ += 4 + encoding::NullSuppressedCost(cell, type_);
+      OpenRun(cells + static_cast<size_t>(s) * w, e - s);
     }
     count_ += static_cast<uint32_t>(n);
   }
@@ -79,12 +67,14 @@ class RleChunk final : public ColumnChunkCompressor {
   uint32_t count() const override { return count_; }
 
   std::string Finish() override {
+    const uint32_t w = type_.FixedWidth();
     std::string out;
     out.reserve(Cost());
-    encoding::PutU16(&out, static_cast<uint16_t>(runs_.size()));
-    for (const Run& run : runs_) {
-      encoding::PutU32(&out, run.length);
-      encoding::PutNullSuppressed(Slice(run.value), type_, &out);
+    encoding::PutU16(&out, static_cast<uint16_t>(run_lengths_.size()));
+    for (size_t r = 0; r < run_lengths_.size(); ++r) {
+      encoding::PutU32(&out, run_lengths_[r]);
+      encoding::PutNullSuppressed(Slice(values_.data() + r * w, w), type_,
+                                  &out);
     }
     return out;
   }
@@ -95,8 +85,29 @@ class RleChunk final : public ColumnChunkCompressor {
     return scratch;
   }
 
+  /// The value of the open (last) run, or null before the first cell.
+  const char* OpenRunValue() const {
+    return run_lengths_.empty()
+               ? nullptr
+               : values_.data() + values_.size() - type_.FixedWidth();
+  }
+
+  bool ExtendsOpenRun(const char* cell) const {
+    const char* open = OpenRunValue();
+    return open != nullptr &&
+           std::memcmp(open, cell, type_.FixedWidth()) == 0;
+  }
+
+  void OpenRun(const char* cell, uint32_t length) {
+    const uint32_t w = type_.FixedWidth();
+    values_.append(cell, w);
+    run_lengths_.push_back(length);
+    runs_bytes_ += 4 + encoding::NullSuppressedCost(Slice(cell, w), type_);
+  }
+
   DataType type_;
-  std::vector<Run> runs_;
+  std::string values_;                 // one fixed-width cell per run
+  std::vector<uint32_t> run_lengths_;  // cells per run
   size_t runs_bytes_ = 0;
   uint32_t count_ = 0;
 };

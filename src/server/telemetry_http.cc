@@ -1,5 +1,6 @@
 #include "server/telemetry_http.h"
 
+#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -72,10 +73,18 @@ std::string ReadRequestHead(int fd) {
 
 TelemetryHttpServer::~TelemetryHttpServer() { Stop(); }
 
-Status TelemetryHttpServer::Start(uint16_t port) {
+Status TelemetryHttpServer::Start(uint16_t port,
+                                  const std::string& bind_address) {
   if (running_.load(std::memory_order_acquire)) {
     return Status::AlreadyExists("telemetry server already running on port " +
                                  std::to_string(port_));
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, bind_address.c_str(), &addr.sin_addr) != 1) {
+    return Status::InvalidArgument("telemetry bind address is not an IPv4 "
+                                   "address: '" + bind_address + "'");
   }
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
@@ -83,16 +92,12 @@ Status TelemetryHttpServer::Start(uint16_t port) {
   }
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(port);
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     const std::string message = std::strerror(errno);
     ::close(fd);
-    return Status::Internal("bind port " + std::to_string(port) + ": " +
-                            message);
+    return Status::Internal("bind " + bind_address + ":" +
+                            std::to_string(port) + ": " + message);
   }
   if (::listen(fd, /*backlog=*/16) != 0) {
     const std::string message = std::strerror(errno);

@@ -23,10 +23,11 @@
 // never reads — holds the accept thread for at most that long instead of
 // stalling every later scrape (and Stop()) forever.
 //
-// Lifecycle: Start(port) binds (port 0 picks an ephemeral port — use
-// port() to learn it, handy for tests and for CI scrapes), Stop() shuts
-// the listener down and joins the thread. Stop is idempotent and is also
-// called from the destructor.
+// Lifecycle: Start(port) binds the loopback interface (port 0 picks an
+// ephemeral port — use port() to learn it, handy for tests and for CI
+// scrapes); Start(port, address) binds another IPv4 address, "0.0.0.0" for
+// every interface. Stop() shuts the listener down and joins the thread.
+// Stop is idempotent and is also called from the destructor.
 
 #ifndef CFEST_SERVER_TELEMETRY_HTTP_H_
 #define CFEST_SERVER_TELEMETRY_HTTP_H_
@@ -52,10 +53,16 @@ class TelemetryHttpServer {
   /// silent or stalled client can hold the serial accept thread.
   static constexpr int kClientIoTimeoutMs = 2000;
 
-  /// Binds `port` on all interfaces and starts the accept thread. Port 0
-  /// binds an ephemeral port (read it back with port()). Fails if the
-  /// server is already running or the bind/listen fails.
-  Status Start(uint16_t port);
+  /// The address Start binds unless told otherwise: loopback only, so the
+  /// endpoint is not reachable from other hosts by accident.
+  static constexpr const char* kDefaultBindAddress = "127.0.0.1";
+
+  /// Binds `port` on the IPv4 `bind_address` and starts the accept thread.
+  /// Port 0 binds an ephemeral port (read it back with port()). Fails if
+  /// the address does not parse, the server is already running, or the
+  /// bind/listen fails.
+  Status Start(uint16_t port,
+               const std::string& bind_address = kDefaultBindAddress);
 
   /// Shuts the listener down and joins the accept thread. Safe to call
   /// when not running, and safe to call more than once.

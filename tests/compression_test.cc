@@ -25,6 +25,13 @@ std::string PadCell(const std::string& s, uint32_t k) {
   return cell;
 }
 
+/// `prefix` followed by the decimal `i` ("v" + 7 -> "v7").
+std::string Numbered(const char* prefix, int i) {
+  std::string out = prefix;
+  out += std::to_string(i);
+  return out;
+}
+
 /// Encodes an int64 as its 8-byte little-endian cell.
 std::string IntCell(int64_t v) {
   std::string cell;
@@ -132,7 +139,7 @@ TEST_P(ChunkContractTest, AllIdenticalCells) {
 TEST_P(ChunkContractTest, AllDistinctCells) {
   std::vector<std::string> cells;
   for (int i = 0; i < 60; ++i) {
-    cells.push_back(PadCell("v" + std::to_string(i), 12));
+    cells.push_back(PadCell(Numbered("v", i), 12));
   }
   CheckContract(CharType(12), cells);
 }
@@ -369,7 +376,7 @@ TEST(CombinedTest, BeatsPlainDictionaryOnSharedPrefixes) {
   auto combined_chunk = combined->NewChunk();
   for (int i = 0; i < 64; ++i) {
     const std::string value =
-        PadCell("warehouse-item-" + std::to_string(i % 16), 32);
+        PadCell(Numbered("warehouse-item-", i % 16), 32);
     dict_chunk->Add(Slice(value));
     combined_chunk->Add(Slice(value));
   }
@@ -536,7 +543,7 @@ TEST(GlobalDictTest, PointerOverflowDetectedByValidate) {
       MustMake(CompressionType::kDictionaryGlobal, CharType(8), options);
   auto chunk = compressor->NewChunk();
   for (int i = 0; i < 300; ++i) {
-    chunk->Add(Slice(PadCell("v" + std::to_string(i), 8)));
+    chunk->Add(Slice(PadCell(Numbered("v", i), 8)));
   }
   chunk->Finish();
   EXPECT_TRUE(compressor->Validate().IsCapacityExceeded());

@@ -20,6 +20,7 @@
 #include "common/bit_util.h"
 #include "common/random.h"
 #include "common/simd.h"
+#include "compression/cell_dictionary.h"
 #include "compression/compressed_index.h"
 #include "compression/compressor.h"
 #include "compression/kernels.h"
@@ -66,6 +67,50 @@ std::string FuzzCells(Random* rng, uint32_t width, size_t n, bool is_string,
         if (rng->NextBounded(2) == 0) cell[len - 1] = 'x';
       }
       for (uint32_t b = len; b < width; ++b) cell[b] = is_string ? ' ' : '\0';
+    }
+  }
+  return buf;
+}
+
+/// Blank-padded string cells sharing one random stem, the shape prefix
+/// compression feeds on: suffixes come from a three-letter alphabet (so
+/// values repeat), and some cells stop short of, or inside, the stem.
+std::string StemmedCells(Random* rng, uint32_t width, size_t n) {
+  std::string stem;
+  for (uint32_t b = 0; b < width; ++b) {
+    stem.push_back(static_cast<char>('a' + rng->NextBounded(26)));
+  }
+  std::string buf(n * width, ' ');
+  for (size_t i = 0; i < n; ++i) {
+    char* cell = buf.data() + i * width;
+    const uint32_t len = static_cast<uint32_t>(rng->NextBounded(width + 1));
+    const uint32_t stem_len = std::min<uint32_t>(
+        len, static_cast<uint32_t>(width / 2 + rng->NextBounded(3)));
+    std::memcpy(cell, stem.data(), stem_len);
+    for (uint32_t b = stem_len; b < len; ++b) {
+      cell[b] = static_cast<char>('0' + rng->NextBounded(3));
+    }
+  }
+  return buf;
+}
+
+/// Little-endian integer cells on a random walk that crosses zero, so
+/// consecutive deltas are positive, negative and zero, small and large.
+std::string RandomWalkCells(Random* rng, uint32_t width, size_t n) {
+  std::string buf(n * width, '\0');
+  int64_t v = -1000;
+  const int64_t limit = width >= 8 ? (int64_t{1} << 40) : (int64_t{1} << 28);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t kind = rng->NextBounded(4);
+    const int64_t step =
+        kind == 0 ? 0
+        : kind == 1
+            ? static_cast<int64_t>(rng->NextBounded(200)) - 100
+            : static_cast<int64_t>(rng->NextBounded(2000001)) - 1000000;
+    v = std::clamp<int64_t>(v + step * (kind == 3 ? 4096 : 1), -limit, limit);
+    const uint64_t bits = static_cast<uint64_t>(v);
+    for (uint32_t b = 0; b < width; ++b) {
+      buf[i * width + b] = static_cast<char>((bits >> (8 * b)) & 0xFF);
     }
   }
   return buf;
@@ -321,6 +366,59 @@ TEST(BitWriterTest, BulkPutMatchesBitReaderRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
+// CellDictionary: first-appearance codes and exact tentative roll-back.
+// ---------------------------------------------------------------------------
+
+TEST(CellDictionaryTest, RollBackRestoresEntriesWithAndWithoutGrowth) {
+  SimdLevelGuard guard;
+  auto key = [](size_t i) {
+    std::string k = "key-";
+    k += std::to_string(i);
+    return k;
+  };
+  for (const SimdLevel level : TestableLevels()) {
+    SetSimdLevel(level);
+    CellDictionary dict(16);
+    for (size_t i = 0; i < 10; ++i) {
+      const std::string k = key(i);
+      const CellDictionary::Insertion ins =
+          dict.Insert(k.data(), static_cast<uint32_t>(k.size()));
+      ASSERT_TRUE(ins.inserted);
+      ASSERT_EQ(ins.code, i);
+    }
+    // Sections that stay within the 16-slot table (one new key), grow it
+    // once (two) and grow it several times (500); each mixes old keys
+    // (existing codes) with new ones.
+    for (const size_t extra : {size_t{1}, size_t{2}, size_t{500}}) {
+      dict.BeginTentative();
+      for (size_t i = 0; i < 10 + extra; ++i) {
+        const std::string k = key(i);
+        const CellDictionary::Insertion ins =
+            dict.Insert(k.data(), static_cast<uint32_t>(k.size()));
+        ASSERT_EQ(ins.code, i);
+        ASSERT_EQ(ins.inserted, i >= 10);
+      }
+      ASSERT_EQ(dict.size(), 10 + extra);
+      dict.RollBack();
+      ASSERT_EQ(dict.size(), 10u) << SimdLevelName(level);
+      for (size_t i = 0; i < 10 + extra; ++i) {
+        const std::string k = key(i);
+        ASSERT_EQ(dict.Contains(k.data(), static_cast<uint32_t>(k.size())),
+                  i < 10)
+            << "extra=" << extra << " i=" << i;
+      }
+      for (uint32_t code = 0; code < 10; ++code) {
+        ASSERT_EQ(dict.entry(code).ToString(), key(code));
+      }
+    }
+    // Codes after a roll-back continue where the kept entries end.
+    const std::string k = key(777);
+    EXPECT_EQ(dict.Insert(k.data(), static_cast<uint32_t>(k.size())).code,
+              10u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Batched chunk path == per-cell path, per scheme and per SIMD level.
 // ---------------------------------------------------------------------------
 
@@ -338,7 +436,6 @@ void CheckBatchEqualsPerCell(CompressionType type, const DataType& dt,
   auto batch_comp = MustMake(type, dt);
   auto per_cell = per_cell_comp->NewChunk();
   auto batch = batch_comp->NewChunk();
-  ASSERT_TRUE(batch->SupportsBatch());
   Random rng(49);
   size_t i = 0;
   while (i < n) {
@@ -388,45 +485,113 @@ TEST(BatchChunkTest, BatchedPathBitIdenticalAcrossLevels) {
       {CompressionType::kDictionaryGlobal, Int64Type(), false},
       {CompressionType::kFrameOfReference, Int32Type(), false},
       {CompressionType::kFrameOfReference, Int64Type(), false},
+      {CompressionType::kPrefix, CharType(12), true},
+      {CompressionType::kPrefix, CharType(300), true},
+      {CompressionType::kPrefix, Int64Type(), false},
+      {CompressionType::kPrefixDictionary, CharType(12), true},
+      {CompressionType::kPrefixDictionary, CharType(300), true},
+      {CompressionType::kPrefixDictionary, Int32Type(), false},
+      {CompressionType::kDelta, Int32Type(), false},
+      {CompressionType::kDelta, Int64Type(), false},
   };
   for (const Case& c : cases) {
+    const uint32_t w = c.dt.FixedWidth();
     for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{700}}) {
-      const std::string cells =
-          FuzzCells(&rng, c.dt.FixedWidth(), n, c.is_string, 0);
-      for (const SimdLevel level : TestableLevels()) {
-        SetSimdLevel(level);
-        CheckBatchEqualsPerCell(c.type, c.dt, cells, n);
+      std::vector<std::string> inputs = {
+          FuzzCells(&rng, w, n, c.is_string, 0)};
+      if (c.is_string) {
+        inputs.push_back(StemmedCells(&rng, w, n));
+        inputs.push_back(std::string(n * w, ' '));  // all blank
+      }
+      if (c.dt.IsInteger()) inputs.push_back(RandomWalkCells(&rng, w, n));
+      // All-duplicate: one (fuzzed) cell repeated.
+      const std::string one = FuzzCells(&rng, w, 1, c.is_string, 0);
+      std::string dup;
+      for (size_t i = 0; i < n; ++i) dup += one;
+      inputs.push_back(std::move(dup));
+      for (const std::string& cells : inputs) {
+        for (const SimdLevel level : TestableLevels()) {
+          SetSimdLevel(level);
+          CheckBatchEqualsPerCell(c.type, c.dt, cells, n);
+        }
       }
     }
   }
 }
 
-TEST(BatchChunkTest, AddRowsMatchesPerRowPages) {
+TEST(BatchChunkTest, RepeatedBatchSizingRollsBack) {
+  // The page packer sizes a batch, halves it and sizes again before it
+  // appends anything. Every sizing must leave the chunk exactly as it was:
+  // tentative dictionary entries, prefix lengths and entry-length sums all
+  // roll back, or a later code, cost or entry count would differ.
   SimdLevelGuard guard;
-  Random rng(51);
-  Schema schema({{"k", Int64Type()},
-                 {"v", CharType(12)},
-                 {"m", Int32Type()}});
-  CompressionScheme scheme;
-  scheme.default_type = CompressionType::kNullSuppression;
-  scheme.per_column = {CompressionType::kFrameOfReference,
-                       CompressionType::kDictionaryPage,
-                       CompressionType::kNullSuppression};
-  const size_t n = 4000;
-  std::string rows;
-  rows.reserve(n * schema.row_width());
-  for (size_t i = 0; i < n; ++i) {
-    // Sorted-ish keys with runs in the middle column.
-    const uint64_t k = i / 3;
-    rows.append(reinterpret_cast<const char*>(&k), 8);
-    std::string v = "v" + std::to_string(i / 50);
-    v.append(12 - v.size(), ' ');
-    rows += v;
-    const uint32_t m = static_cast<uint32_t>(rng.NextBounded(1000));
-    rows.append(reinterpret_cast<const char*>(&m), 4);
+  Random rng(53);
+  struct Case {
+    CompressionType type;
+    DataType dt;
+  };
+  const Case cases[] = {
+      {CompressionType::kNone, CharType(9)},
+      {CompressionType::kNullSuppression, CharType(9)},
+      {CompressionType::kDictionaryPage, CharType(9)},
+      {CompressionType::kDictionaryGlobal, CharType(9)},
+      {CompressionType::kRle, CharType(9)},
+      {CompressionType::kPrefix, CharType(9)},
+      {CompressionType::kDelta, Int64Type()},
+      {CompressionType::kPrefixDictionary, CharType(9)},
+      {CompressionType::kPrefixDictionary, CharType(300)},
+      {CompressionType::kFrameOfReference, Int32Type()},
+  };
+  for (const Case& c : cases) {
+    const uint32_t w = c.dt.FixedWidth();
+    const size_t n = 900;
+    const std::string cells = c.dt.IsInteger()
+                                  ? RandomWalkCells(&rng, w, n)
+                                  : StemmedCells(&rng, w, n);
+    for (const SimdLevel level : TestableLevels()) {
+      SetSimdLevel(level);
+      auto per_cell_comp = MustMake(c.type, c.dt);
+      auto batch_comp = MustMake(c.type, c.dt);
+      auto per_cell = per_cell_comp->NewChunk();
+      auto batch = batch_comp->NewChunk();
+      size_t i = 0;
+      while (i < n) {
+        const size_t take = std::min<size_t>(n - i, 1 + rng.NextBounded(60));
+        const char* slice = cells.data() + i * w;
+        // Oversized attempts, their halvings, and a later slice the chunk
+        // never receives, each sized before the batch that is appended.
+        batch->CostWithBatch(slice, std::min(n - i, 2 * take));
+        batch->CostWithBatch(cells.data() + (n - take) * w, take);
+        batch->CostWithBatch(slice, (take + 1) / 2);
+        const size_t prospective = batch->CostWithBatch(slice, take);
+        ASSERT_EQ(batch->CostWithBatch(slice, take), prospective);
+        batch->AddBatch(slice, take);
+        for (size_t k = 0; k < take; ++k) {
+          per_cell->Add(Slice(slice + k * w, w));
+        }
+        i += take;
+        ASSERT_EQ(batch->Cost(), prospective) << CompressionTypeName(c.type);
+        ASSERT_EQ(batch->Cost(), per_cell->Cost())
+            << CompressionTypeName(c.type) << " i=" << i;
+      }
+      ASSERT_EQ(batch->Finish(), per_cell->Finish())
+          << CompressionTypeName(c.type);
+      ASSERT_EQ(batch_comp->TotalDictionaryEntries(),
+                per_cell_comp->TotalDictionaryEntries())
+          << CompressionTypeName(c.type);
+      ASSERT_EQ(batch_comp->AuxiliaryBytes(), per_cell_comp->AuxiliaryBytes());
+    }
   }
+}
+
+/// AddRows (at every SIMD level) must produce exactly the pages, stats and
+/// decoded rows of the per-row Add loop at the scalar level.
+void ExpectAddRowsMatchesPerRow(const Schema& schema,
+                                const CompressionScheme& scheme,
+                                const std::string& rows, size_t page_size) {
+  const size_t n = rows.size() / schema.row_width();
   IndexBuildOptions options;
-  options.page_size = 4096;
+  options.page_size = page_size;
   auto build = [&](bool batched, SimdLevel level) {
     SetSimdLevel(level);
     auto builder = CompressedIndexBuilder::Make(schema, scheme, options)
@@ -451,6 +616,8 @@ TEST(BatchChunkTest, AddRowsMatchesPerRowPages) {
         << SimdLevelName(level);
     ASSERT_EQ(batched.stats().used_bytes, reference.stats().used_bytes);
     ASSERT_EQ(batched.stats().chunk_bytes, reference.stats().chunk_bytes);
+    ASSERT_EQ(batched.stats().dictionary_entries,
+              reference.stats().dictionary_entries);
     ASSERT_EQ(batched.pages().size(), reference.pages().size());
     for (size_t p = 0; p < batched.pages().size(); ++p) {
       ASSERT_EQ(batched.pages()[p].record(0).ValueOrDie(),
@@ -467,6 +634,121 @@ TEST(BatchChunkTest, AddRowsMatchesPerRowPages) {
   }
 }
 
+void AppendInt(std::string* row, int64_t v, uint32_t width) {
+  const uint64_t bits = static_cast<uint64_t>(v);
+  for (uint32_t b = 0; b < width; ++b) {
+    row->push_back(static_cast<char>((bits >> (8 * b)) & 0xFF));
+  }
+}
+
+void AppendChar(std::string* row, const std::string& v, uint32_t width) {
+  row->append(v, 0, std::min<size_t>(v.size(), width));
+  row->append(width - std::min<size_t>(v.size(), width), ' ');
+}
+
+TEST(BatchChunkTest, AddRowsMatchesPerRowPages) {
+  SimdLevelGuard guard;
+  Random rng(51);
+  Schema schema({{"k", Int64Type()},
+                 {"v", CharType(12)},
+                 {"m", Int32Type()}});
+  CompressionScheme scheme;
+  scheme.default_type = CompressionType::kNullSuppression;
+  scheme.per_column = {CompressionType::kFrameOfReference,
+                       CompressionType::kDictionaryPage,
+                       CompressionType::kNullSuppression};
+  const size_t n = 4000;
+  std::string rows;
+  rows.reserve(n * schema.row_width());
+  for (size_t i = 0; i < n; ++i) {
+    // Sorted-ish keys with runs in the middle column.
+    AppendInt(&rows, static_cast<int64_t>(i / 3), 8);
+    std::string v = "v";
+    v += std::to_string(i / 50);
+    AppendChar(&rows, v, 12);
+    AppendInt(&rows, static_cast<int64_t>(rng.NextBounded(1000)), 4);
+  }
+  ExpectAddRowsMatchesPerRow(schema, scheme, rows, 4096);
+}
+
+TEST(BatchChunkTest, AddRowsMatchesPerRowPagesWideClustered) {
+  // A clustered index stores every column of a wide table under one scheme:
+  // a sorted key, skewed and random integers, low-cardinality flags, dates,
+  // stemmed names and free-text comments (the lineitem shape).
+  SimdLevelGuard guard;
+  Random rng(54);
+  Schema mixed({{"orderkey", Int64Type()},
+                {"partkey", Int32Type()},
+                {"qty", Int32Type()},
+                {"price", Int64Type()},
+                {"flag", CharType(1)},
+                {"status", CharType(1)},
+                {"shipdate", CharType(10)},
+                {"mode", CharType(10)},
+                {"instruct", CharType(25)},
+                {"comment", CharType(44)},
+                {"note", CharType(300)}});
+  const char* const kModes[] = {"AIR", "MAIL", "SHIP", "TRUCK", "RAIL"};
+  const char* const kInstruct[] = {"DELIVER IN PERSON", "COLLECT COD",
+                                   "TAKE BACK RETURN", "NONE"};
+  const size_t n = 3000;
+  std::string rows;
+  for (size_t i = 0; i < n; ++i) {
+    AppendInt(&rows, static_cast<int64_t>(i / 4) * 32 + 1, 8);
+    AppendInt(&rows, static_cast<int64_t>(rng.NextBounded(200000)), 4);
+    AppendInt(&rows, static_cast<int64_t>(1 + rng.NextBounded(50)), 4);
+    AppendInt(&rows, static_cast<int64_t>(rng.NextBounded(10000000)) - 5000,
+              8);
+    AppendChar(&rows, rng.NextBounded(2) == 0 ? "N" : "R", 1);
+    AppendChar(&rows, i % 7 == 0 ? "F" : "O", 1);
+    std::string date = "199";
+    date += std::to_string(2 + rng.NextBounded(7));
+    date += "-0";
+    date += std::to_string(1 + rng.NextBounded(9));
+    date += "-1";
+    date += std::to_string(rng.NextBounded(10));
+    AppendChar(&rows, date, 10);
+    AppendChar(&rows, kModes[rng.NextBounded(5)], 10);
+    AppendChar(&rows, kInstruct[rng.NextBounded(4)], 25);
+    std::string comment = "carefully ";
+    for (size_t w = rng.NextBounded(6); w > 0; --w) {
+      comment += kModes[rng.NextBounded(5)];
+      comment += ' ';
+    }
+    AppendChar(&rows, comment, 44);
+    AppendChar(&rows, rng.NextBounded(3) == 0 ? "" : comment + comment, 300);
+  }
+  for (const CompressionType type :
+       {CompressionType::kPrefixDictionary, CompressionType::kPrefix}) {
+    SCOPED_TRACE(CompressionTypeName(type));
+    ExpectAddRowsMatchesPerRow(mixed, CompressionScheme::Uniform(type), rows,
+                               8192);
+  }
+
+  // Delta takes integer columns only: a wide all-integer clustered index.
+  Schema ints({{"orderkey", Int64Type()},
+               {"linenumber", Int32Type()},
+               {"partkey", Int32Type()},
+               {"price", Int64Type()},
+               {"walk", Int64Type()},
+               {"shipdate", Int32Type()}});
+  const std::string walk = RandomWalkCells(&rng, 8, n);
+  std::string int_rows;
+  for (size_t i = 0; i < n; ++i) {
+    AppendInt(&int_rows, static_cast<int64_t>(i / 4) * 32 + 1, 8);
+    AppendInt(&int_rows, static_cast<int64_t>(1 + i % 4), 4);
+    AppendInt(&int_rows, static_cast<int64_t>(rng.NextBounded(200000)), 4);
+    AppendInt(&int_rows,
+              static_cast<int64_t>(rng.NextBounded(10000000)) - 5000000, 8);
+    int_rows.append(walk, i * 8, 8);
+    AppendInt(&int_rows, 8000 + static_cast<int64_t>(rng.NextBounded(2500)),
+              4);
+  }
+  ExpectAddRowsMatchesPerRow(
+      ints, CompressionScheme::Uniform(CompressionType::kDelta), int_rows,
+      8192);
+}
+
 // ---------------------------------------------------------------------------
 // Incremental (Fenwick) advisor bound == legacy rescan bound.
 // ---------------------------------------------------------------------------
@@ -478,10 +760,11 @@ TEST(IncrementalBoundTest, SameSelectionsAsLegacyRescan) {
     std::vector<SizedCandidate> candidates(n);
     for (size_t i = 0; i < n; ++i) {
       SizedCandidate& c = candidates[i];
-      c.config.table_name = "t";
+      c.config.table_name = std::string("t");
       // A handful of distinct index names so several candidates share a
       // selection key and exercise the taken bitmap.
-      c.config.index.name = "idx" + std::to_string(rng.NextBounded(n / 2 + 1));
+      c.config.index.name =
+          std::string("idx") + std::to_string(rng.NextBounded(n / 2 + 1));
       c.config.scheme =
           CompressionScheme::Uniform(rng.NextBounded(2) == 0
                                          ? CompressionType::kNullSuppression

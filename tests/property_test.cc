@@ -26,7 +26,8 @@ Schema RandomSchema(Random* rng) {
   const size_t ncols = 1 + rng->NextBounded(4);
   std::vector<Column> columns;
   for (size_t c = 0; c < ncols; ++c) {
-    const std::string name = "c" + std::to_string(c);
+    std::string name = "c";
+    name += std::to_string(c);
     switch (rng->NextBounded(5)) {
       case 0:
         columns.push_back({name, Int32Type()});

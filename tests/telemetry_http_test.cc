@@ -1,11 +1,13 @@
 // Tests for the embedded telemetry endpoint (server/telemetry_http.h):
-// lifecycle (ephemeral-port start, idempotent stop, restart), routing
-// (/healthz, /metrics Prometheus text, /metrics.json, 404, 405), and that
+// lifecycle (ephemeral-port start, idempotent stop, restart), the loopback
+// default bind, routing (/healthz, /metrics Prometheus text, /metrics.json,
+// 404, 405), slow and silent clients, and that
 // scraped payloads reflect live registry counters — including labeled
 // children — without the server caching anything between requests.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -14,6 +16,7 @@
 #include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -27,8 +30,9 @@ namespace {
 /// instead of hanging it.
 constexpr int kClientTimeoutSec = 10;
 
-/// Connects a blocking TCP client to 127.0.0.1:`port`.
-int Connect(uint16_t port) {
+/// Opens a blocking TCP socket to `host`:`port`; returns the fd, or -1
+/// with errno set if the connection is refused.
+int TryConnect(uint16_t port, const char* host) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0) << std::strerror(errno);
   timeval timeout{};
@@ -37,12 +41,34 @@ int Connect(uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
-  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0)
-      << std::strerror(errno);
+  EXPECT_EQ(::inet_pton(AF_INET, host, &addr.sin_addr), 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    const int error = errno;
+    ::close(fd);
+    errno = error;
+    return -1;
+  }
   return fd;
+}
+
+/// Connects a blocking TCP client to 127.0.0.1:`port`.
+int Connect(uint16_t port) {
+  const int fd = TryConnect(port, "127.0.0.1");
+  EXPECT_GE(fd, 0) << std::strerror(errno);
+  return fd;
+}
+
+/// Reads everything the server writes until it closes the connection.
+std::string ReadToClose(int fd) {
+  std::string response;
+  char buf[4096];
+  while (true) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    response.append(buf, static_cast<size_t>(n));
+  }
+  return response;
 }
 
 /// Blocking one-shot HTTP client: connects to 127.0.0.1:`port`, sends the
@@ -57,13 +83,7 @@ std::string HttpRoundTrip(uint16_t port, const std::string& request) {
     if (n <= 0) break;
     sent += static_cast<size_t>(n);
   }
-  std::string response;
-  char buf[4096];
-  while (true) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    response.append(buf, static_cast<size_t>(n));
-  }
+  std::string response = ReadToClose(fd);
   ::close(fd);
   return response;
 }
@@ -139,6 +159,48 @@ TEST(TelemetryHttpTest, SilentClientDoesNotStallLaterScrapes) {
   EXPECT_EQ(n, 0) << std::strerror(errno);
   ::close(silent);
   server.Stop();
+}
+
+TEST(TelemetryHttpTest, ByteAtATimeClientGetsCompleteResponse) {
+  TelemetryHttpServer server;
+  ASSERT_TRUE(server.Start(0).ok());
+  const int fd = Connect(server.port());
+  // No Nagle batching: every byte leaves in its own segment, so the server
+  // sees the request head arrive in one-byte reads.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  const std::string request =
+      "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  for (const char c : request) {
+    ASSERT_EQ(::send(fd, &c, 1, MSG_NOSIGNAL), 1) << std::strerror(errno);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::string response = ReadToClose(fd);
+  ::close(fd);
+  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
+  EXPECT_NE(response.find("Content-Length: 3\r\n"), std::string::npos)
+      << response;
+  EXPECT_EQ(Body(response), "ok\n");
+  server.Stop();
+}
+
+TEST(TelemetryHttpTest, BindsLoopbackByDefault) {
+  // Linux routes all of 127.0.0.0/8 to the loopback interface, so a second
+  // loopback address tells a 127.0.0.1-only listener from a wildcard one.
+  TelemetryHttpServer server;
+  ASSERT_TRUE(server.Start(0).ok());
+  EXPECT_EQ(TryConnect(server.port(), "127.0.0.2"), -1);
+  EXPECT_EQ(errno, ECONNREFUSED) << std::strerror(errno);
+  server.Stop();
+
+  ASSERT_TRUE(server.Start(0, "0.0.0.0").ok());
+  const int fd = TryConnect(server.port(), "127.0.0.2");
+  ASSERT_GE(fd, 0) << std::strerror(errno);
+  ::close(fd);
+  server.Stop();
+
+  EXPECT_TRUE(server.Start(0, "localhost").IsInvalidArgument());
+  EXPECT_FALSE(server.running());
 }
 
 #ifndef CFEST_METRICS_DISABLED

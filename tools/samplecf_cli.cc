@@ -52,7 +52,9 @@
 // spans during the run and dump Chrome-trace JSON for chrome://tracing or
 // ui.perfetto.dev), and [--telemetry-port <port>] (serve /metrics
 // Prometheus text, /metrics.json, and /healthz over HTTP for the run's
-// duration; port 0 picks an ephemeral port, printed to stderr). With
+// duration; port 0 picks an ephemeral port, printed to stderr). The
+// endpoint listens on 127.0.0.1 only; [--telemetry-bind <addr>] binds
+// another IPv4 address instead (0.0.0.0 for every interface). With
 // [--telemetry-hold-ms <ms>] the endpoint stays up that long after the
 // command finishes, so an external scraper (a CI step, a curl) can read
 // the final counters from a live process.
@@ -967,7 +969,8 @@ int Main(int argc, char** argv) {
                  "usage: %s "
                  "<estimate|exact|recommend|batch|advise|analyze|gen-tpch> "
                  "... [--metrics-out <file>] [--trace-out <file>] "
-                 "[--telemetry-port <port>] [--telemetry-hold-ms <ms>]\n",
+                 "[--telemetry-port <port>] [--telemetry-bind <addr>] "
+                 "[--telemetry-hold-ms <ms>]\n",
                  argv[0]);
     return 1;
   }
@@ -986,6 +989,8 @@ int Main(int argc, char** argv) {
   if (!telemetry_port_text.ok()) {
     return Fail(telemetry_port_text.status().ToString());
   }
+  auto telemetry_bind = StripFlag(&args, "--telemetry-bind", "");
+  if (!telemetry_bind.ok()) return Fail(telemetry_bind.status().ToString());
   auto telemetry_hold_text = StripFlag(&args, "--telemetry-hold-ms", "0");
   if (!telemetry_hold_text.ok()) {
     return Fail(telemetry_hold_text.status().ToString());
@@ -1003,7 +1008,10 @@ int Main(int argc, char** argv) {
     if (*parsed > 65535) {
       return Fail("--telemetry-port must be 0..65535");
     }
-    Status st = telemetry.Start(static_cast<uint16_t>(*parsed));
+    Status st = telemetry.Start(static_cast<uint16_t>(*parsed),
+                                telemetry_bind->empty()
+                                    ? TelemetryHttpServer::kDefaultBindAddress
+                                    : *telemetry_bind);
     if (!st.ok()) return Fail(st.ToString());
     // Machine-readable: a wrapper script parses the port (ephemeral when
     // --telemetry-port 0) from this line before scraping.
@@ -1011,6 +1019,8 @@ int Main(int argc, char** argv) {
                  static_cast<unsigned>(telemetry.port()));
   } else if (telemetry_hold_ms != 0) {
     return Fail("--telemetry-hold-ms needs --telemetry-port");
+  } else if (!telemetry_bind->empty()) {
+    return Fail("--telemetry-bind needs --telemetry-port");
   }
   if (!trace_out->empty()) {
     trace::Reset();
