@@ -568,6 +568,13 @@ uint64_t HashBytes(const char* data, size_t n) {
   return h;
 }
 
+void GatherRows(const char* rows, uint32_t width, const uint32_t* perm,
+                size_t n, char* out) {
+  for (size_t i = 0; i < n; ++i) {
+    std::memcpy(out + i * width, rows + size_t{perm[i]} * width, width);
+  }
+}
+
 void GatherRows(const char* rows, uint32_t width, const uint64_t* perm,
                 size_t n, char* out) {
   for (size_t i = 0; i < n; ++i) {
@@ -826,37 +833,52 @@ uint64_t HashBytes(const char* data, size_t n) {
   return scalar::HashBytes(data, n);
 }
 
-void GatherRows(const char* rows, uint32_t width, const uint64_t* perm,
-                size_t n, char* out) {
+namespace {
+
+template <typename Index>
+void GatherRowsImpl(const char* rows, uint32_t width, const Index* perm,
+                    size_t n, char* out) {
   // Width-specialized copies compile to straight vector moves; the generic
   // tail handles any row shape.
   switch (width) {
     case 8:
       for (size_t i = 0; i < n; ++i) {
-        std::memcpy(out + i * 8, rows + perm[i] * 8, 8);
+        std::memcpy(out + i * 8, rows + size_t{perm[i]} * 8, 8);
       }
       return;
     case 16:
       for (size_t i = 0; i < n; ++i) {
-        std::memcpy(out + i * 16, rows + perm[i] * 16, 16);
+        std::memcpy(out + i * 16, rows + size_t{perm[i]} * 16, 16);
       }
       return;
     case 24:
       for (size_t i = 0; i < n; ++i) {
-        std::memcpy(out + i * 24, rows + perm[i] * 24, 24);
+        std::memcpy(out + i * 24, rows + size_t{perm[i]} * 24, 24);
       }
       return;
     case 32:
       for (size_t i = 0; i < n; ++i) {
-        std::memcpy(out + i * 32, rows + perm[i] * 32, 32);
+        std::memcpy(out + i * 32, rows + size_t{perm[i]} * 32, 32);
       }
       return;
     default:
       for (size_t i = 0; i < n; ++i) {
-        std::memcpy(out + i * width, rows + perm[i] * width, width);
+        std::memcpy(out + i * width, rows + size_t{perm[i]} * width, width);
       }
       return;
   }
+}
+
+}  // namespace
+
+void GatherRows(const char* rows, uint32_t width, const uint32_t* perm,
+                size_t n, char* out) {
+  GatherRowsImpl(rows, width, perm, n, out);
+}
+
+void GatherRows(const char* rows, uint32_t width, const uint64_t* perm,
+                size_t n, char* out) {
+  GatherRowsImpl(rows, width, perm, n, out);
 }
 
 void GatherStrided(const char* src, size_t stride, uint32_t width, size_t n,

@@ -88,7 +88,10 @@ MinMax MinMaxInts(const int64_t* values, size_t n);
 uint64_t HashBytes(const char* data, size_t n);
 
 /// out[i] = rows[perm[i]] for n fixed-width rows: the permutation-apply of
-/// the sample-index sort and the delta sort of ExtendedWith.
+/// the index-build radix sort (32-bit permutations whenever the row count
+/// fits, 64-bit beyond).
+void GatherRows(const char* rows, uint32_t width, const uint32_t* perm,
+                size_t n, char* out);
 void GatherRows(const char* rows, uint32_t width, const uint64_t* perm,
                 size_t n, char* out);
 
@@ -115,6 +118,8 @@ size_t CountRuns(const char* cells, uint32_t width, size_t n,
 void DecodeInts(const char* cells, uint32_t width, size_t n, int64_t* out);
 MinMax MinMaxInts(const int64_t* values, size_t n);
 uint64_t HashBytes(const char* data, size_t n);
+void GatherRows(const char* rows, uint32_t width, const uint32_t* perm,
+                size_t n, char* out);
 void GatherRows(const char* rows, uint32_t width, const uint64_t* perm,
                 size_t n, char* out);
 void GatherStrided(const char* src, size_t stride, uint32_t width, size_t n,

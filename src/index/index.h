@@ -50,6 +50,8 @@ struct IndexStats {
   uint64_t row_data_bytes = 0;
   size_t page_size = kDefaultPageSize;
 
+  bool operator==(const IndexStats&) const = default;
+
   uint64_t total_pages() const { return leaf_pages + internal_pages; }
   uint64_t page_bytes() const { return total_pages() * page_size; }
 };
@@ -61,7 +63,12 @@ uint64_t InternalPageCount(uint64_t leaf_pages, uint64_t fanout);
 /// \brief A bulk-built index: sorted encoded rows + leaf page accounting.
 class Index {
  public:
-  /// Sorts the (projected) rows of `table` and packs leaf pages.
+  /// Projects the rows of `table` (one row-count snapshot, so a concurrent
+  /// appender on a base table cannot skew the build), sorts them stably on
+  /// the key columns, and accounts leaf pages. The sort is an LSD radix
+  /// sort over byte-comparable encoded keys: the order of std::stable_sort
+  /// with RowComparator, equal keys in source order. Leaf stats are
+  /// arithmetic; page images are built only with `options.keep_pages`.
   static Result<Index> Build(const Table& table,
                              const IndexDescriptor& descriptor,
                              const IndexBuildOptions& options = {});
@@ -95,8 +102,8 @@ class Index {
   /// rows followed by the rows of `delta`, without re-sorting the existing
   /// rows: the delta is projected and sorted on its own, then merged into
   /// the sorted run (old rows win ties, matching Build's stable sort over
-  /// the concatenation), and the leaf pages are repacked. Cost is
-  /// O(delta log delta + total) instead of O(total log total).
+  /// the concatenation), and the leaf pages are recounted. Cost is
+  /// O(delta * key bytes + total) instead of re-sorting the total.
   ///
   /// For non-clustered indexes the synthetic "__rid" column numbers rows by
   /// their position in the source table, so the delta's rids start at
@@ -110,7 +117,8 @@ class Index {
  private:
   Index() = default;
 
-  /// Packs sorted_rows_ into leaf pages and fills the page-level stats.
+  /// Fills the page-level stats from PageBuilder's capacity arithmetic and,
+  /// with keep_pages, packs sorted_rows_ into leaf page images.
   Status PackLeafPages(const IndexBuildOptions& options);
 
   IndexDescriptor descriptor_;

@@ -2,11 +2,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "common/metrics.h"
@@ -52,21 +54,32 @@ void SendAll(int fd, const std::string& data) {
   }
 }
 
-/// Reads until the end of the request head (blank line) or the size cap.
-/// Any request body is ignored — all supported routes are GET.
-std::string ReadRequestHead(int fd) {
-  std::string head;
+/// Reads into `head` until the end of the request head (blank line), the
+/// size cap, or the peer stops sending. Any request body is ignored — all
+/// supported routes are GET. Returns false if `deadline` passes first: the
+/// whole head must arrive by then, however slowly it is trickled.
+bool ReadRequestHead(int fd, std::chrono::steady_clock::time_point deadline,
+                     std::string* head) {
   char buf[2048];
-  while (head.size() < kMaxRequestBytes &&
-         head.find("\r\n\r\n") == std::string::npos) {
+  size_t scanned = 0;  // head[0, scanned) holds no complete terminator
+  while (head->size() < kMaxRequestBytes &&
+         head->find("\r\n\r\n", scanned) == std::string::npos) {
+    scanned = head->size() < 3 ? 0 : head->size() - 3;
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    pollfd ready{fd, POLLIN, 0};
+    const int polled = ::poll(&ready, 1, static_cast<int>(left.count()));
+    if (polled < 0 && errno == EINTR) continue;
+    if (polled <= 0) return false;
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       break;
     }
-    head.append(buf, static_cast<size_t>(n));
+    head->append(buf, static_cast<size_t>(n));
   }
-  return head;
+  return true;
 }
 
 }  // namespace
@@ -154,7 +167,13 @@ void TelemetryHttpServer::AcceptLoop() {
 }
 
 void TelemetryHttpServer::HandleConnection(int client_fd) {
-  const std::string head = ReadRequestHead(client_fd);
+  std::string head;
+  if (!ReadRequestHead(client_fd,
+                       std::chrono::steady_clock::now() +
+                           std::chrono::milliseconds(kRequestHeadDeadlineMs),
+                       &head)) {
+    return;  // too slow: hang up without an answer
+  }
   const size_t line_end = head.find("\r\n");
   const std::string request_line =
       line_end == std::string::npos ? head : head.substr(0, line_end);

@@ -19,9 +19,12 @@
 // Content-Length always set); a telemetry scrape every few seconds does not
 // need concurrency, and serial handling keeps the server trivially correct.
 // Every accepted socket gets fixed receive and send timeouts
-// (kClientIoTimeoutMs), so a client that connects and never sends — or
-// never reads — holds the accept thread for at most that long instead of
-// stalling every later scrape (and Stop()) forever.
+// (kClientIoTimeoutMs), so a client that never reads holds the accept
+// thread for at most that long per send instead of stalling every later
+// scrape (and Stop()) forever. The request head has one total deadline
+// (kRequestHeadDeadlineMs from the accept): a client that sends nothing,
+// or trickles bytes each just inside the per-read timeout, is hung up on
+// without an answer once it passes.
 //
 // Lifecycle: Start(port) binds the loopback interface (port 0 picks an
 // ephemeral port — use port() to learn it, handy for tests and for CI
@@ -52,6 +55,10 @@ class TelemetryHttpServer {
   /// SO_RCVTIMEO / SO_SNDTIMEO of every accepted connection: the longest a
   /// silent or stalled client can hold the serial accept thread.
   static constexpr int kClientIoTimeoutMs = 2000;
+
+  /// The whole request head must arrive within this of the accept, however
+  /// it is split across reads; a slower client is disconnected unanswered.
+  static constexpr int kRequestHeadDeadlineMs = 2000;
 
   /// The address Start binds unless told otherwise: loopback only, so the
   /// endpoint is not reachable from other hosts by accident.

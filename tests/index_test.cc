@@ -1,12 +1,15 @@
 // Tests for the index substrate: typed comparators, bulk build (sorting,
-// clustered vs non-clustered projection, leaf packing), size accounting, and
-// compression of index rows.
+// clustered vs non-clustered projection, leaf packing, builds racing an
+// appender), size accounting, and compression of index rows.
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "index/comparator.h"
 #include "index/index.h"
 #include "storage/table.h"
@@ -189,15 +192,68 @@ TEST(IndexBuildTest, EmptyTableStillOwnsOnePage) {
   EXPECT_EQ(index->num_rows(), 0u);
 }
 
-TEST(IndexBuildTest, LeafPackingMatchesArithmetic) {
+/// A table of `n` int64 rows 0..n-1.
+std::unique_ptr<Table> SequenceTable(uint64_t n) {
   Schema schema =
       std::move(Schema::Make({{"v", Int64Type()}})).ValueOrDie();
   TableBuilder builder(schema);
-  const uint64_t n = 10000;
   for (uint64_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(builder.Append({Value::Int(static_cast<int64_t>(i))}).ok());
+    EXPECT_TRUE(builder.Append({Value::Int(static_cast<int64_t>(i))}).ok());
   }
-  auto table = builder.Finish();
+  return builder.Finish();
+}
+
+/// Builds `descriptor` over `table` with and without page images and checks
+/// that both give the same stats, and that the images agree with them:
+/// one page per counted leaf, every leaf but the last holding
+/// `per_page` rows, the index rows in order, used bytes summing to
+/// leaf_used_bytes.
+void ExpectPagesMatchArithmetic(const Table& table,
+                                const IndexDescriptor& descriptor,
+                                size_t page_size, uint64_t per_page) {
+  IndexBuildOptions counted;
+  counted.page_size = page_size;
+  counted.keep_pages = false;
+  IndexBuildOptions paged = counted;
+  paged.keep_pages = true;
+  Result<Index> without = Index::Build(table, descriptor, counted);
+  Result<Index> with = Index::Build(table, descriptor, paged);
+  ASSERT_TRUE(without.ok()) << without.status().ToString();
+  ASSERT_TRUE(with.ok()) << with.status().ToString();
+  EXPECT_TRUE(without->leaf_pages().empty());
+  EXPECT_EQ(without->stats(), with->stats());
+
+  const IndexStats& stats = with->stats();
+  const uint64_t n = table.num_rows();
+  const uint64_t w = with->schema().row_width();
+  EXPECT_EQ(stats.leaf_pages, n == 0 ? 1 : (n + per_page - 1) / per_page);
+  EXPECT_EQ(stats.leaf_used_bytes,
+            stats.leaf_pages * kPageHeaderSize + n * (w + kSlotSize));
+  EXPECT_EQ(stats.internal_pages,
+            InternalPageCount(stats.leaf_pages, with->fanout()));
+  ASSERT_EQ(with->leaf_pages().size(), stats.leaf_pages);
+  uint64_t used = 0;
+  uint64_t row = 0;
+  for (size_t p = 0; p < with->leaf_pages().size(); ++p) {
+    const Page& page = with->leaf_pages()[p];
+    used += page.used_bytes();
+    EXPECT_EQ(page.page_id(), p);
+    EXPECT_EQ(page.page_size(), page_size);
+    if (p + 1 < with->leaf_pages().size()) {
+      EXPECT_EQ(page.slot_count(), per_page) << "page " << p;
+    }
+    for (uint16_t slot = 0; slot < page.slot_count(); ++slot, ++row) {
+      Result<Slice> record = page.record(slot);
+      ASSERT_TRUE(record.ok());
+      ASSERT_EQ(*record, with->row(row)) << "page " << p << " slot " << slot;
+    }
+  }
+  EXPECT_EQ(row, n);
+  EXPECT_EQ(used, stats.leaf_used_bytes);
+}
+
+TEST(IndexBuildTest, LeafPackingMatchesArithmetic) {
+  auto table = SequenceTable(10000);
   IndexBuildOptions options;
   options.page_size = 4096;
   options.keep_pages = false;
@@ -205,10 +261,27 @@ TEST(IndexBuildTest, LeafPackingMatchesArithmetic) {
   ASSERT_TRUE(index.ok());
   // Row: 8 (key) + 8 (rid) = 16 bytes + 4 slot; capacity 4096-32 = 4064.
   const uint64_t per_page = 4064 / 20;  // 203
-  const uint64_t expected_leaves = (n + per_page - 1) / per_page;
+  const uint64_t expected_leaves = (10000 + per_page - 1) / per_page;
   EXPECT_EQ(index->stats().leaf_pages, expected_leaves);
   EXPECT_GT(index->stats().internal_pages, 0u);
-  EXPECT_EQ(index->stats().row_data_bytes, n * 16u);
+  EXPECT_EQ(index->stats().row_data_bytes, 10000u * 16u);
+
+  // Page sizes x row counts at and around a page boundary: the arithmetic
+  // stats equal what packing real page images gives.
+  for (const size_t page_size : {size_t{64}, size_t{512}, size_t{4096},
+                                 size_t{8192}, size_t{16384}}) {
+    const uint64_t rows_per_page = (page_size - kPageHeaderSize) / 20;
+    for (const uint64_t n :
+         {uint64_t{0}, uint64_t{1}, rows_per_page - 1, rows_per_page,
+          rows_per_page + 1, 3 * rows_per_page - 1, 3 * rows_per_page,
+          3 * rows_per_page + 1}) {
+      SCOPED_TRACE("page_size " + std::to_string(page_size) + " n " +
+                   std::to_string(n));
+      auto sized = SequenceTable(n);
+      ExpectPagesMatchArithmetic(*sized, {"ix", {"v"}, false}, page_size,
+                                 rows_per_page);
+    }
+  }
 }
 
 TEST(IndexBuildTest, StatsBytesConsistentWithPages) {
@@ -221,6 +294,101 @@ TEST(IndexBuildTest, StatsBytesConsistentWithPages) {
   for (const Page& page : index->leaf_pages()) used += page.used_bytes();
   EXPECT_EQ(used, index->stats().leaf_used_bytes);
   EXPECT_EQ(index->leaf_pages().size(), index->stats().leaf_pages);
+
+  // Clustered rows are 24 bytes, non-clustered name rows 16: small pages
+  // hold one, two or three of them, so the four rows span several leaves.
+  for (const bool clustered : {true, false}) {
+    const uint64_t w = clustered ? 24 : 16;
+    for (const size_t page_size : {size_t{64}, size_t{96}, size_t{128},
+                                   size_t{kDefaultPageSize}}) {
+      SCOPED_TRACE("clustered " + std::to_string(clustered) + " page_size " +
+                   std::to_string(page_size));
+      ExpectPagesMatchArithmetic(
+          *table, {"ix", {"name"}, clustered}, page_size,
+          (page_size - kPageHeaderSize) / (w + kSlotSize));
+    }
+  }
+}
+
+TEST(IndexBuildTest, RejectsRowsWiderThanAPage) {
+  auto table = ScoresTable();
+  IndexBuildOptions options;
+  options.page_size = 32 + 4 + 23;  // one byte short of a 24-byte row
+  EXPECT_FALSE(Index::Build(*table, {"ix", {"name"}, true}, options).ok());
+  options.page_size = 32 + 4 + 24;
+  EXPECT_TRUE(Index::Build(*table, {"ix", {"name"}, true}, options).ok());
+}
+
+// A base table may grow while an index is built over it (one appender, any
+// number of readers). The build reads one snapshot of the row count, so its
+// stats, rows and rids always describe the same prefix of the table.
+TEST(IndexBuildTest, BuildSnapshotsRowCountUnderConcurrentAppends) {
+  Schema schema = std::move(Schema::Make({{"k", Int64Type()},
+                                          {"pad", CharType(12)}}))
+                      .ValueOrDie();
+  TableBuilder builder(schema);
+  Random rng(5);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(builder
+                    .Append({Value::Int(rng.NextInRange(-500, 500)),
+                             Value::Str("base")})
+                    .ok());
+  }
+  std::unique_ptr<Table> table = builder.Finish();
+  RowCodec table_codec(schema);
+
+  // The writer appends until the reader has finished its rounds (or the
+  // cap), so every round races live appends. A jthread stops and joins on
+  // every exit, failed assertions included.
+  constexpr int kMaxAppends = 100000;
+  constexpr int kRounds = 10;
+  std::atomic<bool> started{false};
+  std::atomic<int> appended{0};
+  std::jthread writer([&](std::stop_token stop) {
+    Random writer_rng(6);
+    for (int i = 0; i < kMaxAppends && !stop.stop_requested(); ++i) {
+      const Row row = {Value::Int(writer_rng.NextInRange(-500, 500)),
+                       Value::Str("append")};
+      EXPECT_TRUE(table->AppendRow(row).ok());
+      appended.fetch_add(1, std::memory_order_relaxed);
+      started.store(true, std::memory_order_release);
+    }
+  });
+  // Start building only once the writer is appending.
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  IndexBuildOptions options;
+  options.keep_pages = false;
+  for (int round = 0; round < kRounds; ++round) {
+    for (const bool clustered : {false, true}) {
+      Result<Index> index =
+          Index::Build(*table, {"ix", {"k"}, clustered}, options);
+      ASSERT_TRUE(index.ok()) << index.status().ToString();
+      const uint64_t n = index->num_rows();
+      ASSERT_EQ(n, index->stats().row_count);
+      ASSERT_EQ(index->stats().row_data_bytes, n * index->schema().row_width());
+      ASSERT_GE(n, 1000u);
+      ASSERT_LE(n, table->num_rows());
+      RowComparator cmp(&index->schema(), 1);
+      RowCodec codec(index->schema());
+      for (uint64_t i = 0; i < n; ++i) {
+        if (i > 0) {
+          ASSERT_LE(cmp.Compare(index->row(i - 1), index->row(i)), 0);
+        }
+        if (clustered) continue;
+        // Every rid addresses a row of the snapshot, holding that key.
+        const int64_t rid = codec.DecodeCell(index->row(i), 1)->AsInt();
+        ASSERT_GE(rid, 0);
+        ASSERT_LT(static_cast<uint64_t>(rid), n);
+        const Slice heap_row = table->row(static_cast<RowId>(rid));
+        ASSERT_EQ(codec.DecodeCell(index->row(i), 0)->AsInt(),
+                  table_codec.DecodeCell(heap_row, 0)->AsInt());
+      }
+    }
+  }
+  writer.request_stop();
+  writer.join();
+  EXPECT_EQ(table->num_rows(), 1000u + static_cast<uint64_t>(appended.load()));
 }
 
 // ---------------------------------------------------------------------------

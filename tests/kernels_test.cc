@@ -299,6 +299,16 @@ TEST(KernelsTest, GatherMatchesNaive) {
     std::string ref(n * w, '\0');
     kernels::scalar::GatherRows(rows.data(), w, perm.data(), n, ref.data());
     ASSERT_EQ(ref, got);
+    // 32-bit permutations (the index build's, whenever rows fit) gather
+    // the same rows.
+    const std::vector<uint32_t> perm32(perm.begin(), perm.end());
+    std::string got32(n * w, '\0');
+    kernels::GatherRows(rows.data(), w, perm32.data(), n, got32.data());
+    ASSERT_EQ(got32, got);
+    std::string ref32(n * w, '\0');
+    kernels::scalar::GatherRows(rows.data(), w, perm32.data(), n,
+                                ref32.data());
+    ASSERT_EQ(ref32, got);
     // Strided gather of "column" bytes out of wider rows.
     const size_t stride = w + 3;
     std::string wide(n * stride, '\0');

@@ -2,7 +2,9 @@
 // seeds (TEST_P); generators are deterministic, so failures reproduce.
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,8 @@
 #include "index/index.h"
 #include "sampling/sampler.h"
 #include "storage/csv.h"
+#include "storage/page.h"
+#include "storage/table_view.h"
 
 namespace cfest {
 namespace {
@@ -308,6 +312,277 @@ TEST_P(PropertyTest, SizeMetricsAreOrdered) {
     EXPECT_GE(page_cf->compressed_bytes, used_cf->compressed_bytes);
     EXPECT_GE(used_cf->compressed_bytes, data_cf->compressed_bytes);
     EXPECT_GE(page_cf->uncompressed_bytes, used_cf->uncompressed_bytes);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Property: Index::Build is bit-identical to the comparison sort it replaced
+// ---------------------------------------------------------------------------
+
+/// A random schema of 1-4 columns over every type a key can have: int32,
+/// int64, date, decimal, char and varchar (1-12 bytes).
+Schema RandomKeySchema(Random* rng) {
+  const size_t ncols = 1 + rng->NextBounded(4);
+  std::vector<Column> columns;
+  for (size_t c = 0; c < ncols; ++c) {
+    const uint32_t len = 1 + static_cast<uint32_t>(rng->NextBounded(12));
+    const DataType types[] = {Int32Type(),   Int64Type(),   DateType(),
+                              DecimalType(), CharType(len), VarcharType(len)};
+    std::string name = "c";
+    name += std::to_string(c);
+    columns.push_back({name, types[rng->NextBounded(6)]});
+  }
+  return std::move(Schema::Make(std::move(columns))).ValueOrDie();
+}
+
+/// Little-endian two's complement of `v` in `width` bytes (the row layout).
+std::string EncodeInt(int64_t v, uint32_t width) {
+  std::string cell(width, '\0');
+  for (uint32_t b = 0; b < width; ++b) {
+    cell[b] = static_cast<char>((static_cast<uint64_t>(v) >> (8 * b)) & 0xFF);
+  }
+  return cell;
+}
+
+/// `n` encoded rows of `schema`, written byte by byte so strings can hold
+/// any byte (>= 0x80 included). Each column draws from one of four pools:
+/// a single value (all rows equal), a few values (heavy duplicates), the
+/// extremes (INT*_MIN/MAX, -1, 0, 1; all-0x00/0x7F/0x80/0xFF/space
+/// strings), or fresh random bytes per row.
+std::vector<std::string> RandomEncodedRows(const Schema& schema, uint64_t n,
+                                           Random* rng) {
+  auto random_cell = [&](uint32_t w) {
+    std::string cell(w, '\0');
+    for (char& ch : cell) ch = static_cast<char>(rng->NextBounded(256));
+    return cell;
+  };
+  std::vector<std::vector<std::string>> pools(schema.num_columns());
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    const uint32_t w = schema.width(c);
+    switch (rng->NextBounded(4)) {
+      case 0:
+        pools[c].push_back(random_cell(w));
+        break;
+      case 1:
+        for (uint64_t v = 0, d = 2 + rng->NextBounded(3); v < d; ++v) {
+          pools[c].push_back(random_cell(w));
+        }
+        break;
+      case 2:
+        if (schema.column(c).type.IsString()) {
+          for (const char fill : {'\x00', '\x7F', '\x80', '\xFF', ' '}) {
+            pools[c].push_back(std::string(w, fill));
+          }
+        } else {
+          const int64_t lo = w == 4 ? std::numeric_limits<int32_t>::min()
+                                    : std::numeric_limits<int64_t>::min();
+          const int64_t hi = w == 4 ? std::numeric_limits<int32_t>::max()
+                                    : std::numeric_limits<int64_t>::max();
+          for (const int64_t v : {lo, hi, int64_t{-1}, int64_t{0},
+                                  int64_t{1}}) {
+            pools[c].push_back(EncodeInt(v, w));
+          }
+        }
+        break;
+      default:
+        break;  // empty pool: a fresh random cell per row
+    }
+  }
+  std::vector<std::string> rows;
+  for (uint64_t i = 0; i < n; ++i) {
+    std::string row;
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      row += pools[c].empty()
+                 ? random_cell(schema.width(c))
+                 : pools[c][rng->NextBounded(pools[c].size())];
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// What Index::Build produced before its radix sort, kept as the
+/// reference: every row projected in source order, std::stable_sort with
+/// RowComparator on the key columns, and leaves packed row by row with
+/// PageBuilder. `index` supplies only the row schema and fan-out.
+struct ReferenceIndex {
+  std::string rows;
+  IndexStats stats;
+};
+
+ReferenceIndex ReferenceBuild(const Table& table, const Index& index,
+                              size_t page_size) {
+  const Schema& schema = index.schema();
+  const uint32_t w = schema.row_width();
+  const uint64_t n = table.num_rows();
+  std::string projected;
+  for (RowId id = 0; id < n; ++id) {
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      if (schema.column(c).name == "__rid") {
+        projected += EncodeInt(static_cast<int64_t>(id), 8);
+      } else {
+        const size_t source =
+            table.schema().ColumnIndex(schema.column(c).name).ValueOrDie();
+        projected += table.cell(id, source).ToString();
+      }
+    }
+  }
+  std::vector<uint64_t> perm(n);
+  std::iota(perm.begin(), perm.end(), 0);
+  RowComparator cmp(&schema, index.num_key_columns());
+  std::stable_sort(perm.begin(), perm.end(), [&](uint64_t a, uint64_t b) {
+    return cmp.Compare(Slice(projected.data() + a * w, w),
+                       Slice(projected.data() + b * w, w)) < 0;
+  });
+  ReferenceIndex ref;
+  for (const uint64_t p : perm) ref.rows.append(projected.data() + p * w, w);
+
+  ref.stats.page_size = page_size;
+  ref.stats.row_count = n;
+  ref.stats.row_data_bytes = n * w;
+  PageBuilder builder(0, PageType::kDataLeaf, page_size);
+  auto flush = [&] {
+    ref.stats.leaf_used_bytes += builder.Finish().used_bytes();
+    ++ref.stats.leaf_pages;
+  };
+  for (uint64_t i = 0; i < n; ++i) {
+    if (!builder.Fits(w)) {
+      flush();
+      builder = PageBuilder(ref.stats.leaf_pages, PageType::kDataLeaf,
+                            page_size);
+    }
+    EXPECT_TRUE(builder.Add(Slice(ref.rows.data() + i * w, w)).ok());
+  }
+  if (!builder.empty() || n == 0) flush();
+  ref.stats.internal_pages =
+      InternalPageCount(ref.stats.leaf_pages, index.fanout());
+  return ref;
+}
+
+std::string IndexBytes(const Index& index) {
+  std::string bytes;
+  for (uint64_t i = 0; i < index.num_rows(); ++i) {
+    bytes += index.row(i).ToString();
+  }
+  return bytes;
+}
+
+/// Builds `descriptor` over `table` and checks rows, stats and (for
+/// non-clustered indexes) rid order against the reference.
+void ExpectBuildMatchesReference(const Table& table,
+                                 const IndexDescriptor& descriptor,
+                                 const IndexBuildOptions& options) {
+  Result<Index> index = Index::Build(table, descriptor, options);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const ReferenceIndex ref = ReferenceBuild(table, *index, options.page_size);
+  ASSERT_EQ(IndexBytes(*index), ref.rows);
+  EXPECT_EQ(index->stats(), ref.stats);
+  if (descriptor.clustered) return;
+  // Stability, spelled out: equal keys keep ascending rids.
+  RowComparator cmp(&index->schema(), index->num_key_columns());
+  RowCodec codec(index->schema());
+  const size_t rid_col = index->schema().num_columns() - 1;
+  for (uint64_t i = 1; i < index->num_rows(); ++i) {
+    if (cmp.Compare(index->row(i - 1), index->row(i)) != 0) continue;
+    ASSERT_LT(codec.DecodeCell(index->row(i - 1), rid_col)->AsInt(),
+              codec.DecodeCell(index->row(i), rid_col)->AsInt())
+        << "row " << i;
+  }
+}
+
+TEST_P(PropertyTest, IndexBuildMatchesComparisonSortReference) {
+  Random rng(GetParam() * 53 + 29);
+  const Schema schema = RandomKeySchema(&rng);
+  // 1..all columns as keys, in random order.
+  std::vector<std::string> names;
+  for (const Column& column : schema.columns()) names.push_back(column.name);
+  rng.Shuffle(&names);
+  names.resize(1 + rng.NextBounded(names.size()));
+  IndexBuildOptions options;
+  options.keep_pages = false;
+  options.page_size = rng.NextBernoulli(0.5) ? 512 : kDefaultPageSize;
+
+  for (const uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{2},
+                           uint64_t{255}, uint64_t{256}, uint64_t{257},
+                           uint64_t{5000} + rng.NextBounded(100)}) {
+    // A base table with bulk-built rows and, past n/2, appended segments.
+    const std::vector<std::string> rows = RandomEncodedRows(schema, n, &rng);
+    TableBuilder builder(schema);
+    for (uint64_t i = 0; i < n / 2; ++i) {
+      ASSERT_TRUE(builder.AppendEncoded(Slice(rows[i])).ok());
+    }
+    std::unique_ptr<Table> base = builder.Finish();
+    for (uint64_t i = n / 2; i < n; ++i) {
+      ASSERT_TRUE(base->AppendEncodedRow(Slice(rows[i])).ok());
+    }
+    // A sample-shaped view (shuffled ids, repeats) and a view over that
+    // view, the shape of the adaptive loop's replicate builds.
+    std::vector<RowId> ids;
+    for (uint64_t i = 0; i < n; ++i) ids.push_back(rng.NextBounded(n));
+    std::unique_ptr<TableView> view =
+        std::move(TableView::Make(*base, ids)).ValueOrDie();
+    std::vector<RowId> nested_ids;
+    for (uint64_t i = 0; i < n; ++i) nested_ids.push_back(n - 1 - i);
+    std::unique_ptr<TableView> nested =
+        std::move(TableView::Make(*view, nested_ids)).ValueOrDie();
+
+    const Table* const tables[] = {base.get(), view.get(), nested.get()};
+    const char* const shapes[] = {"base", "view", "view over view"};
+    for (const bool clustered : {false, true}) {
+      const IndexDescriptor descriptor{"ix", names, clustered};
+      for (size_t t = 0; t < 3; ++t) {
+        SCOPED_TRACE(::testing::Message() << shapes[t] << " n " << n
+                                          << " clustered " << clustered);
+        ExpectBuildMatchesReference(*tables[t], descriptor, options);
+      }
+    }
+  }
+}
+
+// ExtendedWith merges a separately sorted delta into a built index; it must
+// equal Build over the concatenated source. The delta re-uses rows of the
+// old part, so duplicate keys straddle the two.
+TEST_P(PropertyTest, ExtendedWithEqualsBuildOverConcatenation) {
+  Random rng(GetParam() * 59 + 31);
+  const Schema schema = RandomKeySchema(&rng);
+  const uint64_t n = 600 + rng.NextBounded(400);
+  const std::vector<std::string> rows = RandomEncodedRows(schema, n, &rng);
+  TableBuilder builder(schema);
+  for (const std::string& row : rows) {
+    ASSERT_TRUE(builder.AppendEncoded(Slice(row)).ok());
+  }
+  std::unique_ptr<Table> base = builder.Finish();
+
+  const uint64_t split = rng.NextBounded(n + 1);
+  std::vector<RowId> old_ids, delta_ids, all_ids;
+  for (uint64_t i = 0; i < split; ++i) old_ids.push_back(i);
+  for (uint64_t i = split; i < n; ++i) {
+    const bool repeat = split > 0 && rng.NextBernoulli(0.3);
+    delta_ids.push_back(repeat ? rng.NextBounded(split) : i);
+  }
+  all_ids = old_ids;
+  all_ids.insert(all_ids.end(), delta_ids.begin(), delta_ids.end());
+  auto old_view = std::move(TableView::Make(*base, old_ids)).ValueOrDie();
+  auto delta_view = std::move(TableView::Make(*base, delta_ids)).ValueOrDie();
+  auto all_view = std::move(TableView::Make(*base, all_ids)).ValueOrDie();
+
+  IndexBuildOptions options;
+  options.keep_pages = false;
+  for (const bool clustered : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "clustered " << clustered);
+    const IndexDescriptor descriptor{
+        "ix", {schema.column(rng.NextBounded(schema.num_columns())).name},
+        clustered};
+    Result<Index> old_index = Index::Build(*old_view, descriptor, options);
+    ASSERT_TRUE(old_index.ok());
+    Result<Index> extended =
+        old_index->ExtendedWith(*delta_view, split, options);
+    ASSERT_TRUE(extended.ok()) << extended.status().ToString();
+    Result<Index> full = Index::Build(*all_view, descriptor, options);
+    ASSERT_TRUE(full.ok());
+    ASSERT_EQ(IndexBytes(*extended), IndexBytes(*full));
+    EXPECT_EQ(extended->stats(), full->stats());
+    ExpectBuildMatchesReference(*all_view, descriptor, options);
   }
 }
 

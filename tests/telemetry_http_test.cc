@@ -1,7 +1,7 @@
 // Tests for the embedded telemetry endpoint (server/telemetry_http.h):
 // lifecycle (ephemeral-port start, idempotent stop, restart), the loopback
 // default bind, routing (/healthz, /metrics Prometheus text, /metrics.json,
-// 404, 405), slow and silent clients, and that
+// 404, 405), slow, silent and trickling clients, and that
 // scraped payloads reflect live registry counters — including labeled
 // children — without the server caching anything between requests.
 
@@ -181,6 +181,58 @@ TEST(TelemetryHttpTest, ByteAtATimeClientGetsCompleteResponse) {
   EXPECT_NE(response.find("Content-Length: 3\r\n"), std::string::npos)
       << response;
   EXPECT_EQ(Body(response), "ok\n");
+  server.Stop();
+}
+
+TEST(TelemetryHttpTest, TricklingClientIsCutOffAtTheHeadDeadline) {
+  TelemetryHttpServer server;
+  ASSERT_TRUE(server.Start(0).ok());
+  const int trickler = Connect(server.port());
+  const int one = 1;
+  ::setsockopt(trickler, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  const std::string start_of_head = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+  ASSERT_EQ(::send(trickler, start_of_head.data(), start_of_head.size(),
+                   MSG_NOSIGNAL),
+            static_cast<ssize_t>(start_of_head.size()));
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline =
+      std::chrono::milliseconds(TelemetryHttpServer::kRequestHeadDeadlineMs);
+
+  // A scrape queued behind the trickler.
+  std::string response;
+  std::chrono::steady_clock::duration scrape_time{};
+  std::thread scraper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto issued = std::chrono::steady_clock::now();
+    response = Get(server.port(), "/healthz");
+    scrape_time = std::chrono::steady_clock::now() - issued;
+  });
+
+  // One header byte every 100 ms, far inside the per-read timeout, never
+  // ending the head: only the total deadline can stop this client. Trickle
+  // until the server hangs up, or give up well past the deadline.
+  bool cut_off = false;
+  while (std::chrono::steady_clock::now() - start < 5 * deadline) {
+    char probe;
+    const ssize_t r = ::recv(trickler, &probe, 1, MSG_DONTWAIT);
+    if (r >= 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      cut_off = true;  // end of stream, reset, or an (unexpected) answer
+      break;
+    }
+    if (::send(trickler, "a", 1, MSG_NOSIGNAL) != 1) {
+      cut_off = true;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  const auto held = std::chrono::steady_clock::now() - start;
+  scraper.join();
+  ::close(trickler);
+
+  EXPECT_TRUE(cut_off);
+  EXPECT_LT(held, deadline + std::chrono::seconds(2));
+  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
+  EXPECT_LT(scrape_time, deadline + std::chrono::seconds(3));
   server.Stop();
 }
 
