@@ -1,8 +1,8 @@
 // Copyright (c) the samplecf authors. Licensed under the MIT license.
 //
-// Shared helpers for the experiment binaries. Each binary regenerates one
-// paper artifact (theorem, table, or motivated evaluation) and prints rows
-// through TablePrinter; EXPERIMENTS.md records paper-vs-measured.
+// Shared helpers for the bench binaries: `repro` (every paper experiment,
+// each printing rows through TablePrinter and checking its claims), the
+// gated system benches, and the end-to-end benchmark in bench/e2e/.
 
 #ifndef CFEST_BENCH_BENCH_UTIL_H_
 #define CFEST_BENCH_BENCH_UTIL_H_

@@ -242,13 +242,12 @@ class GroupIndexCache {
 
 namespace {
 
-using internal::BuildGroupIndexes;
 using internal::GroupIndexCache;
 
 Result<ConfidenceInterval> EstimateCandidateIntervalImpl(
     EstimationEngine& engine, const SampleEpoch& epoch,
     const CandidateConfiguration& candidate, double cf, double num_sigmas,
-    uint32_t interval_groups, std::string* method, GroupIndexCache* cache) {
+    uint32_t interval_groups, std::string* method, GroupIndexCache& cache) {
   if (IsUncompressedScheme(candidate.scheme)) {
     if (method != nullptr) *method = kMethodExact;
     return ConfidenceInterval{cf, cf, num_sigmas};
@@ -274,20 +273,9 @@ Result<ConfidenceInterval> EstimateCandidateIntervalImpl(
   // distinguishes an easy (low-variance) column from a hard one — the
   // whole point of adapting the sample size per candidate.
   const SampleCFOptions& base = engine.options().base;
-  std::shared_ptr<const std::vector<Index>> shared_indexes;
-  std::vector<Index> own_indexes;
-  const std::vector<Index>* group_indexes = nullptr;
-  if (cache != nullptr) {
-    CFEST_ASSIGN_OR_RETURN(
-        shared_indexes,
-        cache->Get(*sample, candidate.index, groups, base.build));
-    group_indexes = shared_indexes.get();
-  } else {
-    CFEST_ASSIGN_OR_RETURN(
-        own_indexes,
-        BuildGroupIndexes(*sample, candidate.index, groups, base.build));
-    group_indexes = &own_indexes;
-  }
+  CFEST_ASSIGN_OR_RETURN(
+      std::shared_ptr<const std::vector<Index>> group_indexes,
+      cache.Get(*sample, candidate.index, groups, base.build));
   RunningStats group_cf;
   for (const Index& index : *group_indexes) {
     CFEST_ASSIGN_OR_RETURN(CompressedIndex compressed,
@@ -342,7 +330,7 @@ uint64_t RowCapForTarget(const PrecisionTarget& target, uint64_t n) {
 Status EstimateCandidateNow(EstimationEngine& engine, const SampleEpoch& epoch,
                             const CandidateConfiguration& c, double z,
                             const PrecisionTarget& target,
-                            GroupIndexCache* cache,
+                            GroupIndexCache& cache,
                             AdaptiveCandidateResult* r) {
   trace::Span span("adaptive.estimate_candidate");
   // One cached-index build + compression yields both the base-metric CF'
@@ -439,7 +427,7 @@ Result<std::vector<CandidateIntervalResult>> EstimateCandidateIntervals(
             r.interval,
             EstimateCandidateIntervalImpl(engine, *epoch, candidates[i], r.cf,
                                           num_sigmas, interval_groups,
-                                          &r.method, &cache));
+                                          &r.method, cache));
         return Status::OK();
       }));
   return results;
@@ -507,7 +495,7 @@ Result<AdaptiveBatchResult> AdaptiveEstimator::EstimateAll(
             const size_t i = active[static_cast<size_t>(k)];
             AdaptiveCandidateResult& r = batch.candidates[i];
             CFEST_RETURN_NOT_OK(EstimateCandidateNow(
-                engine_, *epoch, candidates[i], z, target_, &group_cache, &r));
+                engine_, *epoch, candidates[i], z, target_, group_cache, &r));
             r.rounds = round;
             return Status::OK();
           }));
@@ -618,7 +606,7 @@ Result<AdaptiveCandidateResult> CandidateRefiner::EstimateAtCurrentSample(
   CFEST_ASSIGN_OR_RETURN(PinnedCache pinned, CurrentCache());
   CFEST_RETURN_NOT_OK(EstimateCandidateNow(*engine_, *pinned.epoch, candidate,
                                            num_sigmas_, target_,
-                                           pinned.cache.get(), &r));
+                                           *pinned.cache, &r));
   r.rounds = rounds_;
   r.converged = r.interval.upper - r.cf <= r.target_half_width;
   return r;

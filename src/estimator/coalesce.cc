@@ -101,23 +101,4 @@ void RequestCoalescer::Complete(const std::string& key,
   promise->set_value(std::move(outcome));
 }
 
-RequestCoalescer::Stats RequestCoalescer::stats() const {
-  // Reads the same registry-backed counters a MetricsSnapshot aggregates —
-  // the unlabeled fallback plus every per-table block — so the compat
-  // struct equals the family aggregates bit for bit. The lock only guards
-  // the block map; the counters are themselves thread-safe and monotone.
-  Stats stats;
-  stats.requests = requests_.Value();
-  stats.admitted = admitted_.Value();
-  stats.merged = merged_.Value();
-  MutexLock lock(mu_);
-  for (const auto& [name, block] : table_counters_) {
-    (void)name;
-    stats.requests += block->requests.Value();
-    stats.admitted += block->admitted.Value();
-    stats.merged += block->merged.Value();
-  }
-  return stats;
-}
-
 }  // namespace cfest

@@ -108,7 +108,7 @@ class RequestCoalescer {
   /// owner's future (and its flow id). When `table_counters` is given
   /// (from CountersForTable), traffic is attributed to that table's
   /// labeled children; otherwise to the unlabeled child — either way the
-  /// family aggregates (and stats()) count every admission exactly once.
+  /// family aggregates count every admission exactly once.
   Ticket Admit(const std::string& key,
                TableCounters* table_counters = nullptr);
 
@@ -117,19 +117,6 @@ class RequestCoalescer {
   /// exactly once per owning Admit.
   void Complete(const std::string& key, SizingOutcome outcome);
 
-  /// \brief Traffic counters (monotone). A compat snapshot of the
-  /// registry-backed `cfest.coalescer.*` counters below — both views are
-  /// bit-identical by construction (they read the same Counter objects).
-  struct Stats {
-    /// Admit calls.
-    uint64_t requests = 0;
-    /// Requests admitted as owners (computations actually run).
-    uint64_t admitted = 0;
-    /// Requests that joined an in-flight computation (work deduplicated).
-    uint64_t merged = 0;
-  };
-  Stats stats() const;
-
  private:
   struct Entry {
     std::shared_ptr<std::promise<SizingOutcome>> promise;
@@ -137,7 +124,7 @@ class RequestCoalescer {
     uint64_t flow_id = 0;
   };
 
-  mutable Mutex mu_;
+  Mutex mu_;
   std::unordered_map<std::string, Entry> entries_ GUARDED_BY(mu_);
   /// Per-table labeled blocks, created lazily by CountersForTable. Block
   /// pointers stay valid for the coalescer's lifetime.

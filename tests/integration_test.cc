@@ -192,7 +192,7 @@ TEST_F(TpchIntegrationTest, AdvisorEndToEnd) {
 }
 
 TEST_F(TpchIntegrationTest, EfficiencySampleCFTouchesFractionOfRows) {
-  // Not a wall-clock test (that is bench_efficiency's job): verify the
+  // Not a wall-clock test (that is `repro efficiency`'s job): verify the
   // estimator's work is proportional to the sample, not the table.
   const Table& lineitem = **catalog_->GetTable("lineitem");
   SampleCFOptions options;

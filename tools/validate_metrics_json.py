@@ -13,8 +13,10 @@ Usage:
   validate_metrics_json.py --extract metrics <schema.json> <bench.json> ...
 
 --extract KEY validates doc[KEY] instead of the document root — used for
-the metrics snapshot embedded in bench JSON lines. Exits nonzero with
-path-annotated errors on the first invalid document.
+the metrics snapshot embedded in bench JSON lines. A file may hold several
+documents back to back (JSON Lines, e.g. one line per repro experiment);
+each is validated. Exits nonzero with path-annotated errors on the first
+invalid document.
 """
 
 import json
@@ -118,6 +120,25 @@ def validate(value, schema, path, errors):
                 validate(item, schema["items"], f"{path}[{i}]", errors)
 
 
+def load_documents(path):
+    """Every JSON document in the file, in order (one, or JSON Lines)."""
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    decoder = json.JSONDecoder()
+    docs = []
+    pos = 0
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        if pos == len(text):
+            break
+        doc, pos = decoder.raw_decode(text, pos)
+        docs.append(doc)
+    if not docs:
+        raise ValueError(f"{path}: no JSON document")
+    return docs
+
+
 def main(argv):
     args = argv[1:]
     extract = None
@@ -134,23 +155,24 @@ def main(argv):
 
     failed = False
     for doc_path in args[1:]:
-        with open(doc_path, encoding="utf-8") as f:
-            doc = json.load(f)
-        if extract is not None:
-            if not isinstance(doc, dict) or extract not in doc:
-                print(f"{doc_path}: no {extract!r} key to extract",
-                      file=sys.stderr)
+        docs = load_documents(doc_path)
+        for i, doc in enumerate(docs):
+            where = doc_path if len(docs) == 1 else f"{doc_path}[{i}]"
+            if extract is not None:
+                if not isinstance(doc, dict) or extract not in doc:
+                    print(f"{where}: no {extract!r} key to extract",
+                          file=sys.stderr)
+                    failed = True
+                    continue
+                doc = doc[extract]
+            errors = []
+            validate(doc, schema, "$", errors)
+            if errors:
                 failed = True
-                continue
-            doc = doc[extract]
-        errors = []
-        validate(doc, schema, "$", errors)
-        if errors:
-            failed = True
-            for err in errors:
-                print(f"{doc_path}: {err}", file=sys.stderr)
-        else:
-            print(f"{doc_path}: OK")
+                for err in errors:
+                    print(f"{where}: {err}", file=sys.stderr)
+            else:
+                print(f"{where}: OK")
     return 1 if failed else 0
 
 
