@@ -9,9 +9,10 @@
 // (kernels::HashBytes — CRC or FNV depending on the active SIMD level) is an
 // internal accelerator only and never influences a code or serialized byte.
 //
-// Batched sizing needs "what would the dictionary look like if these cells
-// were added" without keeping them: BeginTentative() opens a section whose
-// inserts RollBack() removes again, restoring the exact prior entries.
+// Batched sizing stages a batch before the page packer knows whether the
+// page has room for it: BeginTentative() opens a section whose inserts are
+// provisional. Commit() keeps them (an accepted batch is inserted once);
+// RollBack() removes them again, restoring the exact prior entries.
 
 #ifndef CFEST_COMPRESSION_CELL_DICTIONARY_H_
 #define CFEST_COMPRESSION_CELL_DICTIONARY_H_
@@ -70,11 +71,15 @@ class CellDictionary {
   }
 
   /// Opens a tentative section: every entry inserted from here on is
-  /// removed again by the matching RollBack().
+  /// removed again by a RollBack(), unless Commit() keeps it first.
   void BeginTentative() {
     tentative_mark_ = entries_.size();
     tentative_slots_ = slots_.size();
   }
+
+  /// Ends the tentative section, keeping its entries: a RollBack() before
+  /// the next BeginTentative() removes nothing.
+  void Commit() { BeginTentative(); }
 
   /// Removes every entry inserted since BeginTentative(), restoring the
   /// dictionary's prior entries and codes. If the section never grew the

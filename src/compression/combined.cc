@@ -36,29 +36,26 @@ class CombinedChunk final : public ColumnChunkCompressor {
     codes_.push_back(Encode(cell.data(), NullSuppressedLength(cell, type_)));
   }
 
-  /// Exact batch cost including intra-batch dedup: the batch's new distinct
-  /// payloads are inserted tentatively, and the dictionary, prefix length
-  /// and entry-length sum all roll back together.
-  size_t CostWithBatch(const char* cells, size_t n) override {
-    const size_t base_lens = sum_entry_lengths_;
-    const size_t base_prefix = prefix_len_;
+  /// The batch's new distinct payloads enter the dictionary tentatively;
+  /// a drop rolls them back together with the prefix length and the
+  /// entry-length sum.
+  size_t StageBatch(const char* cells, size_t n) override {
+    staged_ = {sum_entry_lengths_, prefix_len_, codes_.size()};
     dict_.BeginTentative();
-    encoding::ForEachSuppressed(
-        cells, type_, n,
-        [this](const char* cell, uint32_t l) { Encode(cell, l); });
-    const size_t cost = ChunkCost(dict_.size(), sum_entry_lengths_,
-                                  prefix_len_, codes_.size() + n);
-    dict_.RollBack();
-    sum_entry_lengths_ = base_lens;
-    prefix_len_ = base_prefix;
-    return cost;
-  }
-
-  void AddBatch(const char* cells, size_t n) override {
     encoding::ForEachSuppressed(
         cells, type_, n, [this](const char* cell, uint32_t l) {
           codes_.push_back(Encode(cell, l));
         });
+    return Cost();
+  }
+
+  void CommitStaged() override { dict_.Commit(); }
+
+  void DropStaged() override {
+    dict_.RollBack();
+    sum_entry_lengths_ = staged_.sum_entry_lengths;
+    prefix_len_ = staged_.prefix_len;
+    codes_.resize(staged_.codes);
   }
 
   size_t Cost() const override {
@@ -128,6 +125,11 @@ class CombinedChunk final : public ColumnChunkCompressor {
   size_t sum_entry_lengths_ = 0;
   size_t prefix_len_ = 0;
   std::vector<uint32_t> codes_;
+  struct {
+    size_t sum_entry_lengths;
+    size_t prefix_len;
+    size_t codes;
+  } staged_ = {};  // restore point of the staged batch
 };
 
 class CombinedCompressor final : public ColumnCompressor {

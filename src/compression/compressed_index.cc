@@ -143,8 +143,11 @@ Status CompressedIndexBuilder::AddRows(const char* rows, uint64_t n) {
   // when its exact total prospective page cost fits, and chunk costs are
   // monotone nondecreasing in the cells added, so whenever a whole batch
   // fits every prefix fits too — the per-row path would not have flushed
-  // mid-batch. Near a page boundary the batch halves until it fits or
-  // degenerates to Add(), which performs the flush exactly as before.
+  // mid-batch. Every column stages the batch (appends it tentatively and
+  // reports its exact cost); a batch that fits is committed, so each
+  // accepted cell is encoded once. One that does not is dropped, restoring
+  // every chunk, and halves until it fits or degenerates to Add(), which
+  // performs the flush exactly as before.
   constexpr uint64_t kFallbackBatchRows = 1024;
   std::vector<char*> cols(ncols);
   uint64_t i = 0;
@@ -193,18 +196,21 @@ Status CompressedIndexBuilder::AddRows(const char* rows, uint64_t n) {
                              row_width, w, batch, cols[c]);
     }
     for (;;) {
+      // Chunk costs are nonnegative, so staging stops at the first column
+      // that pushes the page over; only the staged columns are dropped.
       size_t prospective = framing;
-      for (size_t c = 0; c < ncols; ++c) {
-        prospective += chunks_[c]->CostWithBatch(cols[c], batch);
+      size_t staged = 0;
+      while (staged < ncols && prospective <= options_.page_size) {
+        prospective += chunks_[staged]->StageBatch(cols[staged], batch);
+        ++staged;
       }
       if (prospective <= options_.page_size) {
-        for (size_t c = 0; c < ncols; ++c) {
-          chunks_[c]->AddBatch(cols[c], batch);
-        }
+        for (auto& chunk : chunks_) chunk->CommitStaged();
         rows_added_ += batch;
         i += batch;
         break;
       }
+      for (size_t c = 0; c < staged; ++c) chunks_[c]->DropStaged();
       if (batch == 1) {
         // Delegates the flush (or the single-oversized-row error) to Add().
         CFEST_RETURN_NOT_OK(Add(Slice(rows + i * row_width, row_width)));

@@ -117,7 +117,9 @@ class CompressedIndexBuilder {
   /// Adds `n` contiguous encoded rows (n * row_width bytes at `rows`).
   /// Equivalent to n Add() calls — identical pages, stats, and errors — but
   /// sizes through every chunk's batched path: rows are transposed into
-  /// arena-backed column slices and sized/appended per column, not per cell.
+  /// arena-backed column slices, and each column stages a slice, then
+  /// commits it if the page has room or drops it to retry a smaller one.
+  /// An accepted cell is encoded once.
   Status AddRows(const char* rows, uint64_t n);
 
   uint64_t rows_added() const { return rows_added_; }

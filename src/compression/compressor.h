@@ -76,10 +76,12 @@ struct CompressionOptions {
 ///
 /// Every chunk sizes two equivalent ways: per cell (CostWith/Add, the
 /// reference the tests compare against, and the path that closes a full
-/// page) and batched (CostWithBatch/AddBatch, the page packer's fast path
-/// over column-major slices). The batch calls over n cells produce exactly
-/// the state and costs of n CostWith/Add calls, so the packer may mix the
-/// two freely without changing any page split.
+/// page) and batched (StageBatch, then CommitStaged or DropStaged: the page
+/// packer's fast path over column-major slices). A staged batch is sized by
+/// appending it, so a batch the page accepts is encoded once. Committing n
+/// staged cells leaves exactly the state and costs of n CostWith/Add calls;
+/// dropping them leaves exactly the state before StageBatch. The packer may
+/// therefore mix the two paths freely without changing any page split.
 class ColumnChunkCompressor {
  public:
   virtual ~ColumnChunkCompressor() = default;
@@ -90,12 +92,18 @@ class ColumnChunkCompressor {
   /// Appends a cell. Must only be called with fixed-width cells.
   virtual void Add(const Slice& cell) = 0;
 
-  /// Exact serialized size if the `n` contiguous fixed-width cells at
-  /// `cells` were all appended next. Leaves the chunk's state as it was.
-  virtual size_t CostWithBatch(const char* cells, size_t n) = 0;
+  /// Appends the `n` contiguous fixed-width cells at `cells` tentatively and
+  /// returns the chunk's exact serialized size with them. The next call on
+  /// the chunk must be CommitStaged() or DropStaged(), and `cells` must stay
+  /// valid until then.
+  virtual size_t StageBatch(const char* cells, size_t n) = 0;
 
-  /// Appends `n` contiguous fixed-width cells.
-  virtual void AddBatch(const char* cells, size_t n) = 0;
+  /// Keeps the staged cells, as if each had been passed to Add().
+  virtual void CommitStaged() = 0;
+
+  /// Discards the staged cells, restoring the chunk exactly to its state
+  /// before StageBatch().
+  virtual void DropStaged() = 0;
 
   /// Exact serialized size of the cells added so far.
   virtual size_t Cost() const = 0;

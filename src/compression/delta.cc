@@ -81,25 +81,21 @@ class DeltaChunk final : public ColumnChunkCompressor {
     Append(DecodeCellValue(cell, type_.FixedWidth()));
   }
 
-  size_t CostWithBatch(const char* cells, size_t n) override {
-    size_t cost = Cost();
-    uint32_t count = count_;
-    int64_t prev = prev_;
-    encoding::ForEachIntBlock(
-        cells, type_.FixedWidth(), n, [&](const int64_t* values, size_t m) {
-          for (size_t i = 0; i < m; ++i) {
-            cost += ValueCost(values[i], count++, prev);
-            prev = values[i];
-          }
-        });
-    return cost;
-  }
-
-  void AddBatch(const char* cells, size_t n) override {
+  size_t StageBatch(const char* cells, size_t n) override {
+    staged_ = {buf_.size(), prev_, count_};
     encoding::ForEachIntBlock(
         cells, type_.FixedWidth(), n, [this](const int64_t* values, size_t m) {
           for (size_t i = 0; i < m; ++i) Append(values[i]);
         });
+    return Cost();
+  }
+
+  void CommitStaged() override {}
+
+  void DropStaged() override {
+    buf_.resize(staged_.bytes);
+    prev_ = staged_.prev;
+    count_ = staged_.count;
   }
 
   size_t Cost() const override { return 2 + buf_.size(); }
@@ -137,6 +133,11 @@ class DeltaChunk final : public ColumnChunkCompressor {
   std::string buf_;
   int64_t prev_ = 0;
   uint32_t count_ = 0;
+  struct {
+    size_t bytes;
+    int64_t prev;
+    uint32_t count;
+  } staged_ = {};  // restore point of the staged batch
 };
 
 class DeltaCompressor final : public ColumnCompressor {

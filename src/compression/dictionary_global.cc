@@ -17,8 +17,9 @@ class GlobalDictChunk final : public ColumnChunkCompressor {
 
   size_t CostWith(const Slice& cell) override;
   void Add(const Slice& cell) override;
-  size_t CostWithBatch(const char* cells, size_t n) override;
-  void AddBatch(const char* cells, size_t n) override;
+  size_t StageBatch(const char* cells, size_t n) override;
+  void CommitStaged() override;
+  void DropStaged() override {}
 
   size_t Cost() const override {
     return 2 + codes_.size() * pointer_bytes_;
@@ -44,6 +45,10 @@ class GlobalDictChunk final : public ColumnChunkCompressor {
   GlobalDictCompressor* parent_;
   uint32_t pointer_bytes_;
   std::vector<uint32_t> codes_;
+  // The staged batch: its cost is arithmetic, and only a commit encodes it,
+  // so a dropped batch never touches the shared dictionary.
+  const char* staged_cells_ = nullptr;
+  size_t staged_n_ = 0;
 };
 
 class GlobalDictCompressor final : public ColumnCompressor {
@@ -130,15 +135,16 @@ void GlobalDictChunk::Add(const Slice& cell) {
   codes_.push_back(parent_->Encode(cell.data()));
 }
 
-size_t GlobalDictChunk::CostWithBatch(const char* cells, size_t n) {
-  (void)cells;  // cost is independent of the values under the global model
+size_t GlobalDictChunk::StageBatch(const char* cells, size_t n) {
+  staged_cells_ = cells;
+  staged_n_ = n;
   return Cost() + n * pointer_bytes_;
 }
 
-void GlobalDictChunk::AddBatch(const char* cells, size_t n) {
+void GlobalDictChunk::CommitStaged() {
   const uint32_t w = parent_->data_type().FixedWidth();
-  for (size_t i = 0; i < n; ++i) {
-    codes_.push_back(parent_->Encode(cells + i * w));
+  for (size_t i = 0; i < staged_n_; ++i) {
+    codes_.push_back(parent_->Encode(staged_cells_ + i * w));
   }
 }
 

@@ -30,22 +30,22 @@ class PageDictChunk final : public ColumnChunkCompressor {
     codes_.push_back(Encode(cell.data()));
   }
 
-  /// Exact batch cost including intra-batch dictionary dedup: the batch's
-  /// new distinct values are inserted tentatively and rolled back.
-  size_t CostWithBatch(const char* cells, size_t n) override {
+  /// The batch's new distinct values enter the dictionary tentatively, so
+  /// the cost includes intra-batch dedup and a commit keeps them as is.
+  size_t StageBatch(const char* cells, size_t n) override {
     const uint32_t w = type_.FixedWidth();
-    const size_t base_bytes = dict_bytes_;
+    staged_ = {dict_bytes_, codes_.size()};
     dict_.BeginTentative();
-    for (size_t i = 0; i < n; ++i) Encode(cells + i * w);
-    const size_t cost = ChunkCost(dict_.size(), dict_bytes_, codes_.size() + n);
-    dict_.RollBack();
-    dict_bytes_ = base_bytes;
-    return cost;
+    for (size_t i = 0; i < n; ++i) codes_.push_back(Encode(cells + i * w));
+    return Cost();
   }
 
-  void AddBatch(const char* cells, size_t n) override {
-    const uint32_t w = type_.FixedWidth();
-    for (size_t i = 0; i < n; ++i) codes_.push_back(Encode(cells + i * w));
+  void CommitStaged() override { dict_.Commit(); }
+
+  void DropStaged() override {
+    dict_.RollBack();
+    dict_bytes_ = staged_.dict_bytes;
+    codes_.resize(staged_.codes);
   }
 
   size_t Cost() const override {
@@ -94,6 +94,10 @@ class PageDictChunk final : public ColumnChunkCompressor {
   CellDictionary dict_;           // full-width cells
   size_t dict_bytes_ = 0;
   std::vector<uint32_t> codes_;
+  struct {
+    size_t dict_bytes;
+    size_t codes;
+  } staged_ = {};  // restore point of the staged batch
 };
 
 std::string PageDictChunk::Finish() {

@@ -54,28 +54,12 @@ class ForChunk final : public ColumnChunkCompressor {
     values_.push_back(v);
   }
 
-  size_t CostWithBatch(const char* cells, size_t n) override {
-    if (n == 0) return Cost();
-    bool first = values_.empty();
-    int64_t lo = min_;
-    int64_t hi = max_;
-    encoding::ForEachIntBlock(
-        cells, type_.FixedWidth(), n, [&](const int64_t* values, size_t m) {
-          const kernels::MinMax mm = kernels::MinMaxInts(values, m);
-          lo = first ? mm.min : std::min(lo, mm.min);
-          hi = first ? mm.max : std::max(hi, mm.max);
-          first = false;
-        });
-    return ChunkCost(values_.size() + n,
-                     static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo));
-  }
-
-  void AddBatch(const char* cells, size_t n) override {
-    if (n == 0) return;
-    const uint32_t w = type_.FixedWidth();
+  size_t StageBatch(const char* cells, size_t n) override {
     const size_t old = values_.size();
+    staged_ = {old, min_, max_};
+    if (n == 0) return Cost();
     values_.resize(old + n);
-    kernels::DecodeInts(cells, w, n, values_.data() + old);
+    kernels::DecodeInts(cells, type_.FixedWidth(), n, values_.data() + old);
     const kernels::MinMax mm = kernels::MinMaxInts(values_.data() + old, n);
     if (old == 0) {
       min_ = mm.min;
@@ -84,6 +68,15 @@ class ForChunk final : public ColumnChunkCompressor {
       min_ = std::min(min_, mm.min);
       max_ = std::max(max_, mm.max);
     }
+    return Cost();
+  }
+
+  void CommitStaged() override {}
+
+  void DropStaged() override {
+    values_.resize(staged_.count);
+    min_ = staged_.min;
+    max_ = staged_.max;
   }
 
   size_t Cost() const override {
@@ -125,6 +118,11 @@ class ForChunk final : public ColumnChunkCompressor {
   std::vector<int64_t> values_;
   int64_t min_ = 0;
   int64_t max_ = 0;
+  struct {
+    size_t count;
+    int64_t min;
+    int64_t max;
+  } staged_ = {};  // restore point of the staged batch
 };
 
 class ForCompressor final : public ColumnCompressor {

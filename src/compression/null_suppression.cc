@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "compression/encoding_util.h"
-#include "compression/kernels.h"
 
 namespace cfest {
 namespace {
@@ -27,20 +26,23 @@ class NsChunk final : public ColumnChunkCompressor {
     ++count_;
   }
 
-  size_t CostWithBatch(const char* cells, size_t n) override {
-    const uint32_t w = type_.FixedWidth();
-    return Cost() + n * LengthHeaderBytes(type_) +
-           kernels::TotalNullSuppressedLength(cells, w, n, type_.IsString());
-  }
-
-  void AddBatch(const char* cells, size_t n) override {
+  size_t StageBatch(const char* cells, size_t n) override {
     const uint32_t header = LengthHeaderBytes(type_);
+    staged_ = {buf_.size(), count_};
     encoding::ForEachSuppressed(
         cells, type_, n, [&](const char* cell, uint32_t len) {
           encoding::PutLength(&buf_, len, header);
           buf_.append(cell, len);
         });
     count_ += static_cast<uint32_t>(n);
+    return Cost();
+  }
+
+  void CommitStaged() override {}
+
+  void DropStaged() override {
+    buf_.resize(staged_.bytes);
+    count_ = staged_.count;
   }
 
   size_t Cost() const override { return 2 + buf_.size(); }
@@ -58,6 +60,10 @@ class NsChunk final : public ColumnChunkCompressor {
   DataType type_;
   std::string buf_;
   uint32_t count_ = 0;
+  struct {
+    size_t bytes;
+    uint32_t count;
+  } staged_ = {};  // restore point of the staged batch
 };
 
 class NsCompressor final : public ColumnCompressor {
@@ -113,15 +119,19 @@ class NoneChunk final : public ColumnChunkCompressor {
     ++count_;
   }
 
-  size_t CostWithBatch(const char* cells, size_t n) override {
-    (void)cells;
+  /// The cost is arithmetic; only a commit copies the cells.
+  size_t StageBatch(const char* cells, size_t n) override {
+    staged_cells_ = cells;
+    staged_n_ = n;
     return Cost() + n * type_.FixedWidth();
   }
 
-  void AddBatch(const char* cells, size_t n) override {
-    buf_.append(cells, n * type_.FixedWidth());
-    count_ += static_cast<uint32_t>(n);
+  void CommitStaged() override {
+    buf_.append(staged_cells_, staged_n_ * type_.FixedWidth());
+    count_ += static_cast<uint32_t>(staged_n_);
   }
+
+  void DropStaged() override {}
 
   size_t Cost() const override { return 2 + buf_.size(); }
   uint32_t count() const override { return count_; }
@@ -137,6 +147,8 @@ class NoneChunk final : public ColumnChunkCompressor {
   DataType type_;
   std::string buf_;
   uint32_t count_ = 0;
+  const char* staged_cells_ = nullptr;
+  size_t staged_n_ = 0;
 };
 
 class NoneCompressor final : public ColumnCompressor {

@@ -27,24 +27,21 @@ class PrefixChunk final : public ColumnChunkCompressor {
     Append(cell.data(), NullSuppressedLength(cell, type_));
   }
 
-  size_t CostWithBatch(const char* cells, size_t n) override {
-    // An empty chunk takes its prefix from the batch's first value.
-    const char* first = lengths_.empty() ? cells : pool_.data();
-    size_t prefix = lengths_.empty() ? type_.FixedWidth() : prefix_len_;
-    size_t sum = sum_lengths_;
-    encoding::ForEachSuppressed(
-        cells, type_, n, [&](const char* cell, uint32_t l) {
-          prefix = encoding::CommonPrefixLength(cell, first,
-                                                std::min<size_t>(prefix, l));
-          sum += l;
-        });
-    return ChunkCost(lengths_.size() + n, sum, prefix);
-  }
-
-  void AddBatch(const char* cells, size_t n) override {
+  size_t StageBatch(const char* cells, size_t n) override {
+    staged_ = {pool_.size(), lengths_.size(), sum_lengths_, prefix_len_};
     encoding::ForEachSuppressed(
         cells, type_, n,
         [this](const char* cell, uint32_t l) { Append(cell, l); });
+    return Cost();
+  }
+
+  void CommitStaged() override {}
+
+  void DropStaged() override {
+    pool_.resize(staged_.pool_bytes);
+    lengths_.resize(staged_.count);
+    sum_lengths_ = staged_.sum_lengths;
+    prefix_len_ = staged_.prefix_len;
   }
 
   size_t Cost() const override {
@@ -97,6 +94,12 @@ class PrefixChunk final : public ColumnChunkCompressor {
   std::vector<uint32_t> lengths_;  // payload length per value
   size_t sum_lengths_ = 0;
   size_t prefix_len_ = 0;
+  struct {
+    size_t pool_bytes;
+    size_t count;
+    size_t sum_lengths;
+    size_t prefix_len;
+  } staged_ = {};  // restore point of the staged batch
 };
 
 class PrefixCompressor final : public ColumnCompressor {

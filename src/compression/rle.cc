@@ -31,21 +31,11 @@ class RleChunk final : public ColumnChunkCompressor {
     ++count_;
   }
 
-  size_t CostWithBatch(const char* cells, size_t n) override {
+  size_t StageBatch(const char* cells, size_t n) override {
     const uint32_t w = type_.FixedWidth();
-    std::vector<uint32_t>& starts = StartsScratch();
-    starts.clear();
-    kernels::RunStarts(cells, w, n, OpenRunValue(), &starts);
-    size_t cost = Cost();
-    for (const uint32_t s : starts) {
-      cost += 4 + encoding::NullSuppressedCost(
-                      Slice(cells + static_cast<size_t>(s) * w, w), type_);
-    }
-    return cost;
-  }
-
-  void AddBatch(const char* cells, size_t n) override {
-    const uint32_t w = type_.FixedWidth();
+    staged_ = {run_lengths_.size(),
+               run_lengths_.empty() ? 0 : run_lengths_.back(), runs_bytes_,
+               count_};
     std::vector<uint32_t>& starts = StartsScratch();
     starts.clear();
     kernels::RunStarts(cells, w, n, OpenRunValue(), &starts);
@@ -61,6 +51,17 @@ class RleChunk final : public ColumnChunkCompressor {
       OpenRun(cells + static_cast<size_t>(s) * w, e - s);
     }
     count_ += static_cast<uint32_t>(n);
+    return Cost();
+  }
+
+  void CommitStaged() override {}
+
+  void DropStaged() override {
+    run_lengths_.resize(staged_.runs);
+    values_.resize(staged_.runs * type_.FixedWidth());
+    if (staged_.runs > 0) run_lengths_.back() = staged_.open_run_length;
+    runs_bytes_ = staged_.runs_bytes;
+    count_ = staged_.count;
   }
 
   size_t Cost() const override { return 2 + runs_bytes_; }
@@ -110,6 +111,12 @@ class RleChunk final : public ColumnChunkCompressor {
   std::vector<uint32_t> run_lengths_;  // cells per run
   size_t runs_bytes_ = 0;
   uint32_t count_ = 0;
+  struct {
+    size_t runs;
+    uint32_t open_run_length;
+    size_t runs_bytes;
+    uint32_t count;
+  } staged_ = {};  // restore point of the staged batch
 };
 
 class RleCompressor final : public ColumnCompressor {

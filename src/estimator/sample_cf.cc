@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+
+#include "compression/kernels.h"
 
 namespace cfest {
 
@@ -58,17 +61,18 @@ Result<SampleCFResult> SampleCFFromIndex(const Index& index,
   }
   std::sort(positions.begin(), positions.end());
 
+  const uint32_t w = index.schema().row_width();
+  std::string rows(r * w, '\0');
+  kernels::GatherRows(index.row(0).data(), w, positions.data(), r,
+                      rows.data());
   CFEST_ASSIGN_OR_RETURN(
       auto builder,
       CompressedIndexBuilder::Make(index.schema(), scheme, options.build));
-  for (uint64_t pos : positions) {
-    CFEST_RETURN_NOT_OK(builder->Add(index.row(pos)));
-  }
+  CFEST_RETURN_NOT_OK(builder->AddRows(rows.data(), r));
   CFEST_ASSIGN_OR_RETURN(CompressedIndex compressed, builder->Finish());
 
   // Uncompressed accounting for the sample, by packing arithmetic (exact:
   // leaves fill greedily with fixed-width rows).
-  const uint32_t w = index.schema().row_width();
   IndexStats uncompressed;
   uncompressed.page_size = options.build.page_size;
   uncompressed.row_count = r;

@@ -1,9 +1,9 @@
 // Tests for the hardware-fast sizing kernels (compression/kernels.h): every
 // SIMD variant pinned bit-identical to its scalar reference across fuzzed
 // widths, alignments, odd tails, and empty/single-cell slices; the arena
-// allocator; the bulk BitWriter; the batched chunk path against the per-cell
-// path; and the incremental (Fenwick) advisor bound against the legacy
-// rescan.
+// allocator; the bulk BitWriter; the batched chunk path (stage, then commit
+// or drop) against the per-cell path; and the incremental (Fenwick) advisor
+// bound against the legacy rescan.
 
 #include <algorithm>
 #include <cstring>
@@ -112,6 +112,41 @@ std::string RandomWalkCells(Random* rng, uint32_t width, size_t n) {
     for (uint32_t b = 0; b < width; ++b) {
       buf[i * width + b] = static_cast<char>((bits >> (8 * b)) & 0xFF);
     }
+  }
+  return buf;
+}
+
+/// Sorted cells in long runs, the shape a one-column index feeds its key
+/// compressor: ascending distinct values (little-endian integers, or
+/// blank-padded zero-filled decimals behind a "k", whose common prefix
+/// shortens as the values grow), each repeated 1 to 40 times.
+std::string SortedRunCells(Random* rng, uint32_t width, size_t n,
+                           bool is_string) {
+  std::string buf(n * width, is_string ? ' ' : '\0');
+  uint64_t value = rng->NextBounded(1000);
+  size_t i = 0;
+  while (i < n) {
+    const size_t run = std::min<size_t>(n - i, 1 + rng->NextBounded(40));
+    std::string cell(width, is_string ? ' ' : '\0');
+    if (is_string) {
+      const std::string digits = std::to_string(value);
+      const size_t room = std::min<size_t>(width - 1, 18);
+      cell[0] = 'k';
+      for (size_t b = 0; b < room; ++b) {
+        cell[1 + b] = b + digits.size() < room
+                          ? '0'
+                          : digits[b + digits.size() - room];
+      }
+    } else {
+      for (uint32_t b = 0; b < width && b < 8; ++b) {
+        cell[b] = static_cast<char>((value >> (8 * b)) & 0xFF);
+      }
+    }
+    for (size_t k = 0; k < run; ++k) {
+      std::memcpy(buf.data() + (i + k) * width, cell.data(), width);
+    }
+    i += run;
+    value += 1 + rng->NextBounded(rng->NextBounded(2) == 0 ? 3 : 5000);
   }
   return buf;
 }
@@ -428,6 +463,45 @@ TEST(CellDictionaryTest, RollBackRestoresEntriesWithAndWithoutGrowth) {
   }
 }
 
+TEST(CellDictionaryTest, CommitKeepsEntriesWithAndWithoutGrowth) {
+  SimdLevelGuard guard;
+  auto key = [](size_t i) {
+    std::string k = "key-";
+    k += std::to_string(i);
+    return k;
+  };
+  for (const SimdLevel level : TestableLevels()) {
+    SetSimdLevel(level);
+    CellDictionary dict(16);
+    size_t size = 0;
+    // A section within the 16-slot table (one new key), then sections that
+    // grow it once and several times; each is committed, and a RollBack()
+    // after the commit removes nothing.
+    for (const size_t extra : {size_t{1}, size_t{14}, size_t{500}}) {
+      dict.BeginTentative();
+      for (size_t i = 0; i < size + extra; ++i) {
+        const std::string k = key(i);
+        const CellDictionary::Insertion ins =
+            dict.Insert(k.data(), static_cast<uint32_t>(k.size()));
+        ASSERT_EQ(ins.code, i);
+        ASSERT_EQ(ins.inserted, i >= size);
+      }
+      dict.Commit();
+      dict.RollBack();
+      size += extra;
+      ASSERT_EQ(dict.size(), size) << SimdLevelName(level);
+      for (size_t i = 0; i < size; ++i) {
+        const std::string k = key(i);
+        ASSERT_TRUE(dict.Contains(k.data(), static_cast<uint32_t>(k.size())));
+        ASSERT_EQ(dict.entry(static_cast<uint32_t>(i)).ToString(), k);
+      }
+    }
+    const std::string k = key(size);
+    EXPECT_EQ(dict.Insert(k.data(), static_cast<uint32_t>(k.size())).code,
+              size);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Batched chunk path == per-cell path, per scheme and per SIMD level.
 // ---------------------------------------------------------------------------
@@ -439,6 +513,10 @@ std::unique_ptr<ColumnCompressor> MustMake(CompressionType type,
   return std::move(result).ValueOrDie();
 }
 
+/// Stages, commits and drops random-sized batches on one chunk while the
+/// same cells go one by one into a per-cell chunk. A committed batch must
+/// cost exactly what its stage reported and leave the per-cell state; a
+/// dropped one must leave no trace.
 void CheckBatchEqualsPerCell(CompressionType type, const DataType& dt,
                              const std::string& cells, size_t n) {
   const uint32_t w = dt.FixedWidth();
@@ -450,14 +528,17 @@ void CheckBatchEqualsPerCell(CompressionType type, const DataType& dt,
   size_t i = 0;
   while (i < n) {
     const size_t take = std::min<size_t>(n - i, 1 + rng.NextBounded(37));
-    // Both chunks hold the same cells here, so a single-cell batch sizing
-    // must agree with the per-cell CostWith contract.
+    // Both chunks hold the same cells here, so staging a single cell must
+    // agree with the per-cell CostWith contract, and dropping it must undo
+    // it.
     const Slice first(cells.data() + i * w, w);
-    ASSERT_EQ(batch->CostWithBatch(first.data(), 1), per_cell->CostWith(first))
+    ASSERT_EQ(batch->StageBatch(first.data(), 1), per_cell->CostWith(first))
         << "i=" << i;
-    // The prospective batch cost must equal the realized cost after adding.
-    const size_t prospective = batch->CostWithBatch(cells.data() + i * w, take);
-    batch->AddBatch(cells.data() + i * w, take);
+    batch->DropStaged();
+    ASSERT_EQ(batch->Cost(), per_cell->Cost()) << "i=" << i;
+    // The staged cost must equal the realized cost after the commit.
+    const size_t prospective = batch->StageBatch(cells.data() + i * w, take);
+    batch->CommitStaged();
     ASSERT_EQ(batch->Cost(), prospective);
     for (size_t k = 0; k < take; ++k) {
       per_cell->Add(Slice(cells.data() + (i + k) * w, w));
@@ -514,6 +595,7 @@ TEST(BatchChunkTest, BatchedPathBitIdenticalAcrossLevels) {
         inputs.push_back(std::string(n * w, ' '));  // all blank
       }
       if (c.dt.IsInteger()) inputs.push_back(RandomWalkCells(&rng, w, n));
+      inputs.push_back(SortedRunCells(&rng, w, n, c.is_string));
       // All-duplicate: one (fuzzed) cell repeated.
       const std::string one = FuzzCells(&rng, w, 1, c.is_string, 0);
       std::string dup;
@@ -529,11 +611,13 @@ TEST(BatchChunkTest, BatchedPathBitIdenticalAcrossLevels) {
   }
 }
 
-TEST(BatchChunkTest, RepeatedBatchSizingRollsBack) {
-  // The page packer sizes a batch, halves it and sizes again before it
-  // appends anything. Every sizing must leave the chunk exactly as it was:
-  // tentative dictionary entries, prefix lengths and entry-length sums all
-  // roll back, or a later code, cost or entry count would differ.
+TEST(BatchChunkTest, DroppedStagesLeaveNoTrace) {
+  // The page packer stages a batch, drops it when the page has no room,
+  // halves it and stages again. Every drop must leave the chunk exactly as
+  // a chunk that was never staged: dictionary entries, run lengths, prefix
+  // lengths, buffers, minima and maxima all restore, or a later code, cost
+  // or entry count would differ. Per-row Add() calls (the page-closing
+  // path) follow some drops directly.
   SimdLevelGuard guard;
   Random rng(53);
   struct Case {
@@ -543,9 +627,12 @@ TEST(BatchChunkTest, RepeatedBatchSizingRollsBack) {
   const Case cases[] = {
       {CompressionType::kNone, CharType(9)},
       {CompressionType::kNullSuppression, CharType(9)},
+      {CompressionType::kNullSuppression, Int64Type()},
       {CompressionType::kDictionaryPage, CharType(9)},
+      {CompressionType::kDictionaryPage, Int32Type()},
       {CompressionType::kDictionaryGlobal, CharType(9)},
       {CompressionType::kRle, CharType(9)},
+      {CompressionType::kRle, Int32Type()},
       {CompressionType::kPrefix, CharType(9)},
       {CompressionType::kDelta, Int64Type()},
       {CompressionType::kPrefixDictionary, CharType(9)},
@@ -554,41 +641,140 @@ TEST(BatchChunkTest, RepeatedBatchSizingRollsBack) {
   };
   for (const Case& c : cases) {
     const uint32_t w = c.dt.FixedWidth();
+    const bool is_string = !c.dt.IsInteger();
     const size_t n = 900;
-    const std::string cells = c.dt.IsInteger()
-                                  ? RandomWalkCells(&rng, w, n)
-                                  : StemmedCells(&rng, w, n);
+    const std::string inputs[] = {
+        is_string ? StemmedCells(&rng, w, n) : RandomWalkCells(&rng, w, n),
+        SortedRunCells(&rng, w, n, is_string),
+        FuzzCells(&rng, w, n, is_string, 0),
+    };
+    for (const std::string& cells : inputs) {
+      for (const SimdLevel level : TestableLevels()) {
+        SetSimdLevel(level);
+        const std::string where = std::string(CompressionTypeName(c.type)) +
+                                  " " + SimdLevelName(level);
+        auto per_cell_comp = MustMake(c.type, c.dt);
+        auto batch_comp = MustMake(c.type, c.dt);
+        auto per_cell = per_cell_comp->NewChunk();
+        auto batch = batch_comp->NewChunk();
+        auto expect_untouched = [&](const char* step, size_t i) {
+          ASSERT_EQ(batch->Cost(), per_cell->Cost())
+              << where << " " << step << " i=" << i;
+          ASSERT_EQ(batch->count(), per_cell->count()) << where << " " << step;
+          ASSERT_EQ(batch_comp->TotalDictionaryEntries(),
+                    per_cell_comp->TotalDictionaryEntries())
+              << where << " " << step;
+          ASSERT_EQ(batch_comp->AuxiliaryBytes(),
+                    per_cell_comp->AuxiliaryBytes())
+              << where << " " << step;
+        };
+        size_t i = 0;
+        while (i < n) {
+          const size_t take = std::min<size_t>(n - i, 1 + rng.NextBounded(60));
+          const char* slice = cells.data() + i * w;
+          // An oversized attempt, its halving, and a later slice the chunk
+          // never receives, each staged and dropped before the batch that
+          // is kept.
+          batch->StageBatch(slice, std::min(n - i, 2 * take));
+          batch->DropStaged();
+          expect_untouched("oversized", i);
+          batch->StageBatch(slice, (take + 1) / 2);
+          batch->DropStaged();
+          expect_untouched("halved", i);
+          batch->StageBatch(cells.data() + (n - take) * w, take);
+          batch->DropStaged();
+          expect_untouched("never appended", i);
+          size_t k = 0;
+          if (rng.NextBounded(3) == 0) {
+            // The packer's last resort after a drop: one row through Add().
+            batch->Add(Slice(slice, w));
+            k = 1;
+          }
+          if (k < take) {
+            const size_t prospective =
+                batch->StageBatch(slice + k * w, take - k);
+            batch->CommitStaged();
+            ASSERT_EQ(batch->Cost(), prospective) << where;
+          }
+          for (k = 0; k < take; ++k) {
+            per_cell->Add(Slice(slice + k * w, w));
+          }
+          i += take;
+          expect_untouched("committed", i);
+        }
+        // A drop right before the chunk closes leaves its bytes untouched.
+        batch->StageBatch(cells.data(), n);
+        batch->DropStaged();
+        ASSERT_EQ(batch->Finish(), per_cell->Finish()) << where;
+        expect_untouched("finished", n);
+      }
+    }
+  }
+}
+
+TEST(BatchChunkTest, DictionarySectionThatGrowsTableDropsAndCommits) {
+  // A staged batch with more new values than the dictionary's table holds
+  // at 75% load grows the table inside the tentative section. Dropping it
+  // rebuilds the table from the older entries; committing it keeps the
+  // grown table. Either way the chunk must match the per-cell chunk, and
+  // later cells must get the same codes.
+  SimdLevelGuard guard;
+  Random rng(56);
+  const DataType dt = CharType(12);
+  const uint32_t w = dt.FixedWidth();
+  // 2000 distinct cells: past the 256-slot page tables and the 1024-slot
+  // global table.
+  const size_t n = 2000;
+  std::string cells(n * w, ' ');
+  for (size_t i = 0; i < n; ++i) {
+    std::string text = "k";
+    text += std::to_string(i * 7919 % 100003);
+    cells.replace(i * w, text.size(), text);
+  }
+  for (const CompressionType type :
+       {CompressionType::kDictionaryPage, CompressionType::kDictionaryGlobal,
+        CompressionType::kPrefixDictionary}) {
     for (const SimdLevel level : TestableLevels()) {
       SetSimdLevel(level);
-      auto per_cell_comp = MustMake(c.type, c.dt);
-      auto batch_comp = MustMake(c.type, c.dt);
+      auto per_cell_comp = MustMake(type, dt);
+      auto batch_comp = MustMake(type, dt);
       auto per_cell = per_cell_comp->NewChunk();
       auto batch = batch_comp->NewChunk();
-      size_t i = 0;
-      while (i < n) {
-        const size_t take = std::min<size_t>(n - i, 1 + rng.NextBounded(60));
-        const char* slice = cells.data() + i * w;
-        // Oversized attempts, their halvings, and a later slice the chunk
-        // never receives, each sized before the batch that is appended.
-        batch->CostWithBatch(slice, std::min(n - i, 2 * take));
-        batch->CostWithBatch(cells.data() + (n - take) * w, take);
-        batch->CostWithBatch(slice, (take + 1) / 2);
-        const size_t prospective = batch->CostWithBatch(slice, take);
-        ASSERT_EQ(batch->CostWithBatch(slice, take), prospective);
-        batch->AddBatch(slice, take);
-        for (size_t k = 0; k < take; ++k) {
-          per_cell->Add(Slice(slice + k * w, w));
-        }
-        i += take;
-        ASSERT_EQ(batch->Cost(), prospective) << CompressionTypeName(c.type);
-        ASSERT_EQ(batch->Cost(), per_cell->Cost())
-            << CompressionTypeName(c.type) << " i=" << i;
+      // A few old entries first, so the section starts from a non-empty
+      // dictionary.
+      const size_t head = 10 + rng.NextBounded(20);
+      batch->StageBatch(cells.data(), head);
+      batch->CommitStaged();
+      for (size_t i = 0; i < head; ++i) {
+        per_cell->Add(Slice(cells.data() + i * w, w));
       }
-      ASSERT_EQ(batch->Finish(), per_cell->Finish())
-          << CompressionTypeName(c.type);
+      // Dropped: the whole rest, re-using the old values at the end.
+      std::string tail = cells.substr(head * w);
+      tail += cells.substr(0, head * w);
+      batch->StageBatch(tail.data(), n);
+      batch->DropStaged();
+      ASSERT_EQ(batch->Cost(), per_cell->Cost()) << CompressionTypeName(type);
       ASSERT_EQ(batch_comp->TotalDictionaryEntries(),
-                per_cell_comp->TotalDictionaryEntries())
-          << CompressionTypeName(c.type);
+                per_cell_comp->TotalDictionaryEntries());
+      // Committed: the same section, then per-row adds of old and new
+      // values, which must find the committed codes.
+      const size_t prospective = batch->StageBatch(tail.data(), n);
+      batch->CommitStaged();
+      for (size_t i = 0; i < n; ++i) {
+        per_cell->Add(Slice(tail.data() + i * w, w));
+      }
+      ASSERT_EQ(batch->Cost(), prospective);
+      ASSERT_EQ(batch->Cost(), per_cell->Cost()) << CompressionTypeName(type);
+      for (size_t i = 0; i < 2 * head; ++i) {
+        const Slice cell(cells.data() + (i * 37 % n) * w, w);
+        batch->Add(cell);
+        per_cell->Add(cell);
+      }
+      ASSERT_EQ(batch->Cost(), per_cell->Cost()) << CompressionTypeName(type);
+      ASSERT_EQ(batch->Finish(), per_cell->Finish())
+          << CompressionTypeName(type) << " " << SimdLevelName(level);
+      ASSERT_EQ(batch_comp->TotalDictionaryEntries(),
+                per_cell_comp->TotalDictionaryEntries());
       ASSERT_EQ(batch_comp->AuxiliaryBytes(), per_cell_comp->AuxiliaryBytes());
     }
   }
