@@ -33,14 +33,16 @@ class CombinedChunk final : public ColumnChunkCompressor {
 
   void Add(const Slice& cell) override {
     assert(cell.size() == type_.FixedWidth());
+    const size_t entries = dict_.size();
     codes_.push_back(Encode(cell.data(), NullSuppressedLength(cell, type_)));
+    *total_dict_entries_ += dict_.size() - entries;
   }
 
   /// The batch's new distinct payloads enter the dictionary tentatively;
   /// a drop rolls them back together with the prefix length and the
   /// entry-length sum.
   size_t StageBatch(const char* cells, size_t n) override {
-    staged_ = {sum_entry_lengths_, prefix_len_, codes_.size()};
+    staged_ = {dict_.size(), sum_entry_lengths_, prefix_len_, codes_.size()};
     dict_.BeginTentative();
     encoding::ForEachSuppressed(
         cells, type_, n, [this](const char* cell, uint32_t l) {
@@ -49,7 +51,10 @@ class CombinedChunk final : public ColumnChunkCompressor {
     return Cost();
   }
 
-  void CommitStaged() override { dict_.Commit(); }
+  void CommitStaged() override {
+    *total_dict_entries_ += dict_.size() - staged_.entries;
+    dict_.Commit();
+  }
 
   void DropStaged() override {
     dict_.RollBack();
@@ -67,7 +72,7 @@ class CombinedChunk final : public ColumnChunkCompressor {
     return static_cast<uint32_t>(codes_.size());
   }
 
-  std::string Finish() override {
+  std::string Finish() const override {
     const int bits = BitsFor(dict_.size());
     std::string out;
     out.reserve(Cost());
@@ -84,7 +89,6 @@ class CombinedChunk final : public ColumnChunkCompressor {
     encoding::PutU16(&out, static_cast<uint16_t>(codes_.size()));
     BitWriter writer(&out);
     for (uint32_t code : codes_) writer.Put(code, bits);
-    *total_dict_entries_ += dict_.size();
     return out;
   }
 
@@ -126,6 +130,7 @@ class CombinedChunk final : public ColumnChunkCompressor {
   size_t prefix_len_ = 0;
   std::vector<uint32_t> codes_;
   struct {
+    size_t entries;
     size_t sum_entry_lengths;
     size_t prefix_len;
     size_t codes;

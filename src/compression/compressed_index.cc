@@ -224,22 +224,37 @@ Status CompressedIndexBuilder::AddRows(const char* rows, uint64_t n) {
 }
 
 Status CompressedIndexBuilder::FlushPage() {
+  // The page is sized from the chunks' exact costs: one record of
+  // per-column u32 framing plus chunk bytes, behind the page header and one
+  // slot — what Page::used_bytes() reports for the serialized image. Only a
+  // kept page is serialized, and there each chunk must produce exactly the
+  // bytes it charged.
   last_page_rows_ = chunks_[0]->count();
+  size_t used = kPageHeaderSize + kSlotSize;
   std::string record;
   for (size_t c = 0; c < chunks_.size(); ++c) {
-    std::string bytes = chunks_[c]->Finish();
-    encoding::PutU32(&record, static_cast<uint32_t>(bytes.size()));
+    const size_t cost = chunks_[c]->Cost();
+    used += 4 + cost;
+    stats_.chunk_bytes += cost;
+    stats_.columns[c].chunk_bytes += cost;
+    if (!options_.keep_pages) continue;
+    const std::string bytes = chunks_[c]->Finish();
+    if (bytes.size() != cost) {
+      return Status::Internal(
+          std::string(CompressionTypeName(stats_.columns[c].type)) +
+          " chunk serialized " + std::to_string(bytes.size()) +
+          " bytes but charged " + std::to_string(cost));
+    }
+    encoding::PutU32(&record, static_cast<uint32_t>(cost));
     record += bytes;
-    stats_.chunk_bytes += bytes.size();
-    stats_.columns[c].chunk_bytes += bytes.size();
   }
+  stats_.used_bytes += used;
+  ++stats_.data_pages;
+  if (!options_.keep_pages) return Status::OK();
   PageBuilder builder(next_page_id_++, PageType::kCompressedLeaf,
                       options_.page_size);
   CFEST_RETURN_NOT_OK(builder.Add(Slice(record)));
-  Page page = builder.Finish();
-  stats_.used_bytes += page.used_bytes();
-  ++stats_.data_pages;
-  if (options_.keep_pages) pages_.push_back(std::move(page));
+  pages_.push_back(builder.Finish());
   return Status::OK();
 }
 

@@ -96,7 +96,11 @@ class CompressedIndex {
 /// \brief Build options for compressed (and uncompressed) index packing.
 struct IndexBuildOptions {
   size_t page_size = kDefaultPageSize;
-  /// Retain page images (needed for DecodeAllRows; costs memory).
+  /// Retain page images (needed for DecodeAllRows). Only kept pages are
+  /// serialized: with keep_pages = false (every estimator's sizing path)
+  /// no chunk is finished and no page image is built, and the stats come
+  /// from the chunks' exact costs — equal, field for field, to a kept
+  /// build's.
   bool keep_pages = true;
 };
 
@@ -119,7 +123,8 @@ class CompressedIndexBuilder {
   /// sizes through every chunk's batched path: rows are transposed into
   /// arena-backed column slices, and each column stages a slice, then
   /// commits it if the page has room or drops it to retry a smaller one.
-  /// An accepted cell is encoded once.
+  /// An accepted cell is encoded once; a full page is closed by FlushPage(),
+  /// which serializes it only when pages are kept.
   Status AddRows(const char* rows, uint64_t n);
 
   uint64_t rows_added() const { return rows_added_; }
@@ -137,7 +142,12 @@ class CompressedIndexBuilder {
   /// Exact page bytes used if the current chunks (plus `extra` chunk cost)
   /// were serialized now.
   size_t PageCost(size_t extra_chunk_bytes) const;
+  /// Closes the current page: charges its chunks' exact costs to the stats
+  /// and, under keep_pages only, serializes the chunks into a page image,
+  /// failing with Internal if a chunk's bytes differ from its cost.
   Status FlushPage();
+  /// Tests swap in chunks that break the cost contract.
+  friend class CompressedIndexBuilderPeer;
 
   Schema schema_;
   CompressionScheme scheme_;

@@ -72,7 +72,12 @@ struct CompressionOptions {
 ///
 /// Contract: Cost() is the exact number of bytes Finish() will produce for
 /// the cells added so far; CostWith(cell) is the exact cost if `cell` were
-/// added next. Cells must be exactly the column's fixed width.
+/// added next. Cells must be exactly the column's fixed width. The page
+/// packer sizes pages from Cost() alone; Finish() is a const serializer it
+/// calls only for pages it keeps, and there a length differing from Cost()
+/// is an internal error. Cross-page tallies (TotalDictionaryEntries) are
+/// therefore kept where cells become permanent — Add() and CommitStaged() —
+/// never in Finish().
 ///
 /// Every chunk sizes two equivalent ways: per cell (CostWith/Add, the
 /// reference the tests compare against, and the path that closes a full
@@ -111,8 +116,9 @@ class ColumnChunkCompressor {
   /// Number of cells added.
   virtual uint32_t count() const = 0;
 
-  /// Serializes the chunk. The chunk must not be used afterwards.
-  virtual std::string Finish() = 0;
+  /// Serializes the cells added so far, in exactly Cost() bytes. Has no
+  /// side effects.
+  virtual std::string Finish() const = 0;
 };
 
 /// \brief Per-index compressor for one column.

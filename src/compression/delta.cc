@@ -101,7 +101,7 @@ class DeltaChunk final : public ColumnChunkCompressor {
   size_t Cost() const override { return 2 + buf_.size(); }
   uint32_t count() const override { return count_; }
 
-  std::string Finish() override {
+  std::string Finish() const override {
     std::string out;
     out.reserve(Cost());
     encoding::PutU16(&out, static_cast<uint16_t>(count_));

@@ -29,7 +29,7 @@ class GlobalDictChunk final : public ColumnChunkCompressor {
     return static_cast<uint32_t>(codes_.size());
   }
 
-  std::string Finish() override {
+  std::string Finish() const override {
     std::string out;
     out.reserve(Cost());
     encoding::PutU16(&out, static_cast<uint16_t>(codes_.size()));

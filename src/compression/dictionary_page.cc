@@ -27,20 +27,25 @@ class PageDictChunk final : public ColumnChunkCompressor {
 
   void Add(const Slice& cell) override {
     assert(cell.size() == type_.FixedWidth());
+    const size_t entries = dict_.size();
     codes_.push_back(Encode(cell.data()));
+    *total_dict_entries_ += dict_.size() - entries;
   }
 
   /// The batch's new distinct values enter the dictionary tentatively, so
   /// the cost includes intra-batch dedup and a commit keeps them as is.
   size_t StageBatch(const char* cells, size_t n) override {
     const uint32_t w = type_.FixedWidth();
-    staged_ = {dict_bytes_, codes_.size()};
+    staged_ = {dict_.size(), dict_bytes_, codes_.size()};
     dict_.BeginTentative();
     for (size_t i = 0; i < n; ++i) codes_.push_back(Encode(cells + i * w));
     return Cost();
   }
 
-  void CommitStaged() override { dict_.Commit(); }
+  void CommitStaged() override {
+    *total_dict_entries_ += dict_.size() - staged_.entries;
+    dict_.Commit();
+  }
 
   void DropStaged() override {
     dict_.RollBack();
@@ -56,7 +61,7 @@ class PageDictChunk final : public ColumnChunkCompressor {
     return static_cast<uint32_t>(codes_.size());
   }
 
-  std::string Finish() override;
+  std::string Finish() const override;
 
  private:
   /// The cell's code, charging a new entry's bytes to the dictionary.
@@ -95,12 +100,13 @@ class PageDictChunk final : public ColumnChunkCompressor {
   size_t dict_bytes_ = 0;
   std::vector<uint32_t> codes_;
   struct {
+    size_t entries;
     size_t dict_bytes;
     size_t codes;
   } staged_ = {};  // restore point of the staged batch
 };
 
-std::string PageDictChunk::Finish() {
+std::string PageDictChunk::Finish() const {
   const int bits = PointerBits(dict_.size());
   std::string out;
   out.reserve(Cost());
@@ -119,7 +125,6 @@ std::string PageDictChunk::Finish() {
   for (uint32_t code : codes_) {
     writer.Put(code, bits);
   }
-  *total_dict_entries_ += dict_.size();
   return out;
 }
 

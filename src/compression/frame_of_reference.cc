@@ -89,7 +89,7 @@ class ForChunk final : public ColumnChunkCompressor {
     return static_cast<uint32_t>(values_.size());
   }
 
-  std::string Finish() override {
+  std::string Finish() const override {
     std::string out;
     out.reserve(Cost());
     encoding::PutU16(&out, static_cast<uint16_t>(values_.size()));

@@ -52,7 +52,7 @@ class PrefixChunk final : public ColumnChunkCompressor {
     return static_cast<uint32_t>(lengths_.size());
   }
 
-  std::string Finish() override {
+  std::string Finish() const override {
     std::string out;
     out.reserve(Cost());
     encoding::PutU16(&out, static_cast<uint16_t>(lengths_.size()));

@@ -67,7 +67,7 @@ class RleChunk final : public ColumnChunkCompressor {
   size_t Cost() const override { return 2 + runs_bytes_; }
   uint32_t count() const override { return count_; }
 
-  std::string Finish() override {
+  std::string Finish() const override {
     const uint32_t w = type_.FixedWidth();
     std::string out;
     out.reserve(Cost());

@@ -4,7 +4,6 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -39,17 +38,38 @@ std::string RenderResponse(int code, const std::string& content_type,
   return out;
 }
 
-void SendAll(int fd, const std::string& data) {
+using Clock = std::chrono::steady_clock;
+
+/// Waits until `fd` is ready for `events`. Returns false once `deadline`
+/// passes first, or if the wait fails.
+bool WaitReady(int fd, short events, Clock::time_point deadline) {
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) return false;
+    pollfd ready{fd, events, 0};
+    const int polled = ::poll(&ready, 1, static_cast<int>(left.count()));
+    if (polled > 0) return true;
+    if (polled == 0 || errno != EINTR) return false;
+  }
+}
+
+/// Writes `data` until it is all sent, the peer goes away, or `deadline`
+/// passes: every write waits for POLLOUT on the remaining time and never
+/// blocks, so a client that drains the response slowly is cut off at the
+/// deadline however it paces its reads.
+void SendAll(int fd, const std::string& data, Clock::time_point deadline) {
   size_t sent = 0;
   while (sent < data.size()) {
+    if (!WaitReady(fd, POLLOUT, deadline)) return;
     // MSG_NOSIGNAL: a scraper hanging up mid-response must surface as an
     // error return, not a process-wide SIGPIPE.
     const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return;  // peer gone; nothing to recover
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+      continue;
     }
+    if (n <= 0) return;  // peer gone; nothing to recover
     sent += static_cast<size_t>(n);
   }
 }
@@ -58,20 +78,13 @@ void SendAll(int fd, const std::string& data) {
 /// size cap, or the peer stops sending. Any request body is ignored — all
 /// supported routes are GET. Returns false if `deadline` passes first: the
 /// whole head must arrive by then, however slowly it is trickled.
-bool ReadRequestHead(int fd, std::chrono::steady_clock::time_point deadline,
-                     std::string* head) {
+bool ReadRequestHead(int fd, Clock::time_point deadline, std::string* head) {
   char buf[2048];
   size_t scanned = 0;  // head[0, scanned) holds no complete terminator
   while (head->size() < kMaxRequestBytes &&
          head->find("\r\n\r\n", scanned) == std::string::npos) {
     scanned = head->size() < 3 ? 0 : head->size() - 3;
-    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) return false;
-    pollfd ready{fd, POLLIN, 0};
-    const int polled = ::poll(&ready, 1, static_cast<int>(left.count()));
-    if (polled < 0 && errno == EINTR) continue;
-    if (polled <= 0) return false;
+    if (!WaitReady(fd, POLLIN, deadline)) return false;
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
@@ -154,24 +167,16 @@ void TelemetryHttpServer::AcceptLoop() {
       if (!running_.load(std::memory_order_acquire)) break;
       break;
     }
-    // Bound every read and write: a timed-out recv/send returns an error,
-    // which ends the request like a peer hang-up would.
-    timeval timeout{};
-    timeout.tv_sec = kClientIoTimeoutMs / 1000;
-    timeout.tv_usec = (kClientIoTimeoutMs % 1000) * 1000;
-    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
-    HandleConnection(client);
+    HandleConnection(client, Clock::now() + std::chrono::milliseconds(
+                                                kConnectionDeadlineMs));
     ::close(client);
   }
 }
 
-void TelemetryHttpServer::HandleConnection(int client_fd) {
+void TelemetryHttpServer::HandleConnection(int client_fd,
+                                           Clock::time_point deadline) {
   std::string head;
-  if (!ReadRequestHead(client_fd,
-                       std::chrono::steady_clock::now() +
-                           std::chrono::milliseconds(kRequestHeadDeadlineMs),
-                       &head)) {
+  if (!ReadRequestHead(client_fd, deadline, &head)) {
     return;  // too slow: hang up without an answer
   }
   const size_t line_end = head.find("\r\n");
@@ -191,33 +196,25 @@ void TelemetryHttpServer::HandleConnection(int client_fd) {
   const size_t query = path.find('?');
   if (query != std::string::npos) path.resize(query);
 
+  std::string response;
   if (method != "GET") {
-    SendAll(client_fd, RenderResponse(405, "text/plain; charset=utf-8",
-                                      "method not allowed\n"));
-    return;
+    response = RenderResponse(405, "text/plain; charset=utf-8",
+                              "method not allowed\n");
+  } else if (path == "/healthz") {
+    response = RenderResponse(200, "text/plain; charset=utf-8", "ok\n");
+  } else if (path == "/metrics") {
+    response = RenderResponse(200, "text/plain; version=0.0.4; charset=utf-8",
+                              metrics::MetricRegistry::Global()
+                                  .Snapshot()
+                                  .ToPrometheusText());
+  } else if (path == "/metrics.json") {
+    response = RenderResponse(
+        200, "application/json",
+        metrics::MetricRegistry::Global().Snapshot().ToJson());
+  } else {
+    response = RenderResponse(404, "text/plain; charset=utf-8", "not found\n");
   }
-  if (path == "/healthz") {
-    SendAll(client_fd,
-            RenderResponse(200, "text/plain; charset=utf-8", "ok\n"));
-    return;
-  }
-  if (path == "/metrics") {
-    const metrics::MetricsSnapshot snapshot =
-        metrics::MetricRegistry::Global().Snapshot();
-    SendAll(client_fd,
-            RenderResponse(200, "text/plain; version=0.0.4; charset=utf-8",
-                           snapshot.ToPrometheusText()));
-    return;
-  }
-  if (path == "/metrics.json") {
-    const metrics::MetricsSnapshot snapshot =
-        metrics::MetricRegistry::Global().Snapshot();
-    SendAll(client_fd,
-            RenderResponse(200, "application/json", snapshot.ToJson()));
-    return;
-  }
-  SendAll(client_fd,
-          RenderResponse(404, "text/plain; charset=utf-8", "not found\n"));
+  SendAll(client_fd, response, deadline);
 }
 
 }  // namespace cfest

@@ -18,13 +18,12 @@
 // Connections are handled serially on the accept thread (Connection: close,
 // Content-Length always set); a telemetry scrape every few seconds does not
 // need concurrency, and serial handling keeps the server trivially correct.
-// Every accepted socket gets fixed receive and send timeouts
-// (kClientIoTimeoutMs), so a client that never reads holds the accept
-// thread for at most that long per send instead of stalling every later
-// scrape (and Stop()) forever. The request head has one total deadline
-// (kRequestHeadDeadlineMs from the accept): a client that sends nothing,
-// or trickles bytes each just inside the per-read timeout, is hung up on
-// without an answer once it passes.
+// Every connection has one total deadline (kConnectionDeadlineMs from the
+// accept) covering both the request head and the response: every read and
+// write polls against it. A client that sends nothing, trickles its head,
+// never reads, or drains the response a few bytes at a time is hung up on
+// once it passes, so it holds the accept thread for at most that long
+// instead of stalling every later scrape (and Stop()).
 //
 // Lifecycle: Start(port) binds the loopback interface (port 0 picks an
 // ephemeral port — use port() to learn it, handy for tests and for CI
@@ -36,6 +35,7 @@
 #define CFEST_SERVER_TELEMETRY_HTTP_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -52,13 +52,12 @@ class TelemetryHttpServer {
   TelemetryHttpServer(const TelemetryHttpServer&) = delete;
   TelemetryHttpServer& operator=(const TelemetryHttpServer&) = delete;
 
-  /// SO_RCVTIMEO / SO_SNDTIMEO of every accepted connection: the longest a
-  /// silent or stalled client can hold the serial accept thread.
-  static constexpr int kClientIoTimeoutMs = 2000;
-
-  /// The whole request head must arrive within this of the accept, however
-  /// it is split across reads; a slower client is disconnected unanswered.
-  static constexpr int kRequestHeadDeadlineMs = 2000;
+  /// The whole request head must arrive, and the whole response be sent,
+  /// within this of the accept, however either is split across reads and
+  /// writes: the longest any client can hold the serial accept thread. A
+  /// head that misses it goes unanswered; a response that misses it is cut
+  /// off.
+  static constexpr int kConnectionDeadlineMs = 2000;
 
   /// The address Start binds unless told otherwise: loopback only, so the
   /// endpoint is not reachable from other hosts by accident.
@@ -84,7 +83,8 @@ class TelemetryHttpServer {
 
  private:
   void AcceptLoop();
-  void HandleConnection(int client_fd);
+  void HandleConnection(int client_fd,
+                        std::chrono::steady_clock::time_point deadline);
 
   int listen_fd_ = -1;
   uint16_t port_ = 0;

@@ -2,13 +2,16 @@
 // accounting, lossless round trips, corruption handling, and the compressed
 // index page packer.
 
+#include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/simd.h"
 #include "compression/compressed_index.h"
 #include "compression/compressor.h"
 #include "compression/scheme.h"
@@ -390,8 +393,8 @@ TEST(CombinedTest, TracksDictionaryEntriesAcrossPages) {
     auto chunk = compressor->NewChunk();
     chunk->Add(Slice(PadCell("aa", 8)));
     chunk->Add(Slice(PadCell("ab", 8)));
-    chunk->Finish();
   }
+  // Entries count when added; no chunk has to be serialized.
   EXPECT_EQ(compressor->TotalDictionaryEntries(), 4u);
 }
 
@@ -484,9 +487,9 @@ TEST(PageDictTest, TotalDictionaryEntriesAccumulatesAcrossChunks) {
     auto chunk = compressor->NewChunk();
     chunk->Add(Slice(PadCell("x", 4)));
     chunk->Add(Slice(PadCell("y", 4)));
-    chunk->Finish();
   }
-  // "x" and "y" each appear in 3 pages: sum Pg(i) = 6.
+  // "x" and "y" each appear in 3 pages: sum Pg(i) = 6, counted as the
+  // entries are added, without serializing any chunk.
   EXPECT_EQ(compressor->TotalDictionaryEntries(), 6u);
 }
 
@@ -891,6 +894,259 @@ TEST(CompressedIndexBuilderTest2, PagingEffectsInflateDictionaryEntries) {
   EXPECT_GT(paged->stats().dictionary_entries,
             global->stats().dictionary_entries);
   EXPECT_GT(paged->stats().data_pages, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Sizing without pages == a kept build, field for field
+// ---------------------------------------------------------------------------
+
+enum class RowShape { kStemmed, kSortedRuns, kRandom };
+
+const char* RowShapeName(RowShape shape) {
+  switch (shape) {
+    case RowShape::kStemmed:
+      return "stemmed";
+    case RowShape::kSortedRuns:
+      return "sorted_runs";
+    case RowShape::kRandom:
+      return "random";
+  }
+  return "?";
+}
+
+/// Writes `v` as a width-byte little-endian integer cell at `cell`.
+void PutIntCell(char* cell, uint64_t v, uint32_t width) {
+  for (uint32_t b = 0; b < width && b < 8; ++b) {
+    cell[b] = static_cast<char>((v >> (8 * b)) & 0xFF);
+  }
+}
+
+/// `n` row-major rows of `schema`, each column shaped independently:
+/// - stemmed: strings share one random stem and end in a few repeating
+///   digits; integers take small random-walk steps;
+/// - sorted runs: ascending values (integers, or zero-filled decimals
+///   behind "k"), each repeated 1 to 40 times;
+/// - random: random-length lowercase strings (some blank), full-range
+///   integers.
+std::string ShapedRows(const Schema& schema, RowShape shape, size_t n,
+                       Random* rng) {
+  std::string rows(n * schema.row_width(), '\0');
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    const uint32_t w = schema.width(c);
+    const bool is_string = !schema.column(c).type.IsInteger();
+    std::string stem;
+    for (uint32_t b = 0; b < w / 2; ++b) {
+      stem.push_back(static_cast<char>('a' + rng->NextBounded(26)));
+    }
+    uint64_t value = rng->NextBounded(1000);
+    size_t run = 0;
+    for (size_t i = 0; i < n; ++i) {
+      char* cell = rows.data() + i * schema.row_width() + schema.offset(c);
+      if (is_string) std::memset(cell, ' ', w);
+      switch (shape) {
+        case RowShape::kStemmed:
+          if (is_string) {
+            std::memcpy(cell, stem.data(), stem.size());
+            const uint64_t len =
+                stem.size() + rng->NextBounded(w - stem.size() + 1);
+            for (uint64_t b = stem.size(); b < len; ++b) {
+              cell[b] = static_cast<char>('0' + rng->NextBounded(3));
+            }
+          } else {
+            value += rng->NextBounded(200) - 100;
+            PutIntCell(cell, value, w);
+          }
+          break;
+        case RowShape::kSortedRuns:
+          if (run == 0) {
+            run = 1 + rng->NextBounded(40);
+            value += 1 + rng->NextBounded(rng->NextBounded(2) == 0 ? 3 : 5000);
+          }
+          --run;
+          if (is_string) {
+            const std::string digits = std::to_string(value);
+            cell[0] = 'k';
+            std::memset(cell + 1, '0', w - 1 - digits.size());
+            std::memcpy(cell + w - digits.size(), digits.data(),
+                        digits.size());
+          } else {
+            PutIntCell(cell, value, w);
+          }
+          break;
+        case RowShape::kRandom:
+          if (is_string) {
+            const uint64_t len = rng->NextBounded(4) == 0
+                                     ? 0
+                                     : 1 + rng->NextBounded(w);
+            for (uint64_t b = 0; b < len; ++b) {
+              cell[b] = static_cast<char>('a' + rng->NextBounded(26));
+            }
+          } else {
+            PutIntCell(cell, rng->NextU64(), w);
+          }
+          break;
+      }
+    }
+  }
+  return rows;
+}
+
+using SizingCase = std::tuple<CompressionType, size_t, RowShape>;
+
+class SizingWithoutPagesTest : public ::testing::TestWithParam<SizingCase> {
+};
+
+TEST_P(SizingWithoutPagesTest, StatsEqualKeptBuild) {
+  const auto [type, page_size, shape] = GetParam();
+  // Delta and FOR are integer-only; every other scheme also gets a string
+  // column.
+  const bool int_only =
+      type == CompressionType::kDelta ||
+      type == CompressionType::kFrameOfReference;
+  const Schema schema =
+      int_only ? Schema({{"a", Int64Type()}, {"b", Int32Type()}})
+               : Schema({{"s", CharType(14)}, {"i", Int32Type()}});
+  Random rng(61 + static_cast<uint64_t>(type));
+  const size_t n = 3000;
+  const std::string rows = ShapedRows(schema, shape, n, &rng);
+  auto build = [&](bool keep_pages) {
+    IndexBuildOptions options;
+    options.page_size = page_size;
+    options.keep_pages = keep_pages;
+    auto builder = CompressedIndexBuilder::Make(
+                       schema, CompressionScheme::Uniform(type), options)
+                       .ValueOrDie();
+    EXPECT_TRUE(builder->AddRows(rows.data(), n).ok());
+    Result<CompressedIndex> index = builder->Finish();
+    EXPECT_TRUE(index.ok()) << index.status();
+    return std::move(index).ValueOrDie();
+  };
+  struct LevelGuard {
+    ~LevelGuard() { ResetSimdLevel(); }
+  } guard;
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
+    if (level > MaxSimdLevel()) continue;
+    SetSimdLevel(level);
+    SCOPED_TRACE(SimdLevelName(level));
+    const CompressedIndex kept = build(true);
+    const CompressedIndex sized = build(false);
+    const CompressedIndexStats& a = kept.stats();
+    const CompressedIndexStats& b = sized.stats();
+    EXPECT_EQ(a.row_count, n);
+    EXPECT_EQ(b.row_count, a.row_count);
+    EXPECT_EQ(b.data_pages, a.data_pages);
+    EXPECT_EQ(b.aux_pages, a.aux_pages);
+    EXPECT_EQ(b.used_bytes, a.used_bytes);
+    EXPECT_EQ(b.aux_bytes, a.aux_bytes);
+    EXPECT_EQ(b.chunk_bytes, a.chunk_bytes);
+    EXPECT_EQ(b.dictionary_entries, a.dictionary_entries);
+    EXPECT_EQ(b.page_size, a.page_size);
+    ASSERT_EQ(b.columns.size(), a.columns.size());
+    for (size_t c = 0; c < a.columns.size(); ++c) {
+      EXPECT_EQ(b.columns[c].type, a.columns[c].type) << "column " << c;
+      EXPECT_EQ(b.columns[c].chunk_bytes, a.columns[c].chunk_bytes)
+          << "column " << c;
+      EXPECT_EQ(b.columns[c].aux_bytes, a.columns[c].aux_bytes)
+          << "column " << c;
+      EXPECT_EQ(b.columns[c].dictionary_entries,
+                a.columns[c].dictionary_entries)
+          << "column " << c;
+    }
+    EXPECT_TRUE(sized.pages().empty());
+    // The kept stats are the kept pages' own accounting, and the pages
+    // decode back to the input.
+    ASSERT_EQ(kept.pages().size(), a.data_pages);
+    uint64_t used = 0;
+    for (const Page& page : kept.pages()) used += page.used_bytes();
+    EXPECT_EQ(used, a.used_bytes);
+    std::vector<std::string> decoded;
+    ASSERT_TRUE(kept.DecodeAllRows(&decoded).ok());
+    ASSERT_EQ(decoded.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(decoded[i], rows.substr(i * schema.row_width(),
+                                        schema.row_width()))
+          << "row " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, SizingWithoutPagesTest,
+    ::testing::Combine(::testing::ValuesIn(AllCompressionTypes()),
+                       ::testing::Values(size_t{1024}, size_t{8192}),
+                       ::testing::Values(RowShape::kStemmed,
+                                         RowShape::kSortedRuns,
+                                         RowShape::kRandom)),
+    [](const auto& info) {
+      return std::string(CompressionTypeName(std::get<0>(info.param))) +
+             "_" + std::to_string(std::get<1>(info.param)) + "_" +
+             RowShapeName(std::get<2>(info.param));
+    });
+
+}  // namespace
+
+/// Reaches into a builder to replace its open page's chunks.
+class CompressedIndexBuilderPeer {
+ public:
+  static void SetChunk(CompressedIndexBuilder* builder, size_t column,
+                       std::unique_ptr<ColumnChunkCompressor> chunk) {
+    builder->chunks_[column] = std::move(chunk);
+  }
+};
+
+namespace {
+
+/// Wraps a real chunk but serializes one byte more than it charges.
+class MisreportingChunk final : public ColumnChunkCompressor {
+ public:
+  explicit MisreportingChunk(std::unique_ptr<ColumnChunkCompressor> inner)
+      : inner_(std::move(inner)) {}
+  size_t CostWith(const Slice& cell) override { return inner_->CostWith(cell); }
+  void Add(const Slice& cell) override { inner_->Add(cell); }
+  size_t StageBatch(const char* cells, size_t n) override {
+    return inner_->StageBatch(cells, n);
+  }
+  void CommitStaged() override { inner_->CommitStaged(); }
+  void DropStaged() override { inner_->DropStaged(); }
+  size_t Cost() const override { return inner_->Cost(); }
+  uint32_t count() const override { return inner_->count(); }
+  std::string Finish() const override { return inner_->Finish() + "!"; }
+
+ private:
+  std::unique_ptr<ColumnChunkCompressor> inner_;
+};
+
+TEST(CompressedIndexBuilderTest2, KeptPageRejectsChunkBytesThatMissTheCost) {
+  // Where page bytes exist, the cost contract is checked: a chunk whose
+  // serialized length differs from its Cost() fails the build. Sizing
+  // without pages never serializes, so it charges the cost as reported.
+  const Schema schema({{"a", CharType(8)}});
+  const std::string row = PadCell("x", 8);
+  for (const bool keep_pages : {true, false}) {
+    IndexBuildOptions options;
+    options.keep_pages = keep_pages;
+    auto builder = CompressedIndexBuilder::Make(
+                       schema,
+                       CompressionScheme::Uniform(CompressionType::kPrefix),
+                       options)
+                       .ValueOrDie();
+    auto compressor = MustMake(CompressionType::kPrefix, CharType(8));
+    CompressedIndexBuilderPeer::SetChunk(
+        builder.get(), 0,
+        std::make_unique<MisreportingChunk>(compressor->NewChunk()));
+    ASSERT_TRUE(builder->Add(Slice(row)).ok());
+    Result<CompressedIndex> index = builder->Finish();
+    if (keep_pages) {
+      EXPECT_TRUE(index.status().IsInternal()) << index.status();
+    } else {
+      ASSERT_TRUE(index.ok()) << index.status();
+      EXPECT_EQ(index->stats().chunk_bytes,
+                MustMake(CompressionType::kPrefix, CharType(8))
+                        ->NewChunk()
+                        ->CostWith(Slice(row)));
+    }
+  }
 }
 
 }  // namespace

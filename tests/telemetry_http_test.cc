@@ -1,7 +1,8 @@
 // Tests for the embedded telemetry endpoint (server/telemetry_http.h):
 // lifecycle (ephemeral-port start, idempotent stop, restart), the loopback
 // default bind, routing (/healthz, /metrics Prometheus text, /metrics.json,
-// 404, 405), slow, silent and trickling clients, and that
+// 404, 405), slow, silent and trickling clients, a client that drains a
+// large response slowly, and that
 // scraped payloads reflect live registry counters — including labeled
 // children — without the server caching anything between requests.
 
@@ -12,9 +13,11 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 
@@ -30,11 +33,16 @@ namespace {
 /// instead of hanging it.
 constexpr int kClientTimeoutSec = 10;
 
-/// Opens a blocking TCP socket to `host`:`port`; returns the fd, or -1
-/// with errno set if the connection is refused.
-int TryConnect(uint16_t port, const char* host) {
+/// Opens a blocking TCP socket to `host`:`port`, with a `rcvbuf`-byte
+/// receive buffer unless 0; returns the fd, or -1 with errno set if the
+/// connection is refused.
+int TryConnect(uint16_t port, const char* host, int rcvbuf = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0) << std::strerror(errno);
+  if (rcvbuf > 0) {
+    // Before connect(), so the window the client advertises starts small.
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
   timeval timeout{};
   timeout.tv_sec = kClientTimeoutSec;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
@@ -53,8 +61,8 @@ int TryConnect(uint16_t port, const char* host) {
 }
 
 /// Connects a blocking TCP client to 127.0.0.1:`port`.
-int Connect(uint16_t port) {
-  const int fd = TryConnect(port, "127.0.0.1");
+int Connect(uint16_t port, int rcvbuf = 0) {
+  const int fd = TryConnect(port, "127.0.0.1", rcvbuf);
   EXPECT_GE(fd, 0) << std::strerror(errno);
   return fd;
 }
@@ -148,7 +156,7 @@ TEST(TelemetryHttpTest, SilentClientDoesNotStallLaterScrapes) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
   EXPECT_LT(elapsed, std::chrono::milliseconds(
-                         TelemetryHttpServer::kClientIoTimeoutMs) +
+                         TelemetryHttpServer::kConnectionDeadlineMs) +
                          std::chrono::seconds(3));
   // The server gave up on the silent client and closed it: reading drains
   // to end-of-stream instead of timing out.
@@ -196,7 +204,7 @@ TEST(TelemetryHttpTest, TricklingClientIsCutOffAtTheHeadDeadline) {
             static_cast<ssize_t>(start_of_head.size()));
   const auto start = std::chrono::steady_clock::now();
   const auto deadline =
-      std::chrono::milliseconds(TelemetryHttpServer::kRequestHeadDeadlineMs);
+      std::chrono::milliseconds(TelemetryHttpServer::kConnectionDeadlineMs);
 
   // A scrape queued behind the trickler.
   std::string response;
@@ -208,8 +216,8 @@ TEST(TelemetryHttpTest, TricklingClientIsCutOffAtTheHeadDeadline) {
     scrape_time = std::chrono::steady_clock::now() - issued;
   });
 
-  // One header byte every 100 ms, far inside the per-read timeout, never
-  // ending the head: only the total deadline can stop this client. Trickle
+  // One header byte every 100 ms, each read answered quickly, never ending
+  // the head: only the total deadline can stop this client. Trickle
   // until the server hangs up, or give up well past the deadline.
   bool cut_off = false;
   while (std::chrono::steady_clock::now() - start < 5 * deadline) {
@@ -304,6 +312,79 @@ TEST(TelemetryHttpTest, MetricsJsonRouteServesSnapshotJson) {
   EXPECT_NE(body.find("\"labeled_counters\""), std::string::npos) << body;
   EXPECT_NE(body.find("\"cfest.test.http_json\""), std::string::npos) << body;
   EXPECT_NE(body.find("\"json_t\""), std::string::npos) << body;
+  server.Stop();
+}
+
+/// The largest send buffer TCP autotuning may grow a socket to: the third
+/// field of net.ipv4.tcp_wmem, or Linux's 4 MB default if unreadable.
+size_t MaxTcpSendBuffer() {
+  std::ifstream in("/proc/sys/net/ipv4/tcp_wmem");
+  size_t low = 0, initial = 0, max = 0;
+  if (in >> low >> initial >> max) return max;
+  return size_t{4} << 20;
+}
+
+TEST(TelemetryHttpTest, SlowlyDrainingClientIsCutOffAtTheDeadline) {
+  // Labeled children with 1 KB label values make ~1 KB /metrics lines, and
+  // enough of them outgrow the largest send buffer the kernel would give
+  // the server's socket: the response cannot be parked in the kernel, so
+  // sending it takes as long as the client takes to read it.
+  const std::string pad(1000, 'p');
+  const size_t children = MaxTcpSendBuffer() / pad.size() + 2048;
+  for (size_t i = 0; i < children; ++i) {
+    metrics::MetricRegistry::Global()
+        .GetCounter("cfest.test.http_bulk", {{"pad", pad + std::to_string(i)}})
+        ->Add(1);
+  }
+  TelemetryHttpServer server;
+  ASSERT_TRUE(server.Start(0).ok());
+  // A small receive buffer keeps the advertised window narrow.
+  const int slow = Connect(server.port(), /*rcvbuf=*/4096);
+  const std::string request = "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
+  ASSERT_EQ(::send(slow, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline =
+      std::chrono::milliseconds(TelemetryHttpServer::kConnectionDeadlineMs);
+
+  // A scrape queued behind the slow client.
+  std::atomic<bool> scraped{false};
+  std::string response;
+  std::chrono::steady_clock::duration served_after{};
+  std::thread scraper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    response = Get(server.port(), "/healthz");
+    served_after = std::chrono::steady_clock::now() - start;
+    scraped = true;
+  });
+
+  // 4 KB every 100 ms: the server's pending write makes progress on every
+  // read, so no per-write timeout ever fires, yet a full drain would take
+  // minutes. Only a deadline on the whole response frees the accept thread
+  // for the queued scrape. Read slowly until it is served, or give up well
+  // past the deadline.
+  std::string received;
+  char buf[4096];
+  while (!scraped && std::chrono::steady_clock::now() - start < 5 * deadline) {
+    const ssize_t n = ::recv(slow, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n > 0) received.append(buf, static_cast<size_t>(n));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  // What the kernel had already taken from the server, then end of stream.
+  received += ReadToClose(slow);
+  ::close(slow);
+  scraper.join();
+
+  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
+  EXPECT_LT(served_after, deadline + std::chrono::seconds(1));
+  // The server hung up mid-body.
+  const size_t head_end = received.find("\r\n\r\n");
+  ASSERT_NE(head_end, std::string::npos);
+  const size_t length_at = received.find("Content-Length: ");
+  ASSERT_LT(length_at, head_end);
+  const size_t content_length = std::stoull(received.substr(length_at + 16));
+  EXPECT_GT(content_length, MaxTcpSendBuffer());
+  EXPECT_LT(received.size() - (head_end + 4), content_length);
   server.Stop();
 }
 
