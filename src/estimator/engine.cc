@@ -1,6 +1,7 @@
 #include "estimator/engine.h"
 
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "common/trace.h"
@@ -185,9 +186,10 @@ Status EstimationEngine::NotifyAppend(RowRange range) {
         " (ranges must arrive contiguously)");
   }
 
-  const bool changed = OfferIdRange(&*reservoir_core_, &reservoir_rng_,
-                                    range.begin, range.end, &reservoir_ids_);
-  if (!changed) {
+  std::vector<uint64_t> written;
+  OfferIdRange(&*reservoir_core_, &reservoir_rng_, range.begin, range.end,
+               &reservoir_ids_, &written);
+  if (written.empty()) {
     // Every appended row was rejected: the sample is unchanged, so the
     // successor epoch keeps the version AND the predecessor's whole index
     // cache (same snapshot map — in-flight builds included) and only the
@@ -201,18 +203,39 @@ Status EstimationEngine::NotifyAppend(RowRange range) {
     return Status::OK();
   }
 
-  // The sample contents moved: publish a successor epoch with a fresh view
-  // and an empty index cache (every cached build is stale — an index is a
-  // function of every sample row). Readers pinned to the predecessor keep
-  // estimating against it unharmed.
+  // The sample contents moved, but only at the written slots: publish a
+  // successor epoch with a fresh view and every ready index patched at
+  // those positions. Entries that cannot be carried (in-flight or failed
+  // builds, clustered indexes with a replaced slot) are dropped and rebuilt
+  // on demand. Readers pinned to the predecessor keep estimating against
+  // it unharmed.
   CFEST_ASSIGN_OR_RETURN(
       std::unique_ptr<TableView> view,
       TableView::Make(table_, std::vector<RowId>(reservoir_ids_)));
-  counters_->invalidations.Add(current->CachedIndexCount());
   ++version_;
-  PublishLocked(MakeEpochLocked(std::move(view),
-                                reservoir_core_->items_seen()));
+  std::shared_ptr<SampleEpoch> next =
+      MakeEpochLocked(std::move(view), reservoir_core_->items_seen());
+  const uint64_t carried = CarryIndexesLocked(*current, next.get(), written);
+  counters_->invalidations.Add(current->CachedIndexCount() - carried);
+  PublishLocked(std::move(next));
   return Status::OK();
+}
+
+uint64_t EstimationEngine::CarryIndexesLocked(
+    const SampleEpoch& current, SampleEpoch* next,
+    const std::vector<uint64_t>& changed) {
+  uint64_t carried = 0;
+  for (const auto& [key, index] : current.ReadyIndexes()) {
+    trace::Span span("engine.index_patch");
+    Result<Index> patched = index->Patched(current.sample(), next->sample(),
+                                           changed, options_.base.build);
+    if (!patched.ok()) continue;  // drop: the next request rebuilds
+    next->SeedIndex(key, std::make_shared<const Index>(
+                             std::move(patched).ValueOrDie()));
+    counters_->index_extensions.Increment();
+    ++carried;
+  }
+  return carried;
 }
 
 uint64_t EstimationEngine::sample_rows() const {
@@ -275,36 +298,25 @@ Result<std::shared_ptr<const SampleEpoch>> EstimationEngine::GrowSampleToEpoch(
   // are exactly the ids a fresh draw of `target` rows would append after
   // the first `current`, so the grown sample equals a fixed-fraction draw
   // at target / num_rows under the same seed.
-  std::vector<RowId> delta_ids;
-  delta_ids.reserve(static_cast<size_t>(target - current_rows));
-  for (uint64_t i = current_rows; i < target; ++i) {
-    delta_ids.push_back(draw_rng_.NextBounded(draw_table_rows_));
-  }
   std::vector<RowId> grown_ids = sample_->row_ids();
-  grown_ids.insert(grown_ids.end(), delta_ids.begin(), delta_ids.end());
+  grown_ids.reserve(static_cast<size_t>(target));
+  for (uint64_t i = current_rows; i < target; ++i) {
+    grown_ids.push_back(draw_rng_.NextBounded(draw_table_rows_));
+  }
   CFEST_ASSIGN_OR_RETURN(std::unique_ptr<TableView> grown,
                          TableView::Make(table_, std::move(grown_ids)));
-  CFEST_ASSIGN_OR_RETURN(std::unique_ptr<TableView> delta_view,
-                         TableView::Make(table_, std::move(delta_ids)));
 
   ++version_;
   std::shared_ptr<SampleEpoch> next =
       MakeEpochLocked(std::move(grown), draw_table_rows_);
 
   // Growth is additive (the old sample is a prefix of the grown one), so
-  // every completed sorted build of the predecessor stays a valid sorted
-  // run — merge the delta rows in and seed the successor epoch instead of
-  // rebuilding. Delta rows occupy view positions [current, target), which
-  // is what their __rid values must be. In-flight builds are skipped (the
-  // successor rebuilds those keys on demand); failed builds retry anyway.
-  for (const auto& [key, index] : current->ReadyIndexes()) {
-    Result<Index> merged =
-        index->ExtendedWith(*delta_view, current_rows, options_.base.build);
-    if (!merged.ok()) continue;  // drop: the next request rebuilds
-    next->SeedIndex(key, std::make_shared<const Index>(
-                             std::move(merged).ValueOrDie()));
-    counters_->index_extensions.Increment();
-  }
+  // every completed sorted build of the predecessor is patched with the
+  // appended positions [current, target) and seeded into the successor
+  // instead of being rebuilt.
+  std::vector<uint64_t> appended(static_cast<size_t>(target - current_rows));
+  std::iota(appended.begin(), appended.end(), current_rows);
+  CarryIndexesLocked(*current, next.get(), appended);
   PublishLocked(std::move(next));
   return epoch_.load(std::memory_order_acquire);
 }

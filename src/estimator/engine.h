@@ -39,8 +39,10 @@
 // a streaming algorithm, the incrementally maintained reservoir is
 // identical to the one a fresh engine would draw over the grown table in
 // one pass — re-estimation after growth needs O(delta) RNG work, not O(n).
-// Cached sample indexes are invalidated only when the reservoir contents
-// actually changed (an append whose rows are all rejected costs nothing).
+// Cached sample indexes are carried across a refresh: each is patched at
+// just the reservoir slots the append wrote (an append whose rows are all
+// rejected costs nothing), so re-estimation after growth needs no index
+// rebuild either.
 
 #ifndef CFEST_ESTIMATOR_ENGINE_H_
 #define CFEST_ESTIMATOR_ENGINE_H_
@@ -226,9 +228,9 @@ class EstimationEngine {
   /// estimate after growth equals a fixed-fraction run at
   /// target_rows / num_rows. Growth is purely additive (the old sample is
   /// a prefix), so the predecessor epoch's completed sample indexes are
-  /// *extended* by merging the new rows into each sorted build
-  /// (CacheStats.index_extensions) and seeded into the successor epoch
-  /// instead of being rebuilt from scratch.
+  /// patched with the appended positions (Index::Patched, traced as
+  /// `engine.index_patch`; CacheStats.index_extensions) and seeded into the
+  /// successor epoch instead of being rebuilt from scratch.
   ///
   /// maintain_reservoir engines grow by replaying Algorithm R at the larger
   /// capacity over the already-consumed row-id stream (O(items seen) RNG
@@ -249,11 +251,16 @@ class EstimationEngine {
   /// maintained reservoir, continuing the Algorithm-R stream from the
   /// initial draw (the resulting reservoir equals a fresh one-pass draw
   /// over the grown table under the same seed and capacity), and publishes
-  /// the successor epoch. If the reservoir contents changed, the successor
-  /// starts with an empty index cache (sample_version bumps, invalidations
-  /// counts the dropped entries); if every row was rejected, the successor
-  /// keeps the predecessor's version and carries its index cache — only
-  /// the table-size snapshot advances.
+  /// the successor epoch. If the reservoir contents changed,
+  /// sample_version bumps and every ready sample index is carried into the
+  /// successor, patched at just the slots the append wrote
+  /// (Index::Patched, traced as `engine.index_patch`; counted in
+  /// index_extensions). Entries it cannot carry are dropped and counted in
+  /// invalidations: in-flight or failed builds, and clustered indexes with
+  /// a replaced slot (their rows carry no __rid to order a replacement
+  /// among equal keys). If every row was rejected, the successor keeps the
+  /// predecessor's version and its whole index cache — only the table-size
+  /// snapshot advances.
   ///
   /// Requires maintain_reservoir; `range` must start exactly where the rows
   /// already offered to the reservoir end (no gaps, no overlaps) and must
@@ -269,10 +276,13 @@ class EstimationEngine {
     uint64_t samples_drawn = 0;
     uint64_t index_builds = 0;
     uint64_t index_cache_hits = 0;
-    /// Cached sample indexes extended by sorted-run merge into a growth
-    /// successor epoch (merges that avoided a from-scratch rebuild).
+    /// Ready sample indexes patched into a successor epoch — by frozen-draw
+    /// growth or by a NotifyAppend that changed the reservoir — each one a
+    /// from-scratch rebuild avoided.
     uint64_t index_extensions = 0;
-    /// Cached sample-index entries dropped by refreshes/reservoir growth.
+    /// Cached sample-index entries a successor epoch did not carry: on
+    /// NotifyAppend, in-flight or failed builds and clustered indexes with
+    /// a replaced slot; on reservoir capacity growth, every entry.
     uint64_t invalidations = 0;
     /// Version of the sample contents: 1 after the initial draw, +1 per
     /// refresh or growth that actually changed the sample. Each epoch's
@@ -300,6 +310,11 @@ class EstimationEngine {
       std::shared_ptr<const TableView> view, uint64_t table_rows)
       REQUIRES(mu_);
   void PublishLocked(std::shared_ptr<SampleEpoch> epoch) REQUIRES(mu_);
+  /// Seeds `next` with every ready index of `current`, patched at the
+  /// `changed` sample positions; returns how many it carried.
+  uint64_t CarryIndexesLocked(const SampleEpoch& current, SampleEpoch* next,
+                              const std::vector<uint64_t>& changed)
+      REQUIRES(mu_);
 
   const Table& table_;
   EstimationEngineOptions options_;

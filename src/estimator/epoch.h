@@ -171,18 +171,19 @@ class SampleEpoch {
   SampleEpoch(std::shared_ptr<const TableView> sample, uint64_t version,
               uint64_t table_rows, std::shared_ptr<EpochCounters> counters);
 
-  /// Pre-publication seeding (GrowSample's sorted-run extensions land here
-  /// before the epoch is visible to any reader; no synchronization needed).
+  /// Pre-publication seeding (the patched indexes GrowSample and
+  /// NotifyAppend carry over land here before the epoch is visible to any
+  /// reader; no synchronization needed).
   void SeedIndex(const std::string& key, std::shared_ptr<const Index> index);
 
   /// Snapshot of the (key, index) pairs whose builds have completed
-  /// successfully — what a successor epoch may extend. Never blocks on
+  /// successfully — what a successor epoch may patch. Never blocks on
   /// in-flight builds.
   std::vector<std::pair<std::string, std::shared_ptr<const Index>>>
   ReadyIndexes() const;
 
-  /// Entries currently cached (ready or in flight), for invalidation
-  /// accounting when a refresh drops the cache.
+  /// Entries currently cached (ready, failed or in flight), for
+  /// invalidation accounting when a refresh drops entries.
   uint64_t CachedIndexCount() const;
 
   std::shared_ptr<const TableView> sample_;

@@ -103,32 +103,36 @@ ProjectionPlan PlanProjection(const Schema& source, const Schema& index,
   return plan;
 }
 
-/// Writes the first `n` projected index rows of `table` to `out` (n * row
-/// width bytes), numbering the synthetic __rid column from `rid_base`.
+/// Writes `n` projected index rows of `table` to `out` (n * row width
+/// bytes): the rows at `positions[0..n)`, or rows 0..n-1 when `positions`
+/// is null. The synthetic __rid column holds each row's position.
 void ProjectRows(const Table& table, const ProjectionPlan& plan, uint64_t n,
-                 uint64_t rid_base, char* out) {
+                 const uint64_t* positions, char* out) {
+  auto position = [&](uint64_t i) {
+    return positions == nullptr ? i : positions[i];
+  };
   // Each row is looked up once, kPrefetchRows ahead of its copy, and parked
   // in a ring until the cursor reaches it.
   Slice ring[kPrefetchRows];
-  auto fetch = [&](uint64_t id) {
-    const Slice row = table.row(id);
+  auto fetch = [&](uint64_t i) {
+    const Slice row = table.row(position(i));
     for (uint32_t off = plan.src_begin; off < plan.src_end; off += 64) {
       __builtin_prefetch(row.data() + off);
     }
     __builtin_prefetch(row.data() + plan.src_end - 1);
-    ring[id % kPrefetchRows] = row;
+    ring[i % kPrefetchRows] = row;
   };
-  for (uint64_t id = 0; id < std::min(n, kPrefetchRows); ++id) fetch(id);
+  for (uint64_t i = 0; i < std::min(n, kPrefetchRows); ++i) fetch(i);
   const uint32_t w = plan.row_width;
-  for (uint64_t id = 0; id < n; ++id) {
-    const char* src = ring[id % kPrefetchRows].data();
-    if (id + kPrefetchRows < n) fetch(id + kPrefetchRows);
-    char* dst = out + static_cast<size_t>(id) * w;
+  for (uint64_t i = 0; i < n; ++i) {
+    const char* src = ring[i % kPrefetchRows].data();
+    if (i + kPrefetchRows < n) fetch(i + kPrefetchRows);
+    char* dst = out + static_cast<size_t>(i) * w;
     for (const ProjectionPlan::Span& span : plan.spans) {
       std::memcpy(dst + span.dst, src + span.src, span.width);
     }
     if (plan.has_rid) {
-      const uint64_t rid = rid_base + id;
+      const uint64_t rid = position(i);
       std::memcpy(dst + plan.rid_offset, &rid, 8);  // little-endian host
     }
   }
@@ -267,7 +271,7 @@ Result<Index> Index::Build(const Table& table,
   std::string projected(static_cast<size_t>(n) * w, '\0');
   ProjectRows(table,
               PlanProjection(table.schema(), index.schema_, source_columns),
-              n, /*rid_base=*/0, projected.data());
+              n, /*positions=*/nullptr, projected.data());
   index.sorted_rows_ = SortRows(index.schema_, descriptor.key_columns.size(),
                                 std::move(projected), n);
 
@@ -309,70 +313,152 @@ Status Index::PackLeafPages(const IndexBuildOptions& options) {
   return Status::OK();
 }
 
-Result<Index> Index::ExtendedWith(const Table& delta, uint64_t rid_base,
-                                  const IndexBuildOptions& options) const {
+Result<Index> Index::Patched(const Table& old_source, const Table& source,
+                             std::vector<uint64_t> changed,
+                             const IndexBuildOptions& options) const {
   if (options.page_size != stats_.page_size) {
     return Status::InvalidArgument(
-        "ExtendedWith page size " + std::to_string(options.page_size) +
+        "patch page size " + std::to_string(options.page_size) +
         " differs from the original build's " +
         std::to_string(stats_.page_size));
   }
-  Schema delta_schema;
+  Schema projected;
   std::vector<size_t> source_columns;
   CFEST_RETURN_NOT_OK(
-      PlanIndexSchema(delta, descriptor_, &delta_schema, &source_columns));
-  if (!(delta_schema == schema_)) {
+      PlanIndexSchema(source, descriptor_, &projected, &source_columns));
+  if (!(old_source.schema() == source.schema()) || !(projected == schema_)) {
     return Status::InvalidArgument(
-        "delta table schema does not project to this index's row schema");
+        "patch sources must share a schema that projects to this index's "
+        "row schema");
   }
 
-  // Project and sort the delta on its own (one row-count snapshot, as in
-  // Build).
-  const uint32_t w = row_width_;
-  const uint64_t delta_n = delta.num_rows();
-  std::string delta_rows(static_cast<size_t>(delta_n) * w, '\0');
-  ProjectRows(delta, PlanProjection(delta.schema(), schema_, source_columns),
-              delta_n, rid_base, delta_rows.data());
-  const std::string delta_sorted = SortRows(
-      schema_, descriptor_.key_columns.size(), std::move(delta_rows), delta_n);
-  const char* dsorted = delta_sorted.data();
+  // Changed positions, ascending and distinct: [0, old_n) are replaced
+  // rows, and every appended position [old_n, new_n) must be among them.
+  const uint64_t old_n = num_rows_;
+  const uint64_t new_n = source.num_rows();  // one snapshot, as in Build
+  std::sort(changed.begin(), changed.end());
+  changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
+  const size_t replaced = static_cast<size_t>(
+      std::lower_bound(changed.begin(), changed.end(), old_n) -
+      changed.begin());
+  if (new_n < old_n || old_source.num_rows() < old_n ||
+      (!changed.empty() && changed.back() >= new_n) ||
+      changed.size() - replaced != new_n - old_n) {
+    return Status::InvalidArgument(
+        "patch positions do not turn a " + std::to_string(old_n) +
+        "-row source into a " + std::to_string(new_n) +
+        "-row one (positions must cover every appended row and stay inside "
+        "the new source)");
+  }
+  if (descriptor_.clustered && replaced > 0) {
+    return Status::InvalidArgument(
+        "clustered index " + descriptor_.name +
+        " cannot patch replaced rows: without a __rid nothing orders a "
+        "replacement among equal keys");
+  }
 
-  // Merge the two sorted runs, old rows first on ties: that is exactly the
-  // stable sort of [old source rows..., delta rows...], i.e. what Build()
-  // produces over the grown source.
-  Index merged;
-  merged.descriptor_ = descriptor_;
-  merged.schema_ = schema_;
-  merged.row_width_ = w;
-  merged.num_rows_ = num_rows_ + delta_n;
-  merged.stats_.page_size = options.page_size;
-  merged.stats_.row_count = merged.num_rows_;
-  merged.stats_.row_data_bytes = merged.num_rows_ * w;
-  merged.sorted_rows_.reserve(static_cast<size_t>(merged.num_rows_) * w);
-  RowComparator cmp(&schema_, descriptor_.key_columns.size());
-  uint64_t old_i = 0;
-  uint64_t delta_i = 0;
-  while (old_i < num_rows_ && delta_i < delta_n) {
-    const Slice old_row = row(old_i);
-    const Slice delta_row(dsorted + delta_i * w, w);
-    if (cmp.Compare(old_row, delta_row) <= 0) {
-      merged.sorted_rows_.append(old_row.data(), w);
-      ++old_i;
-    } else {
-      merged.sorted_rows_.append(delta_row.data(), w);
-      ++delta_i;
+  // Build order is (key, source position): equal keys keep source order.
+  // A non-clustered row carries its position as __rid; a clustered patch
+  // only appends, so every old row precedes every new row on equal keys.
+  const uint32_t w = row_width_;
+  const size_t num_keys = descriptor_.key_columns.size();
+  const RowComparator cmp(&schema_, num_keys);
+  const uint32_t rid_offset =
+      descriptor_.clustered ? 0 : schema_.offset(schema_.num_columns() - 1);
+  auto rid = [&](const char* row) {
+    uint64_t value;
+    std::memcpy(&value, row + rid_offset, 8);
+    return value;
+  };
+  auto before = [&](Slice old_row, const char* row) {
+    const int c = cmp.Compare(old_row, Slice(row, w));
+    if (c != 0) return c < 0;
+    return descriptor_.clustered || rid(old_row.data()) < rid(row);
+  };
+  // First old position in [lo, old_n) that does not come before `row`:
+  // galloping from lo, so k ascending probes cost O(k log(old_n / k)).
+  auto seek = [&](uint64_t lo, const char* row) {
+    uint64_t step = 1;
+    uint64_t hi = lo;
+    while (hi < old_n && before(this->row(hi), row)) {
+      lo = hi + 1;
+      hi = std::min(old_n, hi + step);
+      step *= 2;
+    }
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (before(this->row(mid), row)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  };
+
+  // Old rows leaving the run: projected from the old source, sorted, and
+  // located in ascending order. Each must be present byte for byte.
+  const ProjectionPlan plan =
+      PlanProjection(source.schema(), schema_, source_columns);
+  std::string leaving(replaced * w, '\0');
+  ProjectRows(old_source, plan, replaced, changed.data(), leaving.data());
+  leaving = SortRows(schema_, num_keys, std::move(leaving), replaced);
+  std::vector<uint64_t> gone(replaced);
+  for (size_t i = 0; i < replaced; ++i) {
+    const char* row = leaving.data() + i * w;
+    gone[i] = seek(i == 0 ? 0 : gone[i - 1] + 1, row);
+    if (gone[i] == old_n ||
+        std::memcmp(this->row(gone[i]).data(), row, w) != 0) {
+      return Status::InvalidArgument(
+          "patch old source does not match the rows this index was built "
+          "on");
     }
   }
-  for (; old_i < num_rows_; ++old_i) {
-    merged.sorted_rows_.append(row(old_i).data(), w);
-  }
-  if (delta_i < delta_n) {
-    merged.sorted_rows_.append(dsorted + delta_i * w,
-                               (delta_n - delta_i) * w);
-  }
 
-  CFEST_RETURN_NOT_OK(merged.PackLeafPages(options));
-  return merged;
+  // Rows entering the run: projected from the new source and sorted.
+  const uint64_t entering_n = changed.size();
+  std::string entering(static_cast<size_t>(entering_n) * w, '\0');
+  ProjectRows(source, plan, entering_n, changed.data(), entering.data());
+  entering = SortRows(schema_, num_keys, std::move(entering), entering_n);
+
+  Index patched;
+  patched.descriptor_ = descriptor_;
+  patched.schema_ = schema_;
+  patched.row_width_ = w;
+  patched.num_rows_ = new_n;
+  patched.stats_.page_size = options.page_size;
+  patched.stats_.row_count = new_n;
+  patched.stats_.row_data_bytes = new_n * w;
+  patched.sorted_rows_.resize(static_cast<size_t>(new_n) * w);
+  char* out = patched.sorted_rows_.data();
+  // Splice: copy the surviving old rows up to each entering row's place in
+  // runs (skipping the leaving ones), then the entering row.
+  uint64_t cursor = 0;
+  size_t next_gone = 0;
+  auto copy_old = [&](uint64_t end) {
+    while (cursor < end) {
+      const uint64_t stop =
+          next_gone < gone.size() ? std::min(end, gone[next_gone]) : end;
+      const size_t bytes = static_cast<size_t>(stop - cursor) * w;
+      std::memcpy(out, sorted_rows_.data() + cursor * w, bytes);
+      out += bytes;
+      cursor = stop;
+      if (next_gone < gone.size() && cursor == gone[next_gone]) {
+        ++cursor;
+        ++next_gone;
+      }
+    }
+  };
+  for (uint64_t i = 0; i < entering_n; ++i) {
+    const char* row = entering.data() + i * w;
+    copy_old(seek(cursor, row));
+    std::memcpy(out, row, w);
+    out += w;
+  }
+  copy_old(old_n);
+
+  CFEST_RETURN_NOT_OK(patched.PackLeafPages(options));
+  return patched;
 }
 
 Result<CompressedIndex> Index::Compress(

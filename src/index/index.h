@@ -98,21 +98,24 @@ class Index {
   Result<CompressedIndex> Compress(const CompressionScheme& scheme,
                                    const IndexBuildOptions& options = {}) const;
 
-  /// Builds the index that Build() would produce over this index's source
-  /// rows followed by the rows of `delta`, without re-sorting the existing
-  /// rows: the delta is projected and sorted on its own, then merged into
-  /// the sorted run (old rows win ties, matching Build's stable sort over
-  /// the concatenation), and the leaf pages are recounted. Cost is
-  /// O(delta * key bytes + total) instead of re-sorting the total.
+  /// Builds the index that Build() would produce over `source`, byte for
+  /// byte and stat for stat, given that this index was built over
+  /// `old_source` and that `source` differs from it only at the `changed`
+  /// positions (any order, duplicates allowed). Positions below num_rows()
+  /// are replaced rows; every position from num_rows() to
+  /// source.num_rows() must be listed (appended rows). Only the changed
+  /// rows are touched: leaving rows are projected from `old_source` and
+  /// found by binary search on (key, __rid), entering rows are projected
+  /// from `source`, sorted on their own and spliced into the sorted run.
+  /// Cost is O(changes * (key bytes + log rows)) plus one copy of the run.
   ///
-  /// For non-clustered indexes the synthetic "__rid" column numbers rows by
-  /// their position in the source table, so the delta's rids start at
-  /// `rid_base` — pass the row count of the table this index was built on
-  /// (i.e. the delta rows are rows [rid_base, rid_base + delta.num_rows())
-  /// of the grown table). `delta` must have the same schema as the original
-  /// source table, and `options` the same page size as the original build.
-  Result<Index> ExtendedWith(const Table& delta, uint64_t rid_base,
-                             const IndexBuildOptions& options = {}) const;
+  /// Clustered rows carry no __rid, so a replaced row has no place among
+  /// equal keys: a clustered index accepts only appended positions and
+  /// returns InvalidArgument otherwise. Both sources must share one schema,
+  /// and `options` the page size of the original build.
+  Result<Index> Patched(const Table& old_source, const Table& source,
+                        std::vector<uint64_t> changed,
+                        const IndexBuildOptions& options = {}) const;
 
  private:
   Index() = default;

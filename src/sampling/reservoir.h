@@ -69,13 +69,17 @@ class ReservoirSampler {
 
 /// Offers the contiguous id range [begin, end) to `core` and applies every
 /// accepted slot to `slots` (the caller's id-valued slot storage, extended
-/// while the reservoir is filling). Returns whether any slot changed. The
+/// while the reservoir is filling). When `written` is non-null, appends
+/// each slot written to it — in write order, a slot once per write — so a
+/// caller holding state derived from the old slots can patch just those
+/// positions (an empty list means the contents did not change). The
 /// streaming loop the EstimationEngine's initial draw, delta refresh, and
 /// capacity-growth replay all run — hoisted here so the three call sites
-/// cannot drift from the RNG consumption contract above.
-inline bool OfferIdRange(ReservoirSampler* core, Random* rng, uint64_t begin,
-                         uint64_t end, std::vector<uint64_t>* slots) {
-  bool changed = false;
+/// cannot drift from the RNG consumption contract above, which reporting
+/// leaves untouched.
+inline void OfferIdRange(ReservoirSampler* core, Random* rng, uint64_t begin,
+                         uint64_t end, std::vector<uint64_t>* slots,
+                         std::vector<uint64_t>* written = nullptr) {
   for (uint64_t id = begin; id < end; ++id) {
     const uint64_t slot = core->Offer(rng);
     if (slot == ReservoirSampler::kSkip) continue;
@@ -84,9 +88,8 @@ inline bool OfferIdRange(ReservoirSampler* core, Random* rng, uint64_t begin,
     } else {
       (*slots)[static_cast<size_t>(slot)] = id;
     }
-    changed = true;
+    if (written != nullptr) written->push_back(slot);
   }
-  return changed;
 }
 
 }  // namespace cfest

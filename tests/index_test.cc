@@ -1,6 +1,7 @@
 // Tests for the index substrate: typed comparators, bulk build (sorting,
 // clustered vs non-clustered projection, leaf packing, builds racing an
-// appender), size accounting, and compression of index rows.
+// appender), patching a built index, size accounting, and compression of
+// index rows.
 
 #include <atomic>
 #include <string>
@@ -13,6 +14,7 @@
 #include "index/comparator.h"
 #include "index/index.h"
 #include "storage/table.h"
+#include "storage/table_view.h"
 
 namespace cfest {
 namespace {
@@ -190,6 +192,68 @@ TEST(IndexBuildTest, EmptyTableStillOwnsOnePage) {
   EXPECT_EQ(index->stats().leaf_pages, 1u);
   EXPECT_EQ(index->stats().internal_pages, 0u);
   EXPECT_EQ(index->num_rows(), 0u);
+}
+
+TEST(IndexPatchTest, RejectsInconsistentInputs) {
+  auto table = ScoresTable();
+  auto view = [&](std::vector<RowId> ids) {
+    return std::move(TableView::Make(*table, std::move(ids))).ValueOrDie();
+  };
+  // Slot 1 goes from (alice, -5) to (alice, 7): an equal key whose place
+  // only the __rid settles. Slot 3 is appended.
+  auto old_view = view({0, 1, 2});
+  auto new_view = view({0, 3, 2, 1});
+  const IndexDescriptor by_name{"ix", {"name"}, false};
+  Result<Index> index = Index::Build(*old_view, by_name);
+  ASSERT_TRUE(index.ok());
+
+  Result<Index> patched = index->Patched(*old_view, *new_view, {3, 1});
+  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+  Result<Index> built = Index::Build(*new_view, by_name);
+  ASSERT_TRUE(built.ok());
+  ASSERT_EQ(patched->num_rows(), built->num_rows());
+  for (uint64_t i = 0; i < built->num_rows(); ++i) {
+    EXPECT_EQ(patched->row(i).ToString(), built->row(i).ToString()) << i;
+  }
+  EXPECT_EQ(patched->stats(), built->stats());
+
+  // The appended position is missing, or a position is past the new end.
+  EXPECT_TRUE(index->Patched(*old_view, *new_view, {1})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(index->Patched(*old_view, *new_view, {1, 3, 4})
+                  .status()
+                  .IsInvalidArgument());
+  // A patch never shrinks the source.
+  EXPECT_TRUE(
+      index->Patched(*old_view, *view({0, 1}), {}).status().IsInvalidArgument());
+  // The old source must hold the rows the index was built on: (bob, rid 1)
+  // is not in it.
+  EXPECT_TRUE(index->Patched(*view({0, 2, 2}), *new_view, {1, 3})
+                  .status()
+                  .IsInvalidArgument());
+  // The page size must be the original build's.
+  IndexBuildOptions small;
+  small.page_size = 512;
+  EXPECT_TRUE(index->Patched(*old_view, *new_view, {1, 3}, small)
+                  .status()
+                  .IsInvalidArgument());
+
+  // Clustered: appends patch, a replaced slot does not.
+  const IndexDescriptor clustered{"cx", {"name"}, true};
+  Result<Index> cindex = Index::Build(*old_view, clustered);
+  ASSERT_TRUE(cindex.ok());
+  auto grown = view({0, 1, 2, 3});
+  Result<Index> cpatched = cindex->Patched(*old_view, *grown, {3});
+  ASSERT_TRUE(cpatched.ok()) << cpatched.status().ToString();
+  Result<Index> cbuilt = Index::Build(*grown, clustered);
+  ASSERT_TRUE(cbuilt.ok());
+  for (uint64_t i = 0; i < cbuilt->num_rows(); ++i) {
+    EXPECT_EQ(cpatched->row(i).ToString(), cbuilt->row(i).ToString()) << i;
+  }
+  EXPECT_TRUE(cindex->Patched(*old_view, *new_view, {1, 3})
+                  .status()
+                  .IsInvalidArgument());
 }
 
 /// A table of `n` int64 rows 0..n-1.

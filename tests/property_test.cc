@@ -539,10 +539,12 @@ TEST_P(PropertyTest, IndexBuildMatchesComparisonSortReference) {
   }
 }
 
-// ExtendedWith merges a separately sorted delta into a built index; it must
-// equal Build over the concatenated source. The delta re-uses rows of the
-// old part, so duplicate keys straddle the two.
-TEST_P(PropertyTest, ExtendedWithEqualsBuildOverConcatenation) {
+// Patched splices the changed rows of a new source into an index built on
+// the old one; it must equal Build over the new source, byte for byte and
+// stat for stat. Sources are sample-shaped views over one base table whose
+// rows repeat keys heavily; replacements and appends re-use ids of the old
+// view, so duplicate keys straddle leaving, staying and entering rows.
+TEST_P(PropertyTest, PatchedEqualsBuild) {
   Random rng(GetParam() * 59 + 31);
   const Schema schema = RandomKeySchema(&rng);
   const uint64_t n = 600 + rng.NextBounded(400);
@@ -552,38 +554,82 @@ TEST_P(PropertyTest, ExtendedWithEqualsBuildOverConcatenation) {
     ASSERT_TRUE(builder.AppendEncoded(Slice(row)).ok());
   }
   std::unique_ptr<Table> base = builder.Finish();
-
-  const uint64_t split = rng.NextBounded(n + 1);
-  std::vector<RowId> old_ids, delta_ids, all_ids;
-  for (uint64_t i = 0; i < split; ++i) old_ids.push_back(i);
-  for (uint64_t i = split; i < n; ++i) {
-    const bool repeat = split > 0 && rng.NextBernoulli(0.3);
-    delta_ids.push_back(repeat ? rng.NextBounded(split) : i);
-  }
-  all_ids = old_ids;
-  all_ids.insert(all_ids.end(), delta_ids.begin(), delta_ids.end());
-  auto old_view = std::move(TableView::Make(*base, old_ids)).ValueOrDie();
-  auto delta_view = std::move(TableView::Make(*base, delta_ids)).ValueOrDie();
-  auto all_view = std::move(TableView::Make(*base, all_ids)).ValueOrDie();
-
+  std::vector<std::string> names;
+  for (const Column& column : schema.columns()) names.push_back(column.name);
+  rng.Shuffle(&names);
+  names.resize(1 + rng.NextBounded(names.size()));
   IndexBuildOptions options;
   options.keep_pages = false;
-  for (const bool clustered : {false, true}) {
-    SCOPED_TRACE(::testing::Message() << "clustered " << clustered);
-    const IndexDescriptor descriptor{
-        "ix", {schema.column(rng.NextBounded(schema.num_columns())).name},
-        clustered};
-    Result<Index> old_index = Index::Build(*old_view, descriptor, options);
-    ASSERT_TRUE(old_index.ok());
-    Result<Index> extended =
-        old_index->ExtendedWith(*delta_view, split, options);
-    ASSERT_TRUE(extended.ok()) << extended.status().ToString();
-    Result<Index> full = Index::Build(*all_view, descriptor, options);
-    ASSERT_TRUE(full.ok());
-    ASSERT_EQ(IndexBytes(*extended), IndexBytes(*full));
-    EXPECT_EQ(extended->stats(), full->stats());
-    ExpectBuildMatchesReference(*all_view, descriptor, options);
-  }
+  options.page_size = rng.NextBernoulli(0.5) ? 512 : kDefaultPageSize;
+
+  // One patch: `old_n` old slots, of which `replace` change, plus `append`
+  // new slots. Changed positions go in shuffled, each replaced one possibly
+  // twice (a reservoir slot can be written more than once per append).
+  auto check = [&](const char* shape, uint64_t old_n, uint64_t replace,
+                   uint64_t append) {
+    SCOPED_TRACE(::testing::Message() << shape << " old " << old_n
+                                      << " replace " << replace << " append "
+                                      << append);
+    std::vector<RowId> old_ids;
+    for (uint64_t i = 0; i < old_n; ++i) old_ids.push_back(rng.NextBounded(n));
+    auto fresh_id = [&] {
+      const bool repeat = old_n > 0 && rng.NextBernoulli(0.3);
+      return repeat ? old_ids[rng.NextBounded(old_n)] : rng.NextBounded(n);
+    };
+    std::vector<uint64_t> slots(old_n);
+    std::iota(slots.begin(), slots.end(), 0);
+    rng.Shuffle(&slots);
+    slots.resize(replace);
+    std::vector<RowId> new_ids = old_ids;
+    std::vector<uint64_t> changed;
+    for (const uint64_t slot : slots) {
+      new_ids[slot] = fresh_id();
+      changed.push_back(slot);
+      if (rng.NextBernoulli(0.2)) changed.push_back(slot);
+    }
+    for (uint64_t i = 0; i < append; ++i) {
+      new_ids.push_back(fresh_id());
+      changed.push_back(old_n + i);
+    }
+    rng.Shuffle(&changed);
+    auto old_view = std::move(TableView::Make(*base, old_ids)).ValueOrDie();
+    auto new_view = std::move(TableView::Make(*base, new_ids)).ValueOrDie();
+
+    for (const bool clustered : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "clustered " << clustered);
+      const IndexDescriptor descriptor{"ix", names, clustered};
+      Result<Index> old_index = Index::Build(*old_view, descriptor, options);
+      ASSERT_TRUE(old_index.ok()) << old_index.status().ToString();
+      Result<Index> patched =
+          old_index->Patched(*old_view, *new_view, changed, options);
+      if (clustered && replace > 0) {
+        // No __rid: a replaced clustered row has no place among equal keys.
+        EXPECT_TRUE(patched.status().IsInvalidArgument())
+            << patched.status().ToString();
+        continue;
+      }
+      ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+      Result<Index> full = Index::Build(*new_view, descriptor, options);
+      ASSERT_TRUE(full.ok());
+      ASSERT_EQ(IndexBytes(*patched), IndexBytes(*full));
+      EXPECT_EQ(patched->stats(), full->stats());
+      ExpectBuildMatchesReference(*new_view, descriptor, options);
+    }
+  };
+
+  const uint64_t old_n = 200 + rng.NextBounded(400);
+  check("random", old_n, rng.NextBounded(old_n / 4 + 1),
+        rng.NextBounded(old_n / 4 + 1));
+  check("replace only", old_n, 1 + rng.NextBounded(old_n / 8), 0);
+  // Append-only: frozen-draw growth, and a filling reservoir.
+  check("append only", old_n, 0, 1 + rng.NextBounded(old_n));
+  check("all slots", old_n, old_n, 0);
+  check("all slots and appends", old_n, old_n, rng.NextBounded(50));
+  check("nothing", old_n, 0, 0);
+  check("empty", 0, 0, 0);
+  check("empty, appended", 0, 0, 1 + rng.NextBounded(50));
+  check("capacity 1", 1, 1, 0);
+  check("capacity 1, unchanged", 1, 0, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertyTest,

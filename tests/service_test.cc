@@ -427,6 +427,112 @@ TEST(ReservoirEngineTest, IncrementalRefreshEqualsFreshDrawOverGrownTable) {
             incremental->sample_compressed.page_bytes());
 }
 
+/// True when two sample indexes hold the same rows in the same order and
+/// the same stats.
+void ExpectSameIndex(const Index& a, const Index& b) {
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (uint64_t i = 0; i < a.num_rows(); ++i) {
+    ASSERT_EQ(a.row(i).ToString(), b.row(i).ToString()) << "row " << i;
+  }
+  EXPECT_EQ(a.stats(), b.stats());
+}
+
+// NotifyAppend patches the cached sample indexes into the successor epoch
+// instead of rebuilding them. After every append — filling and full
+// reservoirs, tiny to larger-than-the-table capacities — each index the
+// epoch serves must equal a from-scratch Build over its sample, and every
+// estimate must equal a fresh engine drawn over the grown table.
+TEST(ReservoirEngineTest, CarriedIndexesEqualBuildAfterEveryAppend) {
+  const uint64_t base_rows = 3000;
+  const std::vector<IndexDescriptor> descriptors = {
+      {"ix_status", {"status"}, false},
+      {"ix_city_amount", {"city", "amount"}, false},
+      {"cx_status", {"status"}, true},
+      {"cx_amount", {"amount"}, true}};
+  const std::vector<CompressionScheme> schemes = {
+      CompressionScheme::Uniform(CompressionType::kRle),
+      CompressionScheme::Uniform(CompressionType::kNullSuppression)};
+
+  for (const uint64_t capacity :
+       {uint64_t{1}, uint64_t{50}, uint64_t{2000}, uint64_t{100000}}) {
+    SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
+    auto catalog = std::make_unique<Catalog>();
+    ASSERT_TRUE(catalog->AddTable("orders", OrdersTable(base_rows)).ok());
+    const Table* table = *catalog->GetTable("orders");
+    auto replica = OrdersTable(base_rows);  // grown in lockstep
+
+    EstimationEngineOptions options;
+    options.base.fraction = 0.02;
+    options.base.metric = SizeMetric::kPageBytes;
+    options.seed = 91;
+    options.maintain_reservoir = true;
+    options.reservoir_capacity = capacity;
+    EstimationEngine engine(*table, options);
+    for (const IndexDescriptor& desc : descriptors) {
+      ASSERT_TRUE(engine.SampleIndexAt(*Pin(engine), desc).ok());
+    }
+
+    Random rng(capacity * 31 + 7);
+    uint64_t patched = 0;
+    for (int step = 0; step < 6; ++step) {
+      SCOPED_TRACE(::testing::Message() << "step " << step);
+      // Rows copied from random earlier rows: duplicate keys everywhere.
+      std::vector<Row> delta;
+      for (uint64_t i = 0, k = 1 + rng.NextBounded(600); i < k; ++i) {
+        auto decoded = table->DecodeRow(rng.NextBounded(table->num_rows()));
+        ASSERT_TRUE(decoded.ok());
+        delta.push_back(*decoded);
+      }
+      for (const Row& row : delta) ASSERT_TRUE(replica->AppendRow(row).ok());
+      const auto before = engine.cache_stats();
+      auto range = catalog->AppendRows("orders", delta);
+      ASSERT_TRUE(range.ok());
+      ASSERT_TRUE(engine.NotifyAppend(*range).ok());
+      const auto after = engine.cache_stats();
+
+      // Every cached entry is either carried or dropped; non-clustered
+      // ones are always carried, and a filling reservoir (appends only)
+      // carries the clustered ones too.
+      if (after.sample_version != before.sample_version) {
+        const uint64_t extended =
+            after.index_extensions - before.index_extensions;
+        const uint64_t dropped = after.invalidations - before.invalidations;
+        EXPECT_EQ(descriptors.size(), extended + dropped);
+        EXPECT_GE(extended, 2u);
+        if (capacity > table->num_rows()) {
+          EXPECT_EQ(0u, dropped);
+        }
+        patched += extended;
+      }
+
+      const std::shared_ptr<const SampleEpoch> epoch = Pin(engine);
+      EstimationEngine fresh(*replica, options);
+      const std::shared_ptr<const SampleEpoch> fresh_epoch = Pin(fresh);
+      ASSERT_EQ(epoch->sample().row_ids(), fresh_epoch->sample().row_ids());
+      for (const IndexDescriptor& desc : descriptors) {
+        SCOPED_TRACE(desc.name);
+        auto served = engine.SampleIndexAt(*epoch, desc);
+        ASSERT_TRUE(served.ok());
+        Result<Index> built =
+            Index::Build(epoch->sample(), desc, options.base.build);
+        ASSERT_TRUE(built.ok());
+        ExpectSameIndex(**served, *built);
+        for (const CompressionScheme& scheme : schemes) {
+          auto incremental = engine.EstimateCFAt(*epoch, desc, scheme);
+          auto redrawn = fresh.EstimateCFAt(*fresh_epoch, desc, scheme);
+          ASSERT_TRUE(incremental.ok());
+          ASSERT_TRUE(redrawn.ok());
+          EXPECT_EQ(redrawn->cf.value, incremental->cf.value);
+          EXPECT_EQ(redrawn->sample_rows, incremental->sample_rows);
+          EXPECT_EQ(redrawn->sample_compressed.page_bytes(),
+                    incremental->sample_compressed.page_bytes());
+        }
+      }
+    }
+    EXPECT_GT(patched, 0u);
+  }
+}
+
 TEST(ReservoirEngineTest, NotifyAppendValidatesModeAndRanges) {
   auto table = OrdersTable(1000);
 
@@ -458,12 +564,20 @@ TEST(ReservoirEngineTest, NotifyAppendValidatesModeAndRanges) {
 }
 
 // ---------------------------------------------------------------------------
-// Acceptance (3): only affected sample indexes are invalidated
+// Acceptance (3): a refresh carries the affected table's non-clustered
+// sample indexes, drops only its clustered ones, and leaves other tables be
 // ---------------------------------------------------------------------------
 
 TEST(ServiceTest, NotifyAppendInvalidatesOnlyTheAffectedTable) {
   auto catalog = TwoTableCatalog();
-  const std::vector<CandidateConfiguration> candidates = MixedCandidates();
+  std::vector<CandidateConfiguration> candidates = MixedCandidates();
+  // One clustered orders index: its rows carry no __rid, so a refresh that
+  // replaces a reservoir slot cannot patch it.
+  CandidateConfiguration clustered;
+  clustered.table_name = "orders";
+  clustered.index = {"cx_status", {"status"}, /*clustered=*/true};
+  clustered.scheme = CompressionScheme::Uniform(CompressionType::kRle);
+  candidates.push_back(clustered);
 
   CatalogEstimationServiceOptions options;
   options.base.fraction = 0.02;
@@ -479,41 +593,54 @@ TEST(ServiceTest, NotifyAppendInvalidatesOnlyTheAffectedTable) {
   ASSERT_TRUE(lineitem_engine.ok());
   const auto orders_before = (*orders_engine)->cache_stats();
   const auto lineitem_before = (*lineitem_engine)->cache_stats();
-  EXPECT_GT(orders_before.index_builds, 0u);
+  // Orders: non-clustered on status and city, clustered on status.
+  EXPECT_EQ(3u, orders_before.index_builds);
   EXPECT_EQ(1u, orders_before.sample_version);
   EXPECT_EQ(0u, orders_before.invalidations);
+  EXPECT_EQ(0u, orders_before.index_extensions);
 
-  // Grow orders by 10% — comfortably enough that some appended row enters
-  // the reservoir (each of the 1200 rows enters with ~2% probability).
+  // Grow orders by 10% — comfortably enough that some appended row replaces
+  // a slot of the full reservoir (each of the 1200 rows enters with ~2%
+  // probability).
   const Table* orders = *catalog->GetTable("orders");
   auto range = catalog->AppendRows("orders", DeltaRows(*orders, 1200));
   ASSERT_TRUE(range.ok());
   ASSERT_TRUE(service.NotifyAppend("orders", *range).ok());
 
-  // Orders: its cached indexes were dropped and the version bumped by
-  // exactly one effective refresh; the registry's per-table children see
-  // the same invalidations, and none on lineitem.
+  // Orders: the version bumped by exactly one effective refresh, the two
+  // non-clustered indexes were patched into the new epoch and only the
+  // clustered one was dropped. The registry's per-table children see the
+  // same counts, and nothing on lineitem.
   const auto orders_after = (*orders_engine)->cache_stats();
-  EXPECT_EQ(orders_before.index_builds, orders_after.invalidations);
   EXPECT_EQ(2u, orders_after.sample_version);
+  EXPECT_EQ(2u, orders_after.index_extensions);
+  EXPECT_EQ(1u, orders_after.invalidations);
   const metrics::MetricsSnapshot registry_after =
       metrics::MetricRegistry::Global().Snapshot();
   EXPECT_EQ(orders_after.invalidations,
             TableDelta(registry_before, registry_after,
                        "cfest.engine.invalidations", "orders"));
+  EXPECT_EQ(orders_after.index_extensions,
+            TableDelta(registry_before, registry_after,
+                       "cfest.engine.index_extensions", "orders"));
   EXPECT_EQ(0u, TableDelta(registry_before, registry_after,
                            "cfest.engine.invalidations", "lineitem"));
+  EXPECT_EQ(0u, TableDelta(registry_before, registry_after,
+                           "cfest.engine.index_extensions", "lineitem"));
 
-  // Lineitem: untouched — same version, nothing invalidated.
+  // Lineitem: untouched — same version, nothing invalidated or carried.
   const auto lineitem_after = (*lineitem_engine)->cache_stats();
   EXPECT_EQ(0u, lineitem_after.invalidations);
+  EXPECT_EQ(0u, lineitem_after.index_extensions);
   EXPECT_EQ(1u, lineitem_after.sample_version);
 
-  // Re-estimating rebuilds only orders' indexes; lineitem is all hits.
+  // Re-estimating rebuilds only orders' clustered index; the carried ones
+  // and all of lineitem's are hits.
   ASSERT_TRUE(service.EstimateAll(candidates).ok());
   const auto orders_rebuilt = (*orders_engine)->cache_stats();
   const auto lineitem_rebuilt = (*lineitem_engine)->cache_stats();
-  EXPECT_EQ(orders_before.index_builds * 2, orders_rebuilt.index_builds);
+  EXPECT_EQ(orders_before.index_builds + 1, orders_rebuilt.index_builds);
+  EXPECT_GT(orders_rebuilt.index_cache_hits, orders_before.index_cache_hits);
   EXPECT_EQ(lineitem_before.index_builds, lineitem_rebuilt.index_builds);
   EXPECT_GT(lineitem_rebuilt.index_cache_hits,
             lineitem_before.index_cache_hits);
