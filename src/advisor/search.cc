@@ -698,39 +698,36 @@ Result<AdvisorRecommendation> AdviseConfigurationsLazy(
   // Coarse pass: grow each table's sample to the first-round floor
   // (serial — growth mutates the engine), then estimate every candidate
   // once at that coarse sample.
+  std::vector<CandidateRefiner*> refiner_of(candidates.size());
   for (const CatalogEstimationService::TableGroup& group : groups) {
-    const CandidateRefiner& refiner = refiners.at(group.table_name);
+    CandidateRefiner& refiner = refiners.at(group.table_name);
     CFEST_RETURN_NOT_OK(
         group.engine
             ->GrowSample(std::min(refiner.row_cap(),
                                   std::max<uint64_t>(1, target.min_rows)))
             .status());
     stats.coarse_rows.Add(group.engine->sample_rows());
+    for (size_t i : group.members) refiner_of[i] = &refiner;
   }
-  // The pool fans the coarse estimates out — across tables when there are
-  // several groups, across candidates inside a single group otherwise
-  // (never nested, mirroring EstimateAllAdaptive).
+  // One flat fan-out over every candidate, each reading its own table's
+  // refiner, keeps the pool busy even when one table holds most of the
+  // candidates. Each coarse estimate is a pure function of its table's
+  // pinned epoch (growth is done), so the results do not depend on the
+  // schedule.
   ThreadPool* pool =
       service.options().num_threads == 1 ? nullptr : service.shared_pool();
   std::vector<AdaptiveCandidateResult> coarse(candidates.size());
   std::vector<uint64_t> floors(candidates.size(), 0);
-  const bool fan_tables = groups.size() > 1;
   CFEST_RETURN_NOT_OK(StatusParallelFor(
-      fan_tables ? pool : nullptr, groups.size(), [&](uint64_t g) -> Status {
-        const CatalogEstimationService::TableGroup& group =
-            groups[static_cast<size_t>(g)];
-        CandidateRefiner& refiner = refiners.at(group.table_name);
-        return StatusParallelFor(
-            fan_tables ? nullptr : pool, group.members.size(),
-            [&](uint64_t k) -> Status {
-              const size_t i = group.members[static_cast<size_t>(k)];
-              CFEST_ASSIGN_OR_RETURN(
-                  coarse[i], refiner.EstimateAtCurrentSample(candidates[i]));
-              floors[i] = SizingFloorRows(*group.engine,
-                                          coarse[i].sized.uncompressed_bytes,
-                                          coarse[i].cf);
-              return Status::OK();
-            });
+      pool, candidates.size(), [&](uint64_t k) -> Status {
+        const size_t i = static_cast<size_t>(k);
+        CandidateRefiner& refiner = *refiner_of[i];
+        CFEST_ASSIGN_OR_RETURN(coarse[i],
+                               refiner.EstimateAtCurrentSample(candidates[i]));
+        floors[i] = SizingFloorRows(refiner.engine(),
+                                    coarse[i].sized.uncompressed_bytes,
+                                    coarse[i].cf);
+        return Status::OK();
       }));
 
   // Search with targeted refinement.

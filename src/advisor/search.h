@@ -78,15 +78,15 @@ struct LazyAdvisorStats {
 /// Lazy advisor pass: coarse intervals for every candidate, branch-and-bound
 /// selection under `storage_bound`, targeted refinement only where an
 /// interval straddles a decision. Candidates may span tables; each table's
-/// engine serves its candidates' coarse intervals (fanned across the
-/// service's shared pool) and grows independently under targeted
-/// refinement. Selections match the eager-optimal reference whenever the
-/// coarse intervals cover the converged estimates (their stated
-/// confidence). Like the adaptive flow, not safe to run concurrently with
-/// other estimates on the same tables; each engine's sample afterwards is
-/// whatever the deepest refinement grew it to. `candidates` may exceed the
-/// eager-optimal 24-candidate cap. A standalone table is a one-table
-/// catalog.
+/// engine serves its candidates' coarse intervals (one fan-out over all
+/// candidates across the service's shared pool, so results do not depend
+/// on num_threads) and grows independently under targeted refinement.
+/// Selections match the eager-optimal reference whenever the coarse
+/// intervals cover the converged estimates (their stated confidence). Like
+/// the adaptive flow, not safe to run concurrently with other estimates on
+/// the same tables; each engine's sample afterwards is whatever the
+/// deepest refinement grew it to. `candidates` may exceed the eager-optimal
+/// 24-candidate cap. A standalone table is a one-table catalog.
 Result<AdvisorRecommendation> AdviseConfigurationsLazy(
     CatalogEstimationService& service,
     std::span<const CandidateConfiguration> candidates,

@@ -205,9 +205,8 @@ Status EstimationEngine::NotifyAppend(RowRange range) {
 
   // The sample contents moved, but only at the written slots: publish a
   // successor epoch with a fresh view and every ready index patched at
-  // those positions. Entries that cannot be carried (in-flight or failed
-  // builds, clustered indexes with a replaced slot) are dropped and rebuilt
-  // on demand. Readers pinned to the predecessor keep estimating against
+  // those positions on this thread, so requests after the refresh find
+  // them cached. Readers pinned to the predecessor keep estimating against
   // it unharmed.
   CFEST_ASSIGN_OR_RETURN(
       std::unique_ptr<TableView> view,
@@ -215,27 +214,19 @@ Status EstimationEngine::NotifyAppend(RowRange range) {
   ++version_;
   std::shared_ptr<SampleEpoch> next =
       MakeEpochLocked(std::move(view), reservoir_core_->items_seen());
-  const uint64_t carried = CarryIndexesLocked(*current, next.get(), written);
-  counters_->invalidations.Add(current->CachedIndexCount() - carried);
+  CarryIndexesLocked(*current, next.get(), std::move(written),
+                     /*materialize=*/true);
   PublishLocked(std::move(next));
   return Status::OK();
 }
 
-uint64_t EstimationEngine::CarryIndexesLocked(
-    const SampleEpoch& current, SampleEpoch* next,
-    const std::vector<uint64_t>& changed) {
-  uint64_t carried = 0;
-  for (const auto& [key, index] : current.ReadyIndexes()) {
-    trace::Span span("engine.index_patch");
-    Result<Index> patched = index->Patched(current.sample(), next->sample(),
-                                           changed, options_.base.build);
-    if (!patched.ok()) continue;  // drop: the next request rebuilds
-    next->SeedIndex(key, std::make_shared<const Index>(
-                             std::move(patched).ValueOrDie()));
-    counters_->index_extensions.Increment();
-    ++carried;
-  }
-  return carried;
+void EstimationEngine::CarryIndexesLocked(const SampleEpoch& current,
+                                          SampleEpoch* next,
+                                          std::vector<uint64_t> changed,
+                                          bool materialize) {
+  uint64_t carried = next->CarryFrom(current, std::move(changed));
+  if (materialize) carried = next->MaterializeCarried(options_.base.build);
+  counters_->invalidations.Add(current.CachedIndexCount() - carried);
 }
 
 uint64_t EstimationEngine::sample_rows() const {
@@ -311,12 +302,13 @@ Result<std::shared_ptr<const SampleEpoch>> EstimationEngine::GrowSampleToEpoch(
       MakeEpochLocked(std::move(grown), draw_table_rows_);
 
   // Growth is additive (the old sample is a prefix of the grown one), so
-  // every completed sorted build of the predecessor is patched with the
-  // appended positions [current, target) and seeded into the successor
-  // instead of being rebuilt.
+  // every ready index of the predecessor is carried with the appended
+  // positions [current, target). The grower reads about one of them at the
+  // new size; each is patched by its first read, not here.
   std::vector<uint64_t> appended(static_cast<size_t>(target - current_rows));
   std::iota(appended.begin(), appended.end(), current_rows);
-  CarryIndexesLocked(*current, next.get(), appended);
+  CarryIndexesLocked(*current, next.get(), std::move(appended),
+                     /*materialize=*/false);
   PublishLocked(std::move(next));
   return epoch_.load(std::memory_order_acquire);
 }

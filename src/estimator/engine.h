@@ -227,10 +227,12 @@ class EstimationEngine {
   /// to a fresh draw of target_rows ids under the same seed — every
   /// estimate after growth equals a fixed-fraction run at
   /// target_rows / num_rows. Growth is purely additive (the old sample is
-  /// a prefix), so the predecessor epoch's completed sample indexes are
-  /// patched with the appended positions (Index::Patched, traced as
-  /// `engine.index_patch`; CacheStats.index_extensions) and seeded into the
-  /// successor epoch instead of being rebuilt from scratch.
+  /// a prefix), so the successor epoch carries the predecessor's ready
+  /// sample indexes with the appended positions. Growth itself patches
+  /// nothing: each carried index is patched (Index::Patched, traced as
+  /// `engine.index_patch`; CacheStats.index_extensions) by the first read
+  /// of its key at the grown epoch, and a key nobody reads there is not
+  /// carried again — a later read builds it.
   ///
   /// maintain_reservoir engines grow by replaying Algorithm R at the larger
   /// capacity over the already-consumed row-id stream (O(items seen) RNG
@@ -253,9 +255,11 @@ class EstimationEngine {
   /// over the grown table under the same seed and capacity), and publishes
   /// the successor epoch. If the reservoir contents changed,
   /// sample_version bumps and every ready sample index is carried into the
-  /// successor, patched at just the slots the append wrote
-  /// (Index::Patched, traced as `engine.index_patch`; counted in
-  /// index_extensions). Entries it cannot carry are dropped and counted in
+  /// successor the same way growth carries it, but patched here, on the
+  /// calling thread, before the successor is published — at just the slots
+  /// the append wrote (Index::Patched, traced as `engine.index_patch`;
+  /// counted in index_extensions) — so requests after a refresh hit a
+  /// warm cache. Entries it cannot carry are dropped and counted in
   /// invalidations: in-flight or failed builds, and clustered indexes with
   /// a replaced slot (their rows carry no __rid to order a replacement
   /// among equal keys). If every row was rejected, the successor keeps the
@@ -276,13 +280,16 @@ class EstimationEngine {
     uint64_t samples_drawn = 0;
     uint64_t index_builds = 0;
     uint64_t index_cache_hits = 0;
-    /// Ready sample indexes patched into a successor epoch — by frozen-draw
-    /// growth or by a NotifyAppend that changed the reservoir — each one a
-    /// from-scratch rebuild avoided.
+    /// Carried sample indexes patched into a successor epoch — by the
+    /// first read after frozen-draw growth, or by a NotifyAppend that
+    /// changed the reservoir — each one a from-scratch build avoided.
     uint64_t index_extensions = 0;
-    /// Cached sample-index entries a successor epoch did not carry: on
-    /// NotifyAppend, in-flight or failed builds and clustered indexes with
-    /// a replaced slot; on reservoir capacity growth, every entry.
+    /// Predecessor entries a successor epoch can neither serve nor patch,
+    /// one rule on every path: in-flight or failed builds, carried keys
+    /// that were never read at the predecessor, and carried indexes whose
+    /// patch fails (clustered indexes with a replaced slot). Reservoir
+    /// capacity growth carries nothing, so it counts every entry. An
+    /// append the reservoir rejects keeps the whole cache and counts none.
     uint64_t invalidations = 0;
     /// Version of the sample contents: 1 after the initial draw, +1 per
     /// refresh or growth that actually changed the sample. Each epoch's
@@ -310,10 +317,13 @@ class EstimationEngine {
       std::shared_ptr<const TableView> view, uint64_t table_rows)
       REQUIRES(mu_);
   void PublishLocked(std::shared_ptr<SampleEpoch> epoch) REQUIRES(mu_);
-  /// Seeds `next` with every ready index of `current`, patched at the
-  /// `changed` sample positions; returns how many it carried.
-  uint64_t CarryIndexesLocked(const SampleEpoch& current, SampleEpoch* next,
-                              const std::vector<uint64_t>& changed)
+  /// The one carry path: records every ready index of `current` in `next`
+  /// as patchable at the `changed` sample positions — patched on first
+  /// read, or all before publication when `materialize` — and counts the
+  /// entries of `current` that `next` cannot serve or patch as
+  /// invalidations.
+  void CarryIndexesLocked(const SampleEpoch& current, SampleEpoch* next,
+                          std::vector<uint64_t> changed, bool materialize)
       REQUIRES(mu_);
 
   const Table& table_;

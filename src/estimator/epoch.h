@@ -26,6 +26,12 @@
 // the engine-level half of request coalescing (estimator/coalesce.h is the
 // service-level half).
 //
+// A successor epoch starts with its predecessor's ready indexes as a carry
+// source: each carried key is patched (Index::Patched) from the
+// predecessor's index by its first miss rather than rebuilt, so sample
+// growth pays only for the indexes that are read at the grown size.
+// NotifyAppend patches every carried key before it publishes.
+//
 // Estimates are a pure function of the pinned epoch, so any result computed
 // while appends stream in is bit-identical to a quiesced run at the same
 // epoch (tests/service_test.cc and bench/bench_concurrent_service.cc gate
@@ -154,8 +160,12 @@ class SampleEpoch {
   /// The sorted sample index for `descriptor`, built at most once per
   /// distinct (key_columns, clustered) pair for this epoch's sample. The
   /// hit path is lock-free (atomic snapshot load); a miss takes the
-  /// epoch-local build mutex only to register the build, and concurrent
-  /// missers for the same key share the one build via a shared_future.
+  /// epoch-local build mutex only to register the work, and concurrent
+  /// missers for the same key share it via a shared_future. A miss on a key
+  /// carried from the predecessor epoch patches the predecessor's index
+  /// (Index::Patched, traced as `engine.index_patch`, counted in
+  /// index_extensions) instead of building; a patch that fails counts one
+  /// invalidation and falls back to Build.
   Result<std::shared_ptr<const Index>> SampleIndex(
       const IndexDescriptor& descriptor, const IndexBuildOptions& build) const;
 
@@ -168,23 +178,49 @@ class SampleEpoch {
   };
   using IndexMap = std::unordered_map<std::string, std::shared_future<IndexEntry>>;
 
+  /// What this epoch carries from its predecessor: the predecessor's
+  /// sample, the positions at which this epoch's sample differs from it,
+  /// and the predecessor's index for each carried key nobody has read here
+  /// yet.
+  struct CarrySource {
+    std::shared_ptr<const TableView> sample;
+    std::vector<uint64_t> changed;
+    std::unordered_map<std::string, std::shared_ptr<const Index>> indexes;
+  };
+
   SampleEpoch(std::shared_ptr<const TableView> sample, uint64_t version,
               uint64_t table_rows, std::shared_ptr<EpochCounters> counters);
 
-  /// Pre-publication seeding (the patched indexes GrowSample and
-  /// NotifyAppend carry over land here before the epoch is visible to any
-  /// reader; no synchronization needed).
-  void SeedIndex(const std::string& key, std::shared_ptr<const Index> index);
+  /// Pre-publication: records every ready index of `predecessor` as
+  /// patchable into this epoch at the `changed` positions, and returns how
+  /// many it recorded. Nothing is patched here: each key is patched by its
+  /// first SampleIndex miss, or all at once by MaterializeCarried.
+  uint64_t CarryFrom(const SampleEpoch& predecessor,
+                     std::vector<uint64_t> changed);
 
-  /// Snapshot of the (key, index) pairs whose builds have completed
-  /// successfully — what a successor epoch may patch. Never blocks on
-  /// in-flight builds.
+  /// Pre-publication: patches every carried key now and caches the ones
+  /// that patch; the rest are dropped, to be built on demand. Releases the
+  /// carry source and returns how many keys it cached.
+  uint64_t MaterializeCarried(const IndexBuildOptions& build);
+
+  /// Snapshot of the (key, index) pairs whose builds or patches have
+  /// completed successfully — what a successor epoch may carry. Carried
+  /// keys nobody has read yet are not among them. Never blocks on
+  /// in-flight work.
   std::vector<std::pair<std::string, std::shared_ptr<const Index>>>
   ReadyIndexes() const;
 
-  /// Entries currently cached (ready, failed or in flight), for
-  /// invalidation accounting when a refresh drops entries.
+  /// Entries this epoch holds — ready, failed or in flight, plus carried
+  /// keys not yet read — for the invalidation count when a successor
+  /// carries fewer.
   uint64_t CachedIndexCount() const;
+
+  /// Patches `index` (built over the carry source's sample) into this
+  /// epoch's sample.
+  Result<std::shared_ptr<const Index>> Patch(const Index& index,
+                                             const CarrySource& source,
+                                             const IndexBuildOptions& build)
+      const;
 
   std::shared_ptr<const TableView> sample_;
   uint64_t version_ = 0;
@@ -196,6 +232,10 @@ class SampleEpoch {
   /// serializes only the copy-on-write registration of new builds.
   mutable std::atomic<std::shared_ptr<const IndexMap>> indexes_;
   mutable Mutex build_mu_;
+  /// The carry source while any carried key is unread. A first miss takes
+  /// its key out and patches from a shared reference (sample and changed
+  /// never change), so the last one to leave releases the source.
+  mutable std::shared_ptr<CarrySource> carry_ GUARDED_BY(build_mu_);
 };
 
 }  // namespace cfest

@@ -223,30 +223,53 @@ TEST(GrowSampleTest, ExtendsCachedIndexesBitIdentically) {
 
   EstimationEngine grown(*table, options);
   const IndexDescriptor desc{"ix", {"city"}, /*clustered=*/false};
-  // Cache a build pre-growth.
+  const IndexDescriptor skipped{"ix2", {"status", "amount"}, false};
+  // Cache two builds pre-growth.
   ASSERT_TRUE(grown.SampleIndexAt(*Pin(grown), desc).ok());
-  ASSERT_TRUE(grown.GrowSample(2000).ok());
+  ASSERT_TRUE(grown.SampleIndexAt(*Pin(grown), skipped).ok());
+
+  // Growth alone carries both keys but patches and builds nothing.
+  ASSERT_TRUE(grown.GrowSample(1000).ok());
+  EXPECT_EQ(grown.cache_stats().index_extensions, 0u);
+  EXPECT_EQ(grown.cache_stats().index_builds, 2u);
+  EXPECT_EQ(grown.cache_stats().invalidations, 0u);
+
+  // The first read at the grown size patches the carried index.
+  ASSERT_TRUE(grown.SampleIndexAt(*Pin(grown), desc).ok());
   EXPECT_EQ(grown.cache_stats().index_extensions, 1u);
-  EXPECT_EQ(grown.cache_stats().index_builds, 1u);
+  EXPECT_EQ(grown.cache_stats().index_builds, 2u);
+
+  // A second growth carries only what was read at 1000 rows: `skipped` is
+  // dropped (one invalidation) and its next read builds it.
+  ASSERT_TRUE(grown.GrowSample(2000).ok());
+  EXPECT_EQ(grown.cache_stats().invalidations, 1u);
+  auto extended = grown.SampleIndexAt(*Pin(grown), desc);
+  auto skipped_rebuilt = grown.SampleIndexAt(*Pin(grown), skipped);
+  ASSERT_TRUE(extended.ok());
+  ASSERT_TRUE(skipped_rebuilt.ok());
+  EXPECT_EQ(grown.cache_stats().index_extensions, 2u);
+  EXPECT_EQ(grown.cache_stats().index_builds, 3u);
 
   EstimationEngineOptions fresh_options = options;
   fresh_options.base.fraction =
       2000.0 / static_cast<double>(table->num_rows());
   EstimationEngine fresh(*table, fresh_options);
-
-  auto extended = grown.SampleIndexAt(*Pin(grown), desc);
+  const auto expect_same = [](const Index& served, const Index& built) {
+    ASSERT_EQ(served.num_rows(), built.num_rows());
+    EXPECT_EQ(served.stats().leaf_pages, built.stats().leaf_pages);
+    EXPECT_EQ(served.stats().leaf_used_bytes, built.stats().leaf_used_bytes);
+    for (uint64_t i = 0; i < served.num_rows(); ++i) {
+      Slice a = served.row(i);
+      Slice b = built.row(i);
+      ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size())) << "row " << i;
+    }
+  };
   auto rebuilt = fresh.SampleIndexAt(*Pin(fresh), desc);
-  ASSERT_TRUE(extended.ok());
+  auto skipped_fresh = fresh.SampleIndexAt(*Pin(fresh), skipped);
   ASSERT_TRUE(rebuilt.ok());
-  ASSERT_EQ((*extended)->num_rows(), (*rebuilt)->num_rows());
-  EXPECT_EQ((*extended)->stats().leaf_pages, (*rebuilt)->stats().leaf_pages);
-  EXPECT_EQ((*extended)->stats().leaf_used_bytes,
-            (*rebuilt)->stats().leaf_used_bytes);
-  for (uint64_t i = 0; i < (*extended)->num_rows(); ++i) {
-    Slice a = (*extended)->row(i);
-    Slice b = (*rebuilt)->row(i);
-    ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size())) << "row " << i;
-  }
+  ASSERT_TRUE(skipped_fresh.ok());
+  expect_same(**extended, **rebuilt);
+  expect_same(**skipped_rebuilt, **skipped_fresh);
 
   // Estimates off the extended index equal the fresh engine's bitwise.
   const CompressionScheme scheme =

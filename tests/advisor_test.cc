@@ -542,6 +542,90 @@ TEST(LazyAdvisorTest, MatchesEagerOptimalSelectionsOnTwoTableService) {
   }
 }
 
+TEST(LazyAdvisorTest, SameResultOnEveryThreadCount) {
+  // Three tables, one holding most of the candidates (as lineitem does in
+  // TPC-H), so the coarse fan-out mixes tables unevenly.
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("big", WorkloadTable(40000, 7)).ok());
+  ASSERT_TRUE(catalog.AddTable("mid", WorkloadTable(12000, 11)).ok());
+  ASSERT_TRUE(catalog.AddTable("small", WorkloadTable(6000, 13)).ok());
+  const std::vector<std::vector<std::string>> big_keys = {
+      {"status"}, {"city"}, {"amount"}, {"status", "city"},
+      {"city", "amount"}};
+  const std::vector<CompressionType> types = {
+      CompressionType::kNullSuppression, CompressionType::kDictionaryPage,
+      CompressionType::kRle};
+  std::vector<CandidateConfiguration> candidates;
+  const auto add = [&](const char* table, std::vector<std::string> keys,
+                       CompressionType type) {
+    CandidateConfiguration c;
+    c.table_name = table;
+    std::string name = std::string("ix_") + CompressionTypeName(type);
+    for (const std::string& key : keys) name += "_" + key;
+    c.index = {std::move(name), std::move(keys), /*clustered=*/false};
+    c.scheme = CompressionScheme::Uniform(type);
+    c.benefit = 1.0 + 0.37 * static_cast<double>(candidates.size() % 11);
+    candidates.push_back(std::move(c));
+  };
+  for (const std::vector<std::string>& keys : big_keys) {
+    for (CompressionType type : types) add("big", keys, type);
+  }
+  add("big", {"amount"}, CompressionType::kNone);
+  for (const char* table : {"mid", "small"}) {
+    add(table, {"city"}, CompressionType::kDictionaryPage);
+    add(table, {"status"}, CompressionType::kRle);
+    add(table, {"amount"}, CompressionType::kNullSuppression);
+  }
+  PrecisionTarget target;
+  target.rel_error = 0.02;
+
+  uint64_t refined = 0;
+  for (uint64_t bound : {uint64_t{500000}, uint64_t{1500000}}) {
+    SCOPED_TRACE(::testing::Message() << "bound " << bound);
+    std::vector<AdvisorRecommendation> recs;
+    std::vector<LazyAdvisorStats> stats;
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      CatalogEstimationServiceOptions options;
+      options.base.fraction = 0.005;
+      options.num_threads = threads;
+      CatalogEstimationService service(catalog, options);
+      LazyAdvisorStats run_stats;
+      Result<AdvisorRecommendation> rec = AdviseConfigurationsLazy(
+          service, candidates, bound, target, &run_stats);
+      ASSERT_TRUE(rec.ok()) << threads << " threads";
+      recs.push_back(*std::move(rec));
+      stats.push_back(run_stats);
+    }
+    refined += stats[0].refined;
+    for (size_t r = 1; r < recs.size(); ++r) {
+      SCOPED_TRACE(::testing::Message() << "run " << r);
+      EXPECT_EQ(SelectedNames(recs[0]), SelectedNames(recs[r]));
+      EXPECT_EQ(recs[0].total_benefit, recs[r].total_benefit);
+      EXPECT_EQ(recs[0].total_bytes, recs[r].total_bytes);
+      ASSERT_EQ(recs[0].selected.size(), recs[r].selected.size());
+      for (size_t i = 0; i < recs[0].selected.size(); ++i) {
+        const SizedCandidate& a = recs[0].selected[i];
+        const SizedCandidate& b = recs[r].selected[i];
+        EXPECT_EQ(a.config.table_name, b.config.table_name);
+        EXPECT_EQ(a.config.index.name, b.config.index.name);
+        EXPECT_EQ(a.estimated_cf, b.estimated_cf);
+        EXPECT_EQ(a.estimated_bytes, b.estimated_bytes);
+        EXPECT_EQ(a.uncompressed_bytes, b.uncompressed_bytes);
+        EXPECT_EQ(a.sample_rows, b.sample_rows);
+      }
+      EXPECT_EQ(stats[0].candidates, stats[r].candidates);
+      EXPECT_EQ(stats[0].refined, stats[r].refined);
+      EXPECT_EQ(stats[0].refine_rounds, stats[r].refine_rounds);
+      EXPECT_EQ(stats[0].nodes_visited, stats[r].nodes_visited);
+      EXPECT_EQ(stats[0].nodes_pruned, stats[r].nodes_pruned);
+      EXPECT_EQ(stats[0].total_rows_sized, stats[r].total_rows_sized);
+      EXPECT_EQ(stats[0].coarse_rows, stats[r].coarse_rows);
+    }
+  }
+  // The bounds make the search refine, so growth runs between the fan-outs.
+  EXPECT_GT(refined, 0u);
+}
+
 TEST(LazyAdvisorTest, EmptyCandidatesAndMissingTable) {
   Catalog catalog;
   ASSERT_TRUE(catalog.AddTable("t1", WorkloadTable(2000, 7)).ok());

@@ -4,8 +4,10 @@
 // consumers.
 
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -271,6 +273,53 @@ TEST(EngineTest, DescriptorNameDoesNotDefeatTheCache) {
   ASSERT_TRUE(build(IndexDescriptor{"d", {"status", "city"}, false}));
   ASSERT_TRUE(build(IndexDescriptor{"e", {"city", "status"}, false}));
   EXPECT_EQ(4u, engine.cache_stats().index_builds);
+}
+
+TEST(EngineTest, ConcurrentFirstReadsOfACarriedKeyShareOnePatch) {
+  auto table = WorkloadTable();
+  EstimationEngineOptions engine_options;
+  engine_options.base.fraction = 0.02;
+  EstimationEngine engine(*table, engine_options);
+  const IndexDescriptor desc{"ix", {"city", "status"}, false};
+  ASSERT_TRUE(engine.SampleIndexAt(*Pin(engine), desc).ok());
+  auto grown = engine.GrowSampleToEpoch(3000);
+  ASSERT_TRUE(grown.ok());
+  const EstimationEngine::CacheStats before = engine.cache_stats();
+
+  // Every thread makes the first read of the carried key at once.
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const Index>> served(kThreads);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      auto index = engine.SampleIndexAt(**grown, desc);
+      if (index.ok()) served[t] = *index;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const EstimationEngine::CacheStats after = engine.cache_stats();
+  EXPECT_EQ(before.index_extensions + 1, after.index_extensions);
+  EXPECT_EQ(before.index_builds, after.index_builds);
+  EXPECT_EQ(before.invalidations, after.invalidations);
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_NE(nullptr, served[t]) << "thread " << t;
+    EXPECT_EQ(served[0].get(), served[t].get()) << "thread " << t;
+  }
+  Result<Index> built =
+      Index::Build((*grown)->sample(), desc, engine_options.base.build);
+  ASSERT_TRUE(built.ok());
+  ASSERT_EQ(built->num_rows(), served[0]->num_rows());
+  EXPECT_EQ(built->stats().leaf_used_bytes, served[0]->stats().leaf_used_bytes);
+  for (uint64_t i = 0; i < built->num_rows(); ++i) {
+    Slice a = built->row(i);
+    Slice b = served[0]->row(i);
+    ASSERT_EQ(a.size(), b.size());
+    ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size())) << "row " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -685,6 +685,57 @@ TEST(ReservoirEngineTest, RejectedAppendInvalidatesNothing) {
   EXPECT_GT(engine.cache_stats().index_cache_hits, before.index_cache_hits);
 }
 
+TEST(ReservoirEngineTest, InvalidationsCountWhatASuccessorCannotServeOrPatch) {
+  const IndexDescriptor read{"a", {"city"}, false};
+  const IndexDescriptor unread{"b", {"status"}, false};
+  const IndexDescriptor broken{"x", {"no_such_column"}, false};
+  const IndexDescriptor clustered{"c", {"status"}, true};
+
+  // Growth: the failed build, and at the second growth the carried key
+  // nobody read, are what the successor can neither serve nor patch.
+  {
+    auto table = OrdersTable();
+    EstimationEngineOptions options;
+    options.base.fraction = 0.02;
+    EstimationEngine engine(*table, options);
+    const std::shared_ptr<const SampleEpoch> epoch = Pin(engine);
+    ASSERT_TRUE(engine.SampleIndexAt(*epoch, read).ok());
+    ASSERT_TRUE(engine.SampleIndexAt(*epoch, unread).ok());
+    EXPECT_FALSE(engine.SampleIndexAt(*epoch, broken).ok());
+    ASSERT_TRUE(engine.GrowSample(600).ok());
+    EXPECT_EQ(1u, engine.cache_stats().invalidations);
+    ASSERT_TRUE(engine.SampleIndexAt(*Pin(engine), read).ok());
+    ASSERT_TRUE(engine.GrowSample(900).ok());
+    EXPECT_EQ(2u, engine.cache_stats().invalidations);
+    EXPECT_EQ(1u, engine.cache_stats().index_extensions);
+  }
+
+  // Refresh: the failed build and the clustered index with a replaced slot.
+  // Both non-clustered indexes are patched before publication, read or not.
+  {
+    auto table = OrdersTable();
+    EstimationEngineOptions options;
+    options.base.fraction = 0.02;
+    options.maintain_reservoir = true;
+    options.seed = 5;
+    EstimationEngine engine(*table, options);
+    const std::shared_ptr<const SampleEpoch> epoch = Pin(engine);
+    ASSERT_TRUE(engine.SampleIndexAt(*epoch, read).ok());
+    ASSERT_TRUE(engine.SampleIndexAt(*epoch, unread).ok());
+    EXPECT_FALSE(engine.SampleIndexAt(*epoch, broken).ok());
+    ASSERT_TRUE(engine.SampleIndexAt(*epoch, clustered).ok());
+    const uint64_t base_rows = table->num_rows();
+    for (const Row& row : DeltaRows(*table, 1200)) {
+      ASSERT_TRUE(table->AppendRow(row).ok());
+    }
+    ASSERT_TRUE(engine.NotifyAppend({base_rows, base_rows + 1200}).ok());
+    const auto stats = engine.cache_stats();
+    ASSERT_EQ(2u, stats.sample_version);
+    EXPECT_EQ(2u, stats.invalidations);
+    EXPECT_EQ(2u, stats.index_extensions);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency: epoch-consistent estimates under appends and sample growth
 // ---------------------------------------------------------------------------
