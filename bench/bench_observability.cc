@@ -1,6 +1,6 @@
-// E-OBS — the observability layer's two contracts, gated on the 8-client
-// concurrent-service workload (same catalog and shared-candidate shape as
-// bench_concurrent_service):
+// E-OBS — the observability layer's two contracts, gated on an 8-client
+// concurrent-service workload (a 2-table catalog, a shared candidate set
+// and a streaming appender):
 //
 //   (a) Accounting: the metric registry — the one source of truth for
 //       work counters — accounts for the concurrent workload exactly on a
@@ -80,8 +80,7 @@ std::unique_ptr<Table> GenerateLineitem() {
   return bench::CheckResult(GenerateTable(specs, 120000, 11), "lineitem");
 }
 
-/// Same shared-candidate shape as bench_concurrent_service: 12 structural
-/// candidates across both tables, 3 cosmetic copies each.
+/// 12 structural candidates across both tables, 3 cosmetic copies each.
 std::vector<CandidateConfiguration> SharedWorkload() {
   struct Spec {
     const char* table;

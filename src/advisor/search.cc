@@ -179,8 +179,8 @@ void ApplyEstimate(const AdaptiveCandidateResult& r, bool point_valued,
   // not a safe optimistic footprint on its own: the converged estimate
   // may undershoot it. Allow a generous bias factor below it — still a
   // real weight for the fractional pruning bound, unlike a trivial zero —
-  // and let gate (a) of bench_advisor_lazy check the allowance against
-  // the eager reference on every run.
+  // and let LazyAdvisorTest.MatchesEagerOptimalSelectionsOnTwoTableService
+  // check the allowance against the eager reference at eight bounds.
   item->bytes_low = static_cast<uint64_t>(
       std::llround(kBiasedSchemeLowFraction * r.interval.lower * unc));
   item->bytes_high = static_cast<uint64_t>(std::llround(

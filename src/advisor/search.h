@@ -31,10 +31,10 @@
 // Most candidates therefore never get a converged estimate at all: they
 // are taken because even their pessimistic size fits, skipped because even
 // their optimistic size does not, or never deliberated because their
-// subtree is pruned. bench/bench_advisor_lazy.cc gates that the selections
-// are identical to the eager-optimal reference on <= 24-candidate seeded
-// workloads and that strictly fewer total rows are sized than the eager
-// precision-targeted path on a 100+-candidate mixed-table workload.
+// subtree is pruned. tests/advisor_test.cc pins that the selections are
+// identical to the eager-optimal reference on tiered 16-candidate workloads
+// and that strictly fewer total rows are sized than the eager
+// precision-targeted path on a 144-candidate mixed-table workload.
 
 #ifndef CFEST_ADVISOR_SEARCH_H_
 #define CFEST_ADVISOR_SEARCH_H_
@@ -68,8 +68,7 @@ struct LazyAdvisorStats {
   /// Sum over candidates of the sample rows behind their final estimate
   /// (coarse rows for never-refined candidates, refined rows otherwise,
   /// 0 for exact uncompressed candidates) — the quantity
-  /// bench_advisor_lazy compares against the eager path's rows_sampled
-  /// total.
+  /// LazyAdvisorTest compares against the eager path's rows_sampled total.
   uint64_t total_rows_sized = 0;
   /// Rows of the coarse first-pass samples summed over tables.
   uint64_t coarse_rows = 0;
@@ -103,8 +102,8 @@ Result<AdvisorRecommendation> AdviseConfigurationsLazy(
 /// default) maintains the fractional-knapsack bound incrementally in a
 /// Fenwick tree over the density order (O(log n) per node); false rescans
 /// the density order at every node (O(n) per node) — the pre-Fenwick path,
-/// kept so tests and bench_micro_kernels can pin selection equality and
-/// measure the speedup. Both produce the same selections; summing benefits
+/// kept as IncrementalBoundTest's selection-equality reference. Both
+/// produce the same selections; summing benefits
 /// in tree order can differ from the sequential rescan by floating-point
 /// rounding, which only matters for prune-at-equality ties between
 /// non-integer benefits.

@@ -98,39 +98,18 @@ __attribute__((target("avx2"))) void BuildNonPadMaskAvx2(const char* data,
 // no mask array, no per-cell word extraction.
 // ---------------------------------------------------------------------------
 
-/// Finishes the last n - i cells through the scalar reference.
-inline uint64_t NsNarrowTail(const char* cells, uint32_t width, size_t n,
-                             size_t i, bool is_string, uint32_t* out) {
-  uint64_t total = 0;
-  for (; i < n; ++i) {
-    const char* cell = cells + i * width;
-    uint32_t len = width;
-    if (is_string) {
-      while (len > 0 && (cell[len - 1] == ' ' || cell[len - 1] == '\0')) {
-        --len;
-      }
-    } else {
-      while (len > 0 && cell[len - 1] == '\0') --len;
-    }
-    total += len;
-    if (out != nullptr) out[i] = len;
-  }
-  return total;
-}
-
-/// W is the cell width (4 or 8); kOut selects the per-cell store. The
-/// constexpr trip count fully unrolls the extraction, so each cell costs
-/// one shift+mask+bit_width on the inverted movemask.
-template <uint32_t W, bool kOut>
-__attribute__((target("sse4.2"))) uint64_t NsNarrowSse42(const char* cells,
-                                                         size_t n,
-                                                         bool is_string,
-                                                         uint32_t* out) {
+/// W is the cell width (4 or 8). The constexpr trip count fully unrolls
+/// the extraction, so each cell costs one shift+mask+bit_width on the
+/// inverted movemask. The last n % (cells per vector) cells go through the
+/// scalar reference.
+template <uint32_t W>
+__attribute__((target("sse4.2"))) void NsNarrowSse42(const char* cells,
+                                                     size_t n, bool is_string,
+                                                     uint32_t* out) {
   const __m128i blanks = _mm_set1_epi8(' ');
   const __m128i zeros = _mm_setzero_si128();
   constexpr uint32_t kPerVec = 16 / W;
   constexpr uint32_t kCellMask = W == 8 ? 0xFFu : 0xFu;
-  uint64_t total = 0;
   size_t i = 0;
   for (; i + kPerVec <= n; i += kPerVec) {
     const __m128i v =
@@ -139,24 +118,21 @@ __attribute__((target("sse4.2"))) uint64_t NsNarrowSse42(const char* cells,
     if (is_string) pad = _mm_or_si128(pad, _mm_cmpeq_epi8(v, blanks));
     const uint32_t nonpad = static_cast<uint16_t>(~_mm_movemask_epi8(pad));
     for (uint32_t c = 0; c < kPerVec; ++c) {
-      const uint32_t len = static_cast<uint32_t>(
+      out[i + c] = static_cast<uint32_t>(
           std::bit_width((nonpad >> (c * W)) & kCellMask));
-      total += len;
-      if constexpr (kOut) out[i + c] = len;
     }
   }
-  return total + NsNarrowTail(cells, W, n, i, is_string, kOut ? out : nullptr);
+  scalar::NullSuppressedLengths(cells + i * W, W, n - i, is_string, out + i);
 }
 
-template <uint32_t W, bool kOut>
-__attribute__((target("avx2"))) uint64_t NsNarrowAvx2(const char* cells,
-                                                      size_t n, bool is_string,
-                                                      uint32_t* out) {
+template <uint32_t W>
+__attribute__((target("avx2"))) void NsNarrowAvx2(const char* cells, size_t n,
+                                                  bool is_string,
+                                                  uint32_t* out) {
   const __m256i blanks = _mm256_set1_epi8(' ');
   const __m256i zeros = _mm256_setzero_si256();
   constexpr uint32_t kPerVec = 32 / W;
   constexpr uint32_t kCellMask = W == 8 ? 0xFFu : 0xFu;
-  uint64_t total = 0;
   size_t i = 0;
   for (; i + kPerVec <= n; i += kPerVec) {
     const __m256i v =
@@ -166,33 +142,22 @@ __attribute__((target("avx2"))) uint64_t NsNarrowAvx2(const char* cells,
     const uint32_t nonpad =
         static_cast<uint32_t>(~_mm256_movemask_epi8(pad));
     for (uint32_t c = 0; c < kPerVec; ++c) {
-      const uint32_t len = static_cast<uint32_t>(
+      out[i + c] = static_cast<uint32_t>(
           std::bit_width((nonpad >> (c * W)) & kCellMask));
-      total += len;
-      if constexpr (kOut) out[i + c] = len;
     }
   }
-  return total + NsNarrowTail(cells, W, n, i, is_string, kOut ? out : nullptr);
+  scalar::NullSuppressedLengths(cells + i * W, W, n - i, is_string, out + i);
 }
 
 /// Dispatches the width-4/8 NS fast path at the given vector level.
-/// Returns the total; writes per-cell lengths when out != nullptr.
-uint64_t NsNarrow(SimdLevel level, const char* cells, uint32_t width,
-                  size_t n, bool is_string, uint32_t* out) {
+void NsNarrow(SimdLevel level, const char* cells, uint32_t width, size_t n,
+              bool is_string, uint32_t* out) {
   if (level == SimdLevel::kAvx2) {
-    if (width == 8) {
-      return out != nullptr ? NsNarrowAvx2<8, true>(cells, n, is_string, out)
-                            : NsNarrowAvx2<8, false>(cells, n, is_string, out);
-    }
-    return out != nullptr ? NsNarrowAvx2<4, true>(cells, n, is_string, out)
-                          : NsNarrowAvx2<4, false>(cells, n, is_string, out);
+    if (width == 8) return NsNarrowAvx2<8>(cells, n, is_string, out);
+    return NsNarrowAvx2<4>(cells, n, is_string, out);
   }
-  if (width == 8) {
-    return out != nullptr ? NsNarrowSse42<8, true>(cells, n, is_string, out)
-                          : NsNarrowSse42<8, false>(cells, n, is_string, out);
-  }
-  return out != nullptr ? NsNarrowSse42<4, true>(cells, n, is_string, out)
-                        : NsNarrowSse42<4, false>(cells, n, is_string, out);
+  if (width == 8) return NsNarrowSse42<8>(cells, n, is_string, out);
+  NsNarrowSse42<4>(cells, n, is_string, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -317,91 +282,6 @@ __attribute__((target("avx2"))) void NeqBoundariesAvx2(const char* cells,
   }
 }
 
-/// Counting twin of NeqBoundaries*: no visitor, so the accumulation is a
-/// branchless flag add and the loop stays free of data-dependent jumps.
-__attribute__((target("sse4.2"))) size_t CountBoundariesSse42(
-    const char* cells, uint32_t w, size_t n) {
-  const size_t bytes = n * w;
-  size_t runs = 0;
-  size_t i = 1;
-  if (w <= 8) {
-    const uint32_t want = (1u << w) - 1;
-    for (; i + 1 < n && i * w + 16 <= bytes; i += 2) {
-      const __m128i a = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(cells + (i - 1) * w));
-      const __m128i b =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cells + i * w));
-      const uint32_t m =
-          static_cast<uint16_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(a, b)));
-      runs += static_cast<size_t>((m & want) != want);
-      runs += static_cast<size_t>(((m >> w) & want) != want);
-    }
-  } else if (w <= 16) {
-    const uint32_t want = w == 16 ? 0xFFFFu : (1u << w) - 1;
-    for (; i < n && i * w + 16 <= bytes; ++i) {
-      const __m128i a = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(cells + (i - 1) * w));
-      const __m128i b =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cells + i * w));
-      const uint32_t m =
-          static_cast<uint16_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(a, b)));
-      runs += static_cast<size_t>((m & want) != want);
-    }
-  } else {
-    size_t local = 0;
-    const auto count = [&local](size_t) { ++local; };
-    NeqBoundariesSse42(cells, w, n, count);
-    return local;
-  }
-  for (; i < n; ++i) {
-    runs += static_cast<size_t>(
-        std::memcmp(cells + i * w, cells + (i - 1) * w, w) != 0);
-  }
-  return runs;
-}
-
-__attribute__((target("avx2"))) size_t CountBoundariesAvx2(const char* cells,
-                                                           uint32_t w,
-                                                           size_t n) {
-  const size_t bytes = n * w;
-  size_t runs = 0;
-  size_t i = 1;
-  if (w <= 16) {
-    const uint32_t want = w == 16 ? 0xFFFFu : (1u << w) - 1;
-    for (; i + 1 < n && i * w + 32 <= bytes; i += 2) {
-      const __m256i a = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(cells + (i - 1) * w));
-      const __m256i b = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(cells + i * w));
-      const uint32_t m = static_cast<uint32_t>(
-          _mm256_movemask_epi8(_mm256_cmpeq_epi8(a, b)));
-      runs += static_cast<size_t>((m & want) != want);
-      runs += static_cast<size_t>(((m >> w) & want) != want);
-    }
-  } else if (w <= 32) {
-    const uint32_t want = w == 32 ? 0xFFFFFFFFu : (1u << w) - 1;
-    for (; i < n && i * w + 32 <= bytes; ++i) {
-      const __m256i a = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(cells + (i - 1) * w));
-      const __m256i b = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(cells + i * w));
-      const uint32_t m = static_cast<uint32_t>(
-          _mm256_movemask_epi8(_mm256_cmpeq_epi8(a, b)));
-      runs += static_cast<size_t>((m & want) != want);
-    }
-  } else {
-    size_t local = 0;
-    const auto count = [&local](size_t) { ++local; };
-    NeqBoundariesAvx2(cells, w, n, count);
-    return local;
-  }
-  for (; i < n; ++i) {
-    runs += static_cast<size_t>(
-        std::memcmp(cells + i * w, cells + (i - 1) * w, w) != 0);
-  }
-  return runs;
-}
-
 #endif  // CFEST_KERNELS_X86
 
 void BuildNonPadMask(const char* data, size_t bytes, bool is_string,
@@ -487,24 +367,6 @@ void NullSuppressedLengths(const char* cells, uint32_t width, size_t n,
   }
 }
 
-uint64_t TotalNullSuppressedLength(const char* cells, uint32_t width,
-                                   size_t n, bool is_string) {
-  uint64_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const char* cell = cells + i * width;
-    uint32_t len = width;
-    if (is_string) {
-      while (len > 0 && (cell[len - 1] == ' ' || cell[len - 1] == '\0')) {
-        --len;
-      }
-    } else {
-      while (len > 0 && cell[len - 1] == '\0') --len;
-    }
-    total += len;
-  }
-  return total;
-}
-
 void RunStarts(const char* cells, uint32_t width, size_t n,
                const char* prev_cell, std::vector<uint32_t>* starts) {
   if (n == 0) return;
@@ -516,21 +378,6 @@ void RunStarts(const char* cells, uint32_t width, size_t n,
       starts->push_back(static_cast<uint32_t>(i));
     }
   }
-}
-
-size_t CountRuns(const char* cells, uint32_t width, size_t n,
-                 const char* prev_cell) {
-  if (n == 0) return 0;
-  size_t runs = 0;
-  if (prev_cell == nullptr || std::memcmp(prev_cell, cells, width) != 0) {
-    ++runs;
-  }
-  for (size_t i = 1; i < n; ++i) {
-    if (std::memcmp(cells + i * width, cells + (i - 1) * width, width) != 0) {
-      ++runs;
-    }
-  }
-  return runs;
 }
 
 void DecodeInts(const char* cells, uint32_t width, size_t n, int64_t* out) {
@@ -640,29 +487,6 @@ void NullSuppressedLengths(const char* cells, uint32_t width, size_t n,
   }
 }
 
-uint64_t TotalNullSuppressedLength(const char* cells, uint32_t width,
-                                   size_t n, bool is_string) {
-  if (n == 0 || width == 0) return 0;
-  const SimdLevel level = ActiveSimdLevel();
-  CountDispatch(level);
-  if (level == SimdLevel::kScalar || n * width < 64) {
-    return scalar::TotalNullSuppressedLength(cells, width, n, is_string);
-  }
-#if CFEST_KERNELS_X86
-  if (width == 4 || width == 8) {
-    return NsNarrow(level, cells, width, n, is_string, nullptr);
-  }
-#endif
-  const size_t bytes = n * width;
-  uint64_t* mask = MaskFor(bytes);
-  BuildNonPadMask(cells, bytes, is_string, mask);
-  uint64_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    total += LengthFromMask(mask, i * width, width);
-  }
-  return total;
-}
-
 void RunStarts(const char* cells, uint32_t width, size_t n,
                const char* prev_cell, std::vector<uint32_t>* starts) {
   if (n == 0) return;
@@ -696,35 +520,6 @@ void RunStarts(const char* cells, uint32_t width, size_t n,
     }
   }
 #endif
-}
-
-size_t CountRuns(const char* cells, uint32_t width, size_t n,
-                 const char* prev_cell) {
-  if (n == 0) return 0;
-  if (width == 0) return prev_cell == nullptr ? 1 : 0;
-  const SimdLevel level = ActiveSimdLevel();
-  CountDispatch(level);
-  if (level == SimdLevel::kScalar || n < 2 || (n - 1) * width < 64) {
-    return scalar::CountRuns(cells, width, n, prev_cell);
-  }
-  size_t runs = 0;
-  if (prev_cell == nullptr || std::memcmp(prev_cell, cells, width) != 0) {
-    ++runs;
-  }
-#if CFEST_KERNELS_X86
-  if (level == SimdLevel::kAvx2) {
-    runs += CountBoundariesAvx2(cells, width, n);
-  } else {
-    runs += CountBoundariesSse42(cells, width, n);
-  }
-#else
-  for (size_t i = 1; i < n; ++i) {
-    if (std::memcmp(cells + i * width, cells + (i - 1) * width, width) != 0) {
-      ++runs;
-    }
-  }
-#endif
-  return runs;
 }
 
 void DecodeInts(const char* cells, uint32_t width, size_t n, int64_t* out) {

@@ -12,8 +12,7 @@
 // (SSE4.2 / AVX2 on x86-64) selected at runtime via ActiveSimdLevel()
 // (common/simd.h). All variants are bit-identical by contract;
 // tests/kernels_test.cc pins that across fuzzed widths, alignments, odd
-// tails, and empty/single-cell slices, and bench/bench_micro_kernels.cc
-// gates the vector variants' speedups.
+// tails, and empty/single-cell slices.
 //
 // Cell layout: `cells` points at `n` contiguous cells of exactly `width`
 // bytes each — the column-major slices the batched compress path
@@ -42,10 +41,6 @@ namespace kernels {
 void NullSuppressedLengths(const char* cells, uint32_t width, size_t n,
                            bool is_string, uint32_t* out);
 
-/// Sum of the per-cell lengths above, without materializing them.
-uint64_t TotalNullSuppressedLength(const char* cells, uint32_t width,
-                                   size_t n, bool is_string);
-
 // ---------------------------------------------------------------------------
 // RLE run-boundary detection.
 // ---------------------------------------------------------------------------
@@ -56,10 +51,6 @@ uint64_t TotalNullSuppressedLength(const char* cells, uint32_t width,
 /// Indices are strictly increasing, in [0, n).
 void RunStarts(const char* cells, uint32_t width, size_t n,
                const char* prev_cell, std::vector<uint32_t>* starts);
-
-/// Number of runs RunStarts would report, without materializing them.
-size_t CountRuns(const char* cells, uint32_t width, size_t n,
-                 const char* prev_cell);
 
 // ---------------------------------------------------------------------------
 // Integer decode + min/max (frame-of-reference sizing).
@@ -103,18 +94,14 @@ void GatherStrided(const char* src, size_t stride, uint32_t width, size_t n,
 
 // ---------------------------------------------------------------------------
 // Scalar references. Same contracts; always the plain per-cell loops.
-// Exposed so tests can pin bit-identity and benches can measure honestly.
+// Exposed so tests can pin bit-identity against them.
 // ---------------------------------------------------------------------------
 
 namespace scalar {
 void NullSuppressedLengths(const char* cells, uint32_t width, size_t n,
                            bool is_string, uint32_t* out);
-uint64_t TotalNullSuppressedLength(const char* cells, uint32_t width,
-                                   size_t n, bool is_string);
 void RunStarts(const char* cells, uint32_t width, size_t n,
                const char* prev_cell, std::vector<uint32_t>* starts);
-size_t CountRuns(const char* cells, uint32_t width, size_t n,
-                 const char* prev_cell);
 void DecodeInts(const char* cells, uint32_t width, size_t n, int64_t* out);
 MinMax MinMaxInts(const int64_t* values, size_t n);
 uint64_t HashBytes(const char* data, size_t n);

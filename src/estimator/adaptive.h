@@ -33,7 +33,7 @@
 // Every intermediate sample is a prefix of the final one, so a candidate
 // that converged in round k reports exactly the estimate a fixed-fraction
 // run at (its rows / n) under the same seed would have produced
-// (bench/bench_adaptive.cc gates this equality on every run).
+// (tests/adaptive_test.cc pins this equality).
 
 #ifndef CFEST_ESTIMATOR_ADAPTIVE_H_
 #define CFEST_ESTIMATOR_ADAPTIVE_H_

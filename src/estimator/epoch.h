@@ -34,8 +34,7 @@
 //
 // Estimates are a pure function of the pinned epoch, so any result computed
 // while appends stream in is bit-identical to a quiesced run at the same
-// epoch (tests/service_test.cc and bench/bench_concurrent_service.cc gate
-// exactly this).
+// epoch (tests/service_test.cc's ConcurrentServiceTest pins exactly this).
 
 #ifndef CFEST_ESTIMATOR_EPOCH_H_
 #define CFEST_ESTIMATOR_EPOCH_H_

@@ -6,10 +6,13 @@
 // bit-equality with a fixed-fraction run at each candidate's final
 // fraction).
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -437,6 +440,140 @@ TEST(AdaptiveEstimatorTest, ConvergedResultEqualsFixedFractionRun) {
                                  candidates[i].scheme);
     ASSERT_TRUE(cf.ok());
     EXPECT_EQ(cf->cf.value, r.cf) << candidates[i].index.name;
+  }
+}
+
+TEST(AdaptiveEstimatorTest, SamplesFewerRowsThanSmallestSufficientFraction) {
+  // Seven single-column tables behind one service. Six are NS candidates:
+  // four easy columns (tight length spreads), one mid and one bimodal
+  // (Theorem 1's worst case). A fixed fraction must be sized for the
+  // hardest of them and overpays on every other one; the adaptive loop
+  // gives each candidate the rows its interval demands. Candidates are
+  // clustered single-column indexes, so the sampled index is the column
+  // itself and NS is exactly Theorem 1's unbiased mean. The seventh table
+  // is a paged-dictionary candidate: its small-sample bias leaves it no
+  // truth-accuracy target, so it joins only the equality check.
+  constexpr uint64_t kRows = 60000;
+  constexpr double kTarget = 0.025;
+  constexpr size_t kNs = 6;
+  const std::vector<std::pair<const char*, ColumnSpec>> specs = {
+      {"ns_easy0", ColumnSpec::String("v", 16, 3000, FrequencySpec::Uniform(),
+                                      LengthSpec::Uniform(7, 9))},
+      {"ns_easy1", ColumnSpec::String("v", 16, 3000, FrequencySpec::Uniform(),
+                                      LengthSpec::Uniform(6, 10))},
+      {"ns_easy2", ColumnSpec::String("v", 16, 3000, FrequencySpec::Uniform(),
+                                      LengthSpec::Constant(9))},
+      {"ns_easy3", ColumnSpec::String("v", 16, 3000, FrequencySpec::Uniform(),
+                                      LengthSpec::Uniform(10, 13))},
+      {"ns_mid", ColumnSpec::String("v", 16, 3000, FrequencySpec::Uniform(),
+                                    LengthSpec::Uniform(1, 15))},
+      {"ns_hard", ColumnSpec::String("v", 16, 3000, FrequencySpec::Uniform(),
+                                     LengthSpec::Bimodal(1, 15))},
+      {"city", ColumnSpec::String("v", 24, 2000, FrequencySpec::Zipf(1.0),
+                                  LengthSpec::Uniform(4, 20))},
+  };
+  Catalog catalog;
+  std::vector<CandidateConfiguration> candidates;
+  std::vector<double> truth;
+  uint64_t table_seed = 7;
+  for (const auto& [name, column] : specs) {
+    auto table = GenerateTable({column}, kRows, table_seed++);
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(catalog.AddTable(name, std::move(table).ValueOrDie()).ok());
+    CandidateConfiguration c;
+    c.table_name = name;
+    c.index = {std::string("ix_") + name, {"v"}, /*clustered=*/true};
+    c.scheme = CompressionScheme::Uniform(
+        candidates.size() < kNs ? CompressionType::kNullSuppression
+                                : CompressionType::kDictionaryPage);
+    auto cf = ComputeTrueCF(**catalog.GetTable(name), c.index, c.scheme,
+                            SizeMetric::kDataBytes);
+    ASSERT_TRUE(cf.ok());
+    truth.push_back(cf->value);
+    candidates.push_back(std::move(c));
+  }
+  const auto rel_error = [](double estimate, double exact) {
+    return std::abs(estimate - exact) /
+           std::max(exact, PrecisionTarget{}.cf_floor);
+  };
+
+  const CatalogEstimationServiceOptions options = SerialServiceOptions(0.002);
+  PrecisionTarget target;
+  target.rel_error = kTarget;
+  target.confidence = 0.95;
+  // The NS batch must converge within budget; the dictionary candidate,
+  // sized in its own batch, may hit its fraction cap.
+  CatalogEstimationService service(catalog, options);
+  const std::span<const CandidateConfiguration> all(candidates);
+  auto ns = EstimateAllAdaptive(service, all.first(kNs), target);
+  ASSERT_TRUE(ns.ok());
+  EXPECT_FALSE(ns->budget_exhausted);
+  auto dict = EstimateAllAdaptive(service, all.subspan(kNs), target);
+  ASSERT_TRUE(dict.ok());
+  std::vector<AdaptiveCandidateResult> results = ns->candidates;
+  results.insert(results.end(), dict->candidates.begin(),
+                 dict->candidates.end());
+
+  uint64_t adaptive_ns_rows = 0;
+  for (size_t i = 0; i < kNs; ++i) {
+    adaptive_ns_rows += results[i].rows_sampled;
+    EXPECT_LE(rel_error(results[i].cf, truth[i]), kTarget)
+        << candidates[i].index.name;
+  }
+
+  // The smallest ladder fraction whose worst NS error over 20 seeds meets
+  // the same target, so one lucky draw cannot win. Rows are counted at the
+  // adaptive run's seed.
+  const uint64_t seed0 = options.seed;
+  uint64_t fixed_ns_rows = 0;
+  for (double f : {0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.128, 0.256}) {
+    double worst = 0.0;
+    uint64_t rows = 0;
+    for (uint64_t seed = seed0; seed < seed0 + 20; ++seed) {
+      CatalogEstimationServiceOptions fixed_options = options;
+      fixed_options.base.fraction = f;
+      fixed_options.seed = seed;
+      CatalogEstimationService fixed(catalog, fixed_options);
+      for (size_t i = 0; i < kNs; ++i) {
+        EstimationEngine* engine = *fixed.Engine(candidates[i].table_name);
+        auto r = engine->EstimateCFAt(*Pin(*engine), candidates[i].index,
+                                      candidates[i].scheme);
+        ASSERT_TRUE(r.ok());
+        worst = std::max(worst, rel_error(r->cf.value, truth[i]));
+        if (seed == seed0) rows += r->sample_rows;
+      }
+    }
+    if (worst <= kTarget) {
+      fixed_ns_rows = rows;
+      break;
+    }
+  }
+  ASSERT_GT(fixed_ns_rows, 0u) << "no ladder fraction meets the target";
+  EXPECT_LT(adaptive_ns_rows, fixed_ns_rows);
+
+  // Growth resumes the draw stream, so each estimate equals a fresh draw
+  // at that candidate's final fraction under the same seed.
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const AdaptiveCandidateResult& r = results[i];
+    const Table& table = **catalog.GetTable(candidates[i].table_name);
+    EstimationEngineOptions fixed_options;
+    fixed_options.base = options.base;
+    fixed_options.base.fraction = static_cast<double>(r.rows_sampled) /
+                                  static_cast<double>(table.num_rows());
+    fixed_options.seed = options.seed;
+    EstimationEngine fixed(table, fixed_options);
+    const std::shared_ptr<const SampleEpoch> epoch = Pin(fixed);
+    auto cf = fixed.EstimateCFAt(*epoch, candidates[i].index,
+                                 candidates[i].scheme);
+    auto sized = fixed.EstimateAt(*epoch, candidates[i]);
+    ASSERT_TRUE(cf.ok());
+    ASSERT_TRUE(sized.ok());
+    EXPECT_EQ(cf->cf.value, r.cf) << candidates[i].index.name;
+    EXPECT_EQ(cf->sample_rows, r.rows_sampled) << candidates[i].index.name;
+    EXPECT_EQ(sized->estimated_cf, r.sized.estimated_cf)
+        << candidates[i].index.name;
+    EXPECT_EQ(sized->estimated_bytes, r.sized.estimated_bytes)
+        << candidates[i].index.name;
   }
 }
 

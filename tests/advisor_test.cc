@@ -4,6 +4,7 @@
 // catalog service.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <set>
@@ -520,8 +521,10 @@ TEST(LazyAdvisorTest, MatchesEagerOptimalSelectionsOnTwoTableService) {
   CatalogEstimationServiceOptions options;
   options.base.fraction = 0.005;
   options.num_threads = 2;
-  for (uint64_t bound : {uint64_t{400000}, uint64_t{800000},
-                         uint64_t{2400000}, uint64_t{3600000}}) {
+  for (uint64_t bound :
+       {uint64_t{400000}, uint64_t{600000}, uint64_t{800000},
+        uint64_t{1200000}, uint64_t{1800000}, uint64_t{2400000},
+        uint64_t{2800000}, uint64_t{3600000}}) {
     CatalogEstimationService eager_service(catalog, options);
     Result<AdvisorRecommendation> eager =
         AdviseConfigurations(eager_service, candidates, bound, target,
@@ -540,6 +543,74 @@ TEST(LazyAdvisorTest, MatchesEagerOptimalSelectionsOnTwoTableService) {
         << "bound " << bound;
     EXPECT_EQ(stats.candidates, candidates.size());
   }
+}
+
+TEST(LazyAdvisorTest, SizesFewerRowsThanEagerUnderScarceBound) {
+  // 6 tables x 6 key sets x 4 schemes = 144 candidates. Benefits take the
+  // shape of a workload-derived candidate set: a few clear winners and a
+  // long mediocre tail. Under a scarce bound only a handful of winners
+  // fit, so most candidates are settled by their coarse intervals and
+  // never converge, while the eager path converges every candidate.
+  Catalog catalog;
+  std::vector<std::string> tables;
+  for (uint64_t t = 0; t < 6; ++t) {
+    tables.push_back("tab" + std::to_string(t));
+    ASSERT_TRUE(
+        catalog.AddTable(tables.back(), WorkloadTable(60000, 31 + t)).ok());
+  }
+  const std::vector<std::vector<std::string>> key_sets = {
+      {"status"},         {"city"},           {"amount"},
+      {"status", "city"}, {"city", "amount"}, {"status", "amount"}};
+  const std::vector<CompressionType> types = {
+      CompressionType::kNullSuppression, CompressionType::kDictionaryPage,
+      CompressionType::kRle, CompressionType::kNone};
+  Random benefit_rng(2026);
+  std::vector<CandidateConfiguration> candidates;
+  uint64_t total_uncompressed = 0;
+  for (const std::string& table : tables) {
+    for (size_t k = 0; k < key_sets.size(); ++k) {
+      total_uncompressed += *EstimateUncompressedIndexBytes(
+          **catalog.GetTable(table), {"ix", key_sets[k], false});
+      for (CompressionType type : types) {
+        CandidateConfiguration c;
+        c.table_name = table;
+        c.index = {table + ".ix" + std::to_string(k) + "_" +
+                       CompressionTypeName(type),
+                   key_sets[k],
+                   /*clustered=*/false};
+        c.scheme = CompressionScheme::Uniform(type);
+        const bool winner = benefit_rng.NextDouble() < 0.2;
+        c.benefit = winner ? 5.0 * std::pow(6.0, benefit_rng.NextDouble())
+                           : 0.05 * std::pow(10.0, benefit_rng.NextDouble());
+        candidates.push_back(std::move(c));
+      }
+    }
+  }
+  const uint64_t bound = total_uncompressed / 40;
+  PrecisionTarget target;
+  target.rel_error = 0.02;
+  CatalogEstimationServiceOptions options;
+  options.base.fraction = 0.005;
+  options.num_threads = 2;
+
+  CatalogEstimationService eager_service(catalog, options);
+  AdaptiveBatchResult adaptive;
+  ASSERT_TRUE(AdviseConfigurations(eager_service, candidates, bound, target,
+                                   AdvisorStrategy::kGreedy, &adaptive)
+                  .ok());
+  uint64_t eager_rows = 0;
+  for (const AdaptiveCandidateResult& r : adaptive.candidates) {
+    eager_rows += r.rows_sampled;
+  }
+
+  CatalogEstimationService lazy_service(catalog, options);
+  LazyAdvisorStats stats;
+  ASSERT_TRUE(AdviseConfigurationsLazy(lazy_service, candidates, bound,
+                                       target, &stats)
+                  .ok());
+  EXPECT_EQ(stats.candidates, candidates.size());
+  EXPECT_LT(stats.refined, stats.candidates);
+  EXPECT_LT(stats.total_rows_sized, eager_rows);
 }
 
 TEST(LazyAdvisorTest, SameResultOnEveryThreadCount) {

@@ -167,33 +167,41 @@ TEST(EngineTest, PinnedEstimatesMatchPerCandidateSampleCF) {
   auto candidates = Candidates();
   constexpr uint64_t kSeed = 42;
 
-  SampleCFOptions options;
-  options.fraction = 0.02;
-  options.metric = SizeMetric::kPageBytes;
+  // EstimateAt sizes in pages, which snap a 400-row sample's CF' to a few
+  // page ratios whatever rows were drawn; the data-bytes metric tells one
+  // sample from another.
+  for (const SizeMetric metric :
+       {SizeMetric::kPageBytes, SizeMetric::kDataBytes}) {
+    SampleCFOptions options;
+    options.fraction = 0.02;
+    options.metric = metric;
 
-  EstimationEngineOptions engine_options;
-  engine_options.base = options;
-  engine_options.seed = kSeed;
-  EstimationEngine engine(*table, engine_options);
-  const std::shared_ptr<const SampleEpoch> epoch = Pin(engine);
+    EstimationEngineOptions engine_options;
+    engine_options.base = options;
+    engine_options.seed = kSeed;
+    EstimationEngine engine(*table, engine_options);
+    const std::shared_ptr<const SampleEpoch> epoch = Pin(engine);
 
-  for (const CandidateConfiguration& c : candidates) {
-    auto sized = engine.EstimateAt(*epoch, c);
-    ASSERT_TRUE(sized.ok());
-    if (c.scheme.default_type == CompressionType::kNone) {
-      EXPECT_EQ(1.0, sized->estimated_cf);
-      EXPECT_EQ(sized->uncompressed_bytes, sized->estimated_bytes);
-      continue;
+    for (const CandidateConfiguration& c : candidates) {
+      auto sized = engine.EstimateAt(*epoch, c);
+      ASSERT_TRUE(sized.ok());
+      if (c.scheme.default_type == CompressionType::kNone) {
+        EXPECT_EQ(1.0, sized->estimated_cf);
+        EXPECT_EQ(sized->uncompressed_bytes, sized->estimated_bytes);
+        continue;
+      }
+      Random rng(kSeed);
+      auto single = SampleCF(*table, c.index, c.scheme, options, &rng);
+      ASSERT_TRUE(single.ok());
+      auto pinned = engine.EstimateCFAt(*epoch, c.index, c.scheme);
+      ASSERT_TRUE(pinned.ok());
+      EXPECT_EQ(single->cf.value, pinned->cf.value) << c.index.name;
+      if (metric == SizeMetric::kPageBytes) {
+        EXPECT_EQ(single->cf.value, sized->estimated_cf) << c.index.name;
+      }
     }
-    Random rng(kSeed);
-    auto single = SampleCF(*table, c.index, c.scheme, options, &rng);
-    ASSERT_TRUE(single.ok());
-    auto pinned = engine.EstimateCFAt(*epoch, c.index, c.scheme);
-    ASSERT_TRUE(pinned.ok());
-    EXPECT_EQ(single->cf.value, pinned->cf.value) << c.index.name;
-    EXPECT_EQ(single->cf.value, sized->estimated_cf) << c.index.name;
+    EXPECT_EQ(1u, engine.cache_stats().samples_drawn);
   }
-  EXPECT_EQ(1u, engine.cache_stats().samples_drawn);
 }
 
 TEST(EngineTest, EstimateCFMatchesSampleCFResultFields) {

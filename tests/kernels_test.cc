@@ -182,11 +182,9 @@ TEST(KernelsTest, NullSuppressedLengthsMatchScalarAndRowCodec) {
                                                  expect.data());
           // The scalar reference must agree with the row codec's
           // definition of l_i.
-          uint64_t expect_total = 0;
           for (size_t i = 0; i < n; ++i) {
             ASSERT_EQ(expect[i],
                       NullSuppressedLength(Slice(cells + i * w, w), cell_type));
-            expect_total += expect[i];
           }
           for (const SimdLevel level : TestableLevels()) {
             SetSimdLevel(level);
@@ -197,11 +195,6 @@ TEST(KernelsTest, NullSuppressedLengthsMatchScalarAndRowCodec) {
                   << "level=" << SimdLevelName(level) << " w=" << w
                   << " n=" << n << " mis=" << misalign << " i=" << i;
             }
-            ASSERT_EQ(kernels::TotalNullSuppressedLength(cells, w, n,
-                                                         is_string),
-                      expect_total)
-                << "level=" << SimdLevelName(level) << " w=" << w
-                << " n=" << n;
           }
         }
       }
@@ -226,8 +219,6 @@ TEST(KernelsTest, RunStartsMatchScalar) {
         for (const char* prev : prevs) {
           std::vector<uint32_t> expect;
           kernels::scalar::RunStarts(cells, w, n, prev, &expect);
-          ASSERT_EQ(kernels::scalar::CountRuns(cells, w, n, prev),
-                    expect.size());
           for (const SimdLevel level : TestableLevels()) {
             SetSimdLevel(level);
             std::vector<uint32_t> got;
@@ -235,7 +226,6 @@ TEST(KernelsTest, RunStartsMatchScalar) {
             ASSERT_EQ(got, expect)
                 << "level=" << SimdLevelName(level) << " w=" << w
                 << " n=" << n << " mis=" << misalign;
-            ASSERT_EQ(kernels::CountRuns(cells, w, n, prev), expect.size());
           }
         }
       }
@@ -865,6 +855,22 @@ TEST(BatchChunkTest, AddRowsMatchesPerRowPages) {
     AppendInt(&rows, static_cast<int64_t>(rng.NextBounded(1000)), 4);
   }
   ExpectAddRowsMatchesPerRow(schema, scheme, rows, 4096);
+
+  // Every scheme on every column; the integer-only schemes (delta, FOR)
+  // leave the string column null-suppressed.
+  for (const CompressionType type : AllCompressionTypes()) {
+    SCOPED_TRACE(CompressionTypeName(type));
+    CompressionScheme uniform = CompressionScheme::Uniform(type);
+    if (type == CompressionType::kDelta ||
+        type == CompressionType::kFrameOfReference) {
+      for (const Column& column : schema.columns()) {
+        uniform.per_column.push_back(column.type.IsInteger()
+                                         ? type
+                                         : CompressionType::kNullSuppression);
+      }
+    }
+    ExpectAddRowsMatchesPerRow(schema, uniform, rows, 4096);
+  }
 }
 
 TEST(BatchChunkTest, AddRowsMatchesPerRowPagesWideClustered) {

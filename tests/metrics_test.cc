@@ -449,6 +449,41 @@ TEST(MetricsParityTest, CoalescerCountsAdmissionsInRegistry) {
   EXPECT_EQ(delta("cfest.coalescer.merged"), 1u);
 }
 
+TEST(MetricsParityTest, ConcurrentAdmissionsOfOneKeyShareOneOutcome) {
+  // Eight clients ask for one key while its computation is in flight: one
+  // is admitted and computes, seven merge into it. Complete runs only
+  // after every Admit returned, so the counts do not depend on scheduling.
+  constexpr size_t kClients = 8;
+  const MetricsSnapshot before = MetricRegistry::Global().Snapshot();
+  RequestCoalescer coalescer;
+  std::vector<RequestCoalescer::Ticket> tickets(kClients);
+  std::vector<std::thread> clients;
+  for (size_t i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] { tickets[i] = coalescer.Admit("key"); });
+  }
+  for (std::thread& t : clients) t.join();
+
+  size_t owners = 0;
+  for (const RequestCoalescer::Ticket& t : tickets) owners += t.owner;
+  EXPECT_EQ(owners, 1u);
+  SizingOutcome outcome;
+  outcome.sized.estimated_bytes = 4242;
+  coalescer.Complete("key", outcome);
+  const SizingOutcome* shared = &tickets[0].future.get();
+  for (const RequestCoalescer::Ticket& t : tickets) {
+    EXPECT_EQ(&t.future.get(), shared);
+  }
+  EXPECT_EQ(shared->sized.estimated_bytes, 4242u);
+
+  const MetricsSnapshot after = MetricRegistry::Global().Snapshot();
+  auto delta = [&](const char* name) {
+    return after.CounterValue(name) - before.CounterValue(name);
+  };
+  EXPECT_EQ(delta("cfest.coalescer.requests"), kClients);
+  EXPECT_EQ(delta("cfest.coalescer.admitted"), 1u);
+  EXPECT_EQ(delta("cfest.coalescer.merged"), kClients - 1);
+}
+
 TEST(MetricsParityTest, LazyAdvisorStatsMatchesRegistryDeltas) {
   Catalog catalog;
   ASSERT_TRUE(catalog.AddTable("t", WorkloadTable()).ok());

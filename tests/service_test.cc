@@ -223,6 +223,14 @@ TEST(ServiceTest, CrossTableBatchMatchesPerTableEnginesBitForBit) {
     EXPECT_EQ(single->uncompressed_bytes, (*batch)[i].uncompressed_bytes);
     EXPECT_EQ(candidates[i].index.name, (*batch)[i].config.index.name);
   }
+  // Page-metric estimates of small samples barely depend on which rows
+  // were drawn, so compare the samples themselves.
+  for (const std::string& name : catalog->TableNames()) {
+    EstimationEngine* engine = *service.Engine(name);
+    EXPECT_EQ(Pin(*engine)->sample().row_ids(),
+              epochs.at(name)->sample().row_ids())
+        << name;
+  }
 
   // One sample per table, regardless of candidate count (the reference
   // engines are unlabeled, so the table children count the service only).
@@ -244,8 +252,10 @@ TEST(ServiceTest, OneTableCatalogMatchesSerialEngineLoopBitForBit) {
   }
   candidates.push_back(candidates.front());  // a coalesced duplicate
 
+  // A 6,000-row sample spans enough pages that each scheme's page-metric
+  // estimate differs from the others'.
   CatalogEstimationServiceOptions options;
-  options.base.fraction = 0.03;
+  options.base.fraction = 0.5;
   options.seed = 2024;
   options.num_threads = 4;
   CatalogEstimationService service(catalog, options);
@@ -865,6 +875,12 @@ TEST(ConcurrentServiceTest, EstimatesStayEpochConsistentUnderAppendsAndGrowth) {
   appender.join();
   grower.join();
   ASSERT_EQ(0, failures.load());
+  // One more append, so the table has moved on since every pin however
+  // the threads were scheduled.
+  const Table* orders = *catalog->GetTable("orders");
+  auto range = catalog->AppendRows("orders", DeltaRows(*orders, 200));
+  ASSERT_TRUE(range.ok());
+  ASSERT_TRUE(service.NotifyAppend("orders", *range).ok());
 
   // Quiesced replay: the same epoch object must reproduce every mid-stream
   // estimate bit for bit, no matter how far the table and sample have
