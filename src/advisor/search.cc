@@ -688,10 +688,14 @@ Result<AdvisorRecommendation> AdviseConfigurationsLazy(
   LazyRunCounters stats;
 
   // One refiner per table engine (validates the target once per table).
+  // Every estimate, coarse or refining, runs its chains on the service
+  // pool, so refinement on this thread shares its work with a worker.
+  ThreadPool* pool =
+      service.options().num_threads == 1 ? nullptr : service.shared_pool();
   std::map<std::string, CandidateRefiner> refiners;
   for (const CatalogEstimationService::TableGroup& group : groups) {
     CFEST_ASSIGN_OR_RETURN(CandidateRefiner refiner,
-                           CandidateRefiner::Make(*group.engine, target));
+                           CandidateRefiner::Make(*group.engine, target, pool));
     refiners.emplace(group.table_name, std::move(refiner));
   }
 
@@ -711,11 +715,10 @@ Result<AdvisorRecommendation> AdviseConfigurationsLazy(
   }
   // One flat fan-out over every candidate, each reading its own table's
   // refiner, keeps the pool busy even when one table holds most of the
-  // candidates. Each coarse estimate is a pure function of its table's
-  // pinned epoch (growth is done), so the results do not depend on the
-  // schedule.
-  ThreadPool* pool =
-      service.options().num_threads == 1 ? nullptr : service.shared_pool();
+  // candidates; each estimate's chains fan out again inside it, which is
+  // what busies the worker the outer fan-out leaves idle. Each coarse
+  // estimate is a pure function of its table's pinned epoch (growth is
+  // done), so the results do not depend on the schedule.
   std::vector<AdaptiveCandidateResult> coarse(candidates.size());
   std::vector<uint64_t> floors(candidates.size(), 0);
   CFEST_RETURN_NOT_OK(StatusParallelFor(

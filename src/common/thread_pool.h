@@ -61,6 +61,15 @@ class ThreadPool {
 
   /// Runs body(0..n-1) across the pool and blocks until all complete.
   /// Iterations may run in any order and concurrently.
+  ///
+  /// Nesting is supported: a body may call ParallelFor on the same pool.
+  /// The caller drains its own range before it waits, so it only ever
+  /// waits for iterations another thread has already claimed and is
+  /// running; the drains it queued need no free worker to finish, and one
+  /// that runs after the range is exhausted finds no work and returns at
+  /// once. A nested call therefore completes even when every worker is
+  /// busy, and idle workers pick up the inner iterations when there are
+  /// any.
   void ParallelFor(uint64_t n, const std::function<void(uint64_t)>& body);
 
  private:

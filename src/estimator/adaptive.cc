@@ -156,46 +156,46 @@ double UnseenMassFloor(double num_sigmas, uint64_t rows) {
 
 namespace internal {
 
-/// The g sorted group indexes over contiguous draw-order slices of
-/// `sample` — the replicate builds behind the data-dependent interval.
-Result<std::vector<Index>> BuildGroupIndexes(const Table& sample,
-                                             const IndexDescriptor& descriptor,
-                                             uint32_t groups,
-                                             const IndexBuildOptions& build) {
+/// The sorted index over replicate group `j` of `groups`: the contiguous
+/// draw-order slice [rows * j / groups, rows * (j + 1) / groups) of
+/// `sample`, one of the replicate builds behind the data-dependent
+/// interval.
+Result<Index> BuildGroupIndex(const Table& sample,
+                              const IndexDescriptor& descriptor,
+                              uint32_t groups, uint32_t j,
+                              const IndexBuildOptions& build) {
+  trace::Span span("adaptive.replicate_build");
   const uint64_t rows = sample.num_rows();
-  std::vector<Index> indexes;
-  indexes.reserve(groups);
-  for (uint32_t j = 0; j < groups; ++j) {
-    const uint64_t begin = rows * j / groups;
-    const uint64_t end = rows * (j + 1) / groups;
-    std::vector<RowId> positions;
-    positions.reserve(static_cast<size_t>(end - begin));
-    for (uint64_t p = begin; p < end; ++p) positions.push_back(p);
-    CFEST_ASSIGN_OR_RETURN(std::unique_ptr<TableView> view,
-                           TableView::Make(sample, std::move(positions)));
-    CFEST_ASSIGN_OR_RETURN(Index index,
-                           Index::Build(*view, descriptor, build));
-    indexes.push_back(std::move(index));
-  }
-  return indexes;
+  const uint64_t begin = rows * j / groups;
+  const uint64_t end = rows * (j + 1) / groups;
+  std::vector<RowId> positions;
+  positions.reserve(static_cast<size_t>(end - begin));
+  for (uint64_t p = begin; p < end; ++p) positions.push_back(p);
+  CFEST_ASSIGN_OR_RETURN(std::unique_ptr<TableView> view,
+                         TableView::Make(sample, std::move(positions)));
+  return Index::Build(*view, descriptor, build);
 }
 
-/// Round-scoped cache of group index builds: the replicate indexes depend
-/// only on (key set, clustered, group count) and the current sample, so
-/// every scheme ranked on the same key set shares one set of builds —
-/// index builds dominate interval cost, exactly like the engine's
-/// sample-index cache on the estimate path. Thread-safe; concurrent first
+/// Round-scoped cache of replicate group index builds: a group's index
+/// depends only on (key set, clustered, group count, group) and the current
+/// sample, so every scheme ranked on the same key set shares one build per
+/// group — index builds dominate interval cost, exactly like the engine's
+/// sample-index cache on the estimate path. Caching per group lets each
+/// replicate chain build only its own group. Thread-safe; concurrent first
 /// requests for a key are deduplicated with a shared future.
 class GroupIndexCache {
  public:
-  Result<std::shared_ptr<const std::vector<Index>>> Get(
-      const Table& sample, const IndexDescriptor& descriptor,
-      uint32_t groups, const IndexBuildOptions& build) {
+  Result<std::shared_ptr<const Index>> Get(const Table& sample,
+                                           const IndexDescriptor& descriptor,
+                                           uint32_t groups, uint32_t j,
+                                           const IndexBuildOptions& build) {
     // Same key convention as the engine's sample-index cache, extended by
-    // the group count.
+    // the group count and the group.
     std::string key = SampleIndexCacheKey(descriptor);
     key += ':';
     key += std::to_string(groups);
+    key += ':';
+    key += std::to_string(j);
 
     std::shared_future<Entry> future;
     bool builder = false;
@@ -213,11 +213,11 @@ class GroupIndexCache {
     }
     if (builder) {
       Entry entry;
-      Result<std::vector<Index>> built =
-          BuildGroupIndexes(sample, descriptor, groups, build);
+      Result<Index> built = BuildGroupIndex(sample, descriptor, groups, j,
+                                            build);
       if (built.ok()) {
-        entry.indexes = std::make_shared<const std::vector<Index>>(
-            std::move(built).ValueOrDie());
+        entry.index =
+            std::make_shared<const Index>(std::move(built).ValueOrDie());
       } else {
         entry.status = built.status();
       }
@@ -225,13 +225,13 @@ class GroupIndexCache {
     }
     const Entry& entry = future.get();
     CFEST_RETURN_NOT_OK(entry.status);
-    return entry.indexes;
+    return entry.index;
   }
 
  private:
   struct Entry {
     Status status = Status::OK();
-    std::shared_ptr<const std::vector<Index>> indexes;
+    std::shared_ptr<const Index> index;
   };
   Mutex mu_;
   std::unordered_map<std::string, std::shared_future<Entry>> entries_
@@ -244,21 +244,29 @@ namespace {
 
 using internal::GroupIndexCache;
 
-Result<ConfidenceInterval> EstimateCandidateIntervalImpl(
-    EstimationEngine& engine, const SampleEpoch& epoch,
-    const CandidateConfiguration& candidate, double cf, double num_sigmas,
-    uint32_t interval_groups, std::string* method, GroupIndexCache& cache) {
+/// Replicate groups the data-dependent interval splits a `rows`-row sample
+/// into; 0 when the candidate's interval needs none (uncompressed is exact,
+/// and fewer than two groups of two rows fall back to Theorem 1).
+uint32_t ReplicateGroups(const CandidateConfiguration& candidate,
+                         uint64_t rows, uint32_t interval_groups) {
+  if (IsUncompressedScheme(candidate.scheme)) return 0;
+  uint32_t groups = interval_groups;
+  if (rows < 2ull * groups) groups = static_cast<uint32_t>(rows / 2);
+  return groups < 2 ? 0 : groups;
+}
+
+/// The interval around `cf` on a `rows`-row sample from the replicate
+/// group CFs (empty when ReplicateGroups is 0).
+ConfidenceInterval IntervalFromGroups(const CandidateConfiguration& candidate,
+                                      double cf, uint64_t rows,
+                                      double num_sigmas,
+                                      const std::vector<double>& group_cf,
+                                      std::string* method) {
   if (IsUncompressedScheme(candidate.scheme)) {
     if (method != nullptr) *method = kMethodExact;
     return ConfidenceInterval{cf, cf, num_sigmas};
   }
-  const Table* sample = &epoch.sample();
-  const uint64_t rows = epoch.sample_rows();
-  const bool is_ns = IsUniformNullSuppressionScheme(candidate.scheme);
-
-  uint32_t groups = interval_groups;
-  if (rows < 2ull * groups) groups = static_cast<uint32_t>(rows / 2);
-  if (groups < 2) {
+  if (group_cf.empty()) {
     // Too few rows for replicates; use the worst-case bound (NS's hard
     // guarantee, and conservative-by-construction for everything else on
     // a handful of rows).
@@ -272,19 +280,11 @@ Result<ConfidenceInterval> EstimateCandidateIntervalImpl(
   // spread over sqrt(g) estimates the full-sample sigma. This is what
   // distinguishes an easy (low-variance) column from a hard one — the
   // whole point of adapting the sample size per candidate.
-  const SampleCFOptions& base = engine.options().base;
-  CFEST_ASSIGN_OR_RETURN(
-      std::shared_ptr<const std::vector<Index>> group_indexes,
-      cache.Get(*sample, candidate.index, groups, base.build));
-  RunningStats group_cf;
-  for (const Index& index : *group_indexes) {
-    CFEST_ASSIGN_OR_RETURN(CompressedIndex compressed,
-                           index.Compress(candidate.scheme, base.build));
-    group_cf.Add(
-        MeasureCF(index.stats(), compressed.stats(), base.metric).value);
-  }
+  const uint32_t groups = static_cast<uint32_t>(group_cf.size());
+  RunningStats spread;
+  for (double value : group_cf) spread.Add(value);
   const double sigma =
-      group_cf.stddev() / std::sqrt(static_cast<double>(groups));
+      spread.stddev() / std::sqrt(static_cast<double>(groups));
   // Student-t widening for the small replicate count (first-order
   // Cornish-Fisher: t_df(p) ~= z + (z^3 + z) / (4 df)) — g estimates of
   // the spread are not a known sigma.
@@ -294,7 +294,7 @@ Result<ConfidenceInterval> EstimateCandidateIntervalImpl(
   double half = t_sigmas * sigma;
   half = std::max(half, UnseenMassFloor(num_sigmas, rows));
   std::string picked = kMethodGroups;
-  if (is_ns) {
+  if (IsUniformNullSuppressionScheme(candidate.scheme)) {
     // Theorem 1 caps the NS estimator's sigma at 1/(2 sqrt(r)) regardless
     // of the data — rare values included — so for NS the distribution-free
     // bound overrides both the replicate width and the floor whenever it
@@ -314,6 +314,47 @@ Result<ConfidenceInterval> EstimateCandidateIntervalImpl(
   return ci;
 }
 
+/// One candidate's base-metric SampleCF on `epoch` and its interval, run as
+/// 1 + g independent chains, the tasks of one fan-out on `pool` (nullptr =
+/// serial): task 0 is the full-sample CF' through the engine's cached
+/// sample index, task 1 + j builds (or reuses) replicate group j's index
+/// and compresses it. Group CFs land by group index and are reduced in
+/// that order, so the interval is independent of the schedule.
+Result<SampleCFResult> EstimateWithInterval(
+    EstimationEngine& engine, const SampleEpoch& epoch,
+    const CandidateConfiguration& candidate, double num_sigmas,
+    uint32_t interval_groups, GroupIndexCache& cache, ThreadPool* pool,
+    ConfidenceInterval* interval, std::string* method) {
+  const SampleCFOptions& base = engine.options().base;
+  const uint64_t rows = epoch.sample_rows();
+  const uint32_t groups = ReplicateGroups(candidate, rows, interval_groups);
+  SampleCFResult full;
+  std::vector<double> group_cf(groups, 0.0);
+  CFEST_RETURN_NOT_OK(StatusParallelFor(
+      pool, 1 + uint64_t{groups}, [&](uint64_t t) -> Status {
+        if (t == 0) {
+          CFEST_ASSIGN_OR_RETURN(
+              full, engine.EstimateCFAt(epoch, candidate.index,
+                                        candidate.scheme));
+          return Status::OK();
+        }
+        const uint32_t j = static_cast<uint32_t>(t - 1);
+        CFEST_ASSIGN_OR_RETURN(
+            std::shared_ptr<const Index> index,
+            cache.Get(epoch.sample(), candidate.index, groups, j,
+                      base.build));
+        trace::Span span("adaptive.replicate_compress");
+        CFEST_ASSIGN_OR_RETURN(CompressedIndex compressed,
+                               index->Compress(candidate.scheme, base.build));
+        group_cf[j] =
+            MeasureCF(index->stats(), compressed.stats(), base.metric).value;
+        return Status::OK();
+      }));
+  *interval = IntervalFromGroups(candidate, full.cf.value, rows, num_sigmas,
+                                 group_cf, method);
+  return full;
+}
+
 /// The sample-row cap the target imposes over an n-row table.
 uint64_t RowCapForTarget(const PrecisionTarget& target, uint64_t n) {
   uint64_t cap = std::max<uint64_t>(
@@ -326,11 +367,12 @@ uint64_t RowCapForTarget(const PrecisionTarget& target, uint64_t n) {
 /// One candidate's full estimate on the engine's current sample: footprint
 /// sizing (page metric), base-metric CF', interval, and target half-width —
 /// the body of one adaptive round for one candidate, shared by the round
-/// loop and CandidateRefiner. Leaves `rounds`/`converged` to the caller.
+/// loop and CandidateRefiner. Its chains fan out on `pool` (nullptr =
+/// serial). Leaves `rounds`/`converged` to the caller.
 Status EstimateCandidateNow(EstimationEngine& engine, const SampleEpoch& epoch,
                             const CandidateConfiguration& c, double z,
                             const PrecisionTarget& target,
-                            GroupIndexCache& cache,
+                            GroupIndexCache& cache, ThreadPool* pool,
                             AdaptiveCandidateResult* r) {
   trace::Span span("adaptive.estimate_candidate");
   // One cached-index build + compression yields both the base-metric CF'
@@ -338,8 +380,10 @@ Status EstimateCandidateNow(EstimationEngine& engine, const SampleEpoch& epoch,
   // EstimationEngine::EstimateAt reports). Everything reads the pinned epoch
   // — including the full-index scaling's row count — so the result is
   // immune to appends streaming in concurrently.
-  CFEST_ASSIGN_OR_RETURN(SampleCFResult est,
-                         engine.EstimateCFAt(epoch, c.index, c.scheme));
+  CFEST_ASSIGN_OR_RETURN(
+      SampleCFResult est,
+      EstimateWithInterval(engine, epoch, c, z, target.interval_groups, cache,
+                           pool, &r->interval, &r->interval_method));
   CFEST_ASSIGN_OR_RETURN(
       const uint64_t uncompressed,
       EstimateUncompressedIndexBytes(engine.table(), c.index,
@@ -363,11 +407,6 @@ Status EstimateCandidateNow(EstimationEngine& engine, const SampleEpoch& epoch,
   r->cumulative_rows_sized += est.sample_rows;
   MetricsFor(engine).rows_sized->Add(est.sample_rows);
   r->target_half_width = target.rel_error * std::max(r->cf, target.cf_floor);
-  CFEST_ASSIGN_OR_RETURN(
-      r->interval,
-      EstimateCandidateIntervalImpl(engine, epoch, c, r->cf, z,
-                                    target.interval_groups,
-                                    &r->interval_method, cache));
   return Status::OK();
 }
 
@@ -409,8 +448,7 @@ Result<std::vector<CandidateIntervalResult>> EstimateCandidateIntervals(
   GroupIndexCache cache;
   std::vector<CandidateIntervalResult> results(candidates.size());
   CFEST_RETURN_NOT_OK(StatusParallelFor(
-      candidates.size() > 1 ? pool : nullptr, candidates.size(),
-      [&](uint64_t i) -> Status {
+      pool, candidates.size(), [&](uint64_t i) -> Status {
         CandidateIntervalResult& r = results[i];
         if (IsUncompressedScheme(candidates[i].scheme)) {
           r.cf = 1.0;
@@ -420,14 +458,10 @@ Result<std::vector<CandidateIntervalResult>> EstimateCandidateIntervals(
         }
         CFEST_ASSIGN_OR_RETURN(
             SampleCFResult est,
-            engine.EstimateCFAt(*epoch, candidates[i].index,
-                                candidates[i].scheme));
+            EstimateWithInterval(engine, *epoch, candidates[i], num_sigmas,
+                                 interval_groups, cache, pool, &r.interval,
+                                 &r.method));
         r.cf = est.cf.value;
-        CFEST_ASSIGN_OR_RETURN(
-            r.interval,
-            EstimateCandidateIntervalImpl(engine, *epoch, candidates[i], r.cf,
-                                          num_sigmas, interval_groups,
-                                          &r.method, cache));
         return Status::OK();
       }));
   return results;
@@ -490,12 +524,13 @@ Result<AdaptiveBatchResult> AdaptiveEstimator::EstimateAll(
       GroupIndexCache group_cache;
 
       CFEST_RETURN_NOT_OK(StatusParallelFor(
-          active.size() > 1 ? pool_ : nullptr, active.size(),
+          pool_, active.size(),
           [&](uint64_t k) -> Status {
             const size_t i = active[static_cast<size_t>(k)];
             AdaptiveCandidateResult& r = batch.candidates[i];
-            CFEST_RETURN_NOT_OK(EstimateCandidateNow(
-                engine_, *epoch, candidates[i], z, target_, group_cache, &r));
+            CFEST_RETURN_NOT_OK(EstimateCandidateNow(engine_, *epoch,
+                                                     candidates[i], z, target_,
+                                                     group_cache, pool_, &r));
             r.rounds = round;
             return Status::OK();
           }));
@@ -541,17 +576,20 @@ Result<AdaptiveBatchResult> AdaptiveEstimator::EstimateAll(
 }
 
 CandidateRefiner::CandidateRefiner(EstimationEngine& engine,
-                                   PrecisionTarget target, double num_sigmas)
+                                   PrecisionTarget target, double num_sigmas,
+                                   ThreadPool* pool)
     : engine_(&engine),
       target_(std::move(target)),
       num_sigmas_(num_sigmas),
-      cap_(RowCapForTarget(target_, engine.table().num_rows())) {}
+      cap_(RowCapForTarget(target_, engine.table().num_rows())),
+      pool_(pool) {}
 
 CandidateRefiner::CandidateRefiner(CandidateRefiner&& other) noexcept
     : engine_(other.engine_),
       target_(std::move(other.target_)),
       num_sigmas_(other.num_sigmas_),
       cap_(other.cap_),
+      pool_(other.pool_),
       rounds_(other.rounds_),
       cache_version_(other.cache_version_),
       cache_(std::move(other.cache_)) {}
@@ -562,6 +600,7 @@ CandidateRefiner& CandidateRefiner::operator=(
   target_ = std::move(other.target_);
   num_sigmas_ = other.num_sigmas_;
   cap_ = other.cap_;
+  pool_ = other.pool_;
   rounds_ = other.rounds_;
   cache_version_ = other.cache_version_;
   cache_ = std::move(other.cache_);
@@ -571,11 +610,12 @@ CandidateRefiner& CandidateRefiner::operator=(
 CandidateRefiner::~CandidateRefiner() = default;
 
 Result<CandidateRefiner> CandidateRefiner::Make(EstimationEngine& engine,
-                                                PrecisionTarget target) {
+                                                PrecisionTarget target,
+                                                ThreadPool* pool) {
   CFEST_RETURN_NOT_OK(ValidateTarget(target));
   CFEST_ASSIGN_OR_RETURN(const double z,
                          NumSigmasForConfidence(target.confidence));
-  return CandidateRefiner(engine, std::move(target), z);
+  return CandidateRefiner(engine, std::move(target), z, pool);
 }
 
 Result<CandidateRefiner::PinnedCache> CandidateRefiner::CurrentCache() {
@@ -606,7 +646,7 @@ Result<AdaptiveCandidateResult> CandidateRefiner::EstimateAtCurrentSample(
   CFEST_ASSIGN_OR_RETURN(PinnedCache pinned, CurrentCache());
   CFEST_RETURN_NOT_OK(EstimateCandidateNow(*engine_, *pinned.epoch, candidate,
                                            num_sigmas_, target_,
-                                           *pinned.cache, &r));
+                                           *pinned.cache, pool_, &r));
   r.rounds = rounds_;
   r.converged = r.interval.upper - r.cf <= r.target_half_width;
   return r;
@@ -658,23 +698,19 @@ Result<AdaptiveBatchResult> EstimateAllAdaptive(
       service.GroupByTable(candidates));
 
   // The per-table loops are fully independent (separate engines, separate
-  // samples), so with several tables the loops themselves fan across the
-  // shared pool, each running its candidates serially; a single-table
-  // batch instead keeps the fan-out inside that table's round loop. The
-  // pool is never nested either way.
+  // samples), so they fan across the shared pool, and each loop fans its
+  // candidates and their chains across the same pool: a nested fan-out
+  // cannot deadlock, since every caller drains its own range.
   ThreadPool* pool =
       service.options().num_threads == 1 ? nullptr : service.shared_pool();
-  const bool fan_tables = groups.size() > 1;
   std::vector<AdaptiveBatchResult> subs(groups.size());
   CFEST_RETURN_NOT_OK(StatusParallelFor(
-      fan_tables ? pool : nullptr, groups.size(),
-      [&](uint64_t g) -> Status {
+      pool, groups.size(), [&](uint64_t g) -> Status {
         const std::vector<size_t>& members = groups[g].members;
         std::vector<CandidateConfiguration> group;
         group.reserve(members.size());
         for (size_t i : members) group.push_back(candidates[i]);
-        AdaptiveEstimator estimator(*groups[g].engine, target,
-                                    fan_tables ? nullptr : pool);
+        AdaptiveEstimator estimator(*groups[g].engine, target, pool);
         CFEST_ASSIGN_OR_RETURN(subs[g], estimator.EstimateAll(group));
         return Status::OK();
       }));

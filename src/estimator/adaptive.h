@@ -174,7 +174,13 @@ struct CandidateIntervalResult {
 /// engine's cached sample indexes and attaches its interval, sharing the
 /// replicate index builds across every scheme on the same key set — the
 /// same sharing one adaptive round does. Results align with `candidates`.
-/// `pool` fans the per-candidate work out (nullptr = serial); pass the
+///
+/// Pool contract (shared by CandidateRefiner and AdaptiveEstimator): every
+/// estimate runs its 1 + g independent chains — the full-sample CF' and
+/// one build-and-compress per replicate group — as the tasks of one
+/// fan-out on `pool` (nullptr = serial), nested inside the per-candidate
+/// fan-out on the same pool. Group CFs are reduced in group order, so every
+/// result is bit-identical on every pool and thread count. Pass the
 /// service's shared pool — the CLI's fixed-fraction --json paths do —
 /// instead of spinning a second pool. (The lazy advisor's coarse pass fans
 /// out the same way, but through CandidateRefiner::EstimateAtCurrentSample
@@ -200,13 +206,17 @@ Result<std::vector<CandidateIntervalResult>> EstimateCandidateIntervals(
 /// EstimateAtCurrentSample calls may run concurrently with each other
 /// (the coarse pass fans them across the shared pool); RefineUntil grows
 /// the engine's sample and must not run concurrently with any estimate on
-/// the same engine.
+/// the same engine. Every estimate — coarse or refining — runs its chains
+/// on the refiner's pool (see EstimateCandidateIntervals), so a refinement
+/// on the caller's thread shares its work with the pool's workers.
 class CandidateRefiner {
  public:
   /// Validates `target` and derives the row cap from it and the engine's
-  /// table size. The engine must outlive the refiner.
+  /// table size. `pool` runs each estimate's chains (nullptr = serial).
+  /// The engine and pool must outlive the refiner.
   static Result<CandidateRefiner> Make(EstimationEngine& engine,
-                                       PrecisionTarget target);
+                                       PrecisionTarget target,
+                                       ThreadPool* pool = nullptr);
   /// Moves are exempt from the thread-safety analysis: moving a refiner
   /// while another thread uses it is a caller bug by contract (same as any
   /// std type), and the analysis cannot name the moved-from object's lock.
@@ -251,7 +261,7 @@ class CandidateRefiner {
 
  private:
   CandidateRefiner(EstimationEngine& engine, PrecisionTarget target,
-                   double num_sigmas);
+                   double num_sigmas, ThreadPool* pool);
   /// A pinned epoch paired with the replicate-index cache built for its
   /// sample. Pairing them is what makes EstimateAtCurrentSample coherent:
   /// the estimate, the interval's replicate builds, and the full-index
@@ -269,6 +279,7 @@ class CandidateRefiner {
   PrecisionTarget target_;
   double num_sigmas_ = 0.0;
   uint64_t cap_ = 0;
+  ThreadPool* pool_ = nullptr;
   uint32_t rounds_ = 0;
   /// Guards the (cache_version_, cache_) pair against concurrent
   /// EstimateAtCurrentSample calls; the GroupIndexCache itself is
@@ -286,8 +297,9 @@ class CandidateRefiner {
 /// estimates on this engine concurrently.
 class AdaptiveEstimator {
  public:
-  /// `pool` fans per-round candidate work out (nullptr = serial). The
-  /// engine and pool must outlive the estimator.
+  /// `pool` fans each round's candidates and their chains out (nullptr =
+  /// serial; see EstimateCandidateIntervals). The engine and pool must
+  /// outlive the estimator.
   AdaptiveEstimator(EstimationEngine& engine, PrecisionTarget target,
                     ThreadPool* pool = nullptr);
 
@@ -306,9 +318,11 @@ class AdaptiveEstimator {
 };
 
 /// The batched adaptive entry point: groups candidates by table_name, grows
-/// each table's engine independently toward the shared target (per-round
-/// work fans across the service's shared pool), and merges the per-table
-/// results positionally. A standalone table is a one-table catalog.
+/// each table's engine independently toward the shared target, and merges
+/// the per-table results positionally. The table loops, each round's
+/// candidates and each estimate's chains all fan across the service's
+/// shared pool (nested fan-outs; see ThreadPool::ParallelFor). A standalone
+/// table is a one-table catalog.
 Result<AdaptiveBatchResult> EstimateAllAdaptive(
     CatalogEstimationService& service,
     std::span<const CandidateConfiguration> candidates,

@@ -2,9 +2,10 @@
 // the analytic-model intervals (Theorem 1 and the empirical variant) across
 // generated distributions, RNG-stream-resuming sample growth (prefix
 // equality with a fresh draw, incremental index extension, reservoir
-// replay), and the AdaptiveEstimator loop (convergence, budget exhaustion,
+// replay), the AdaptiveEstimator loop (convergence, budget exhaustion,
 // bit-equality with a fixed-fraction run at each candidate's final
-// fraction).
+// fraction), and the interval determinism gate (every pool and thread
+// count reproduces the serial replicate reference bit for bit).
 
 #include <algorithm>
 #include <cmath>
@@ -19,15 +20,19 @@
 
 #include "advisor/advisor.h"
 #include "common/random.h"
+#include "common/stats.h"
+#include "common/thread_pool.h"
 #include "datagen/table_gen.h"
 #include "estimator/adaptive.h"
 #include "estimator/analytic_model.h"
 #include "estimator/compression_fraction.h"
 #include "estimator/engine.h"
 #include "estimator/service.h"
+#include "index/index.h"
 #include "sampling/sampler.h"
 #include "storage/catalog.h"
 #include "storage/row_codec.h"
+#include "storage/table_view.h"
 
 namespace cfest {
 namespace {
@@ -754,6 +759,258 @@ TEST(CandidateRefinerTest, UncompressedCandidatesAreExact) {
   EXPECT_DOUBLE_EQ(result->cf, 1.0);
   EXPECT_EQ(result->sized.estimated_bytes, result->sized.uncompressed_bytes);
   EXPECT_EQ(engine.sample_rows(), 0u);  // no draw needed
+}
+
+// ---------------------------------------------------------------------------
+// Interval determinism: every pool computes the serial reference's interval
+// ---------------------------------------------------------------------------
+
+/// Candidates of the determinism gate on `table_name`: unclustered schemes
+/// on two key sets, a clustered key set (every column compressed), NS, and
+/// an exact uncompressed candidate.
+std::vector<CandidateConfiguration> DeterminismWorkload(
+    const char* table_name) {
+  std::vector<CandidateConfiguration> out = {
+      Candidate("status", CompressionType::kRle, table_name),
+      Candidate("city", CompressionType::kDictionaryPage, table_name),
+      Candidate("city", CompressionType::kPrefix, table_name),
+      Candidate("status", CompressionType::kNullSuppression, table_name),
+      Candidate("amount", CompressionType::kNone, table_name)};
+  for (CompressionType type :
+       {CompressionType::kDictionaryPage, CompressionType::kNullSuppression}) {
+    CandidateConfiguration clustered = Candidate("city", type, table_name);
+    clustered.index.name += "_clustered";
+    clustered.index.clustered = true;
+    out.push_back(std::move(clustered));
+  }
+  return out;
+}
+
+/// Test-side reference for one candidate's interval on `epoch`: the g
+/// replicate groups built and compressed one after another and reduced in
+/// group order — the serial computation every pooled run must reproduce
+/// bit for bit.
+CandidateIntervalResult ReferenceInterval(EstimationEngine& engine,
+                                          const SampleEpoch& epoch,
+                                          const CandidateConfiguration& c,
+                                          double z, uint32_t groups) {
+  CandidateIntervalResult ref;
+  if (IsUncompressedScheme(c.scheme)) {
+    ref.interval = ConfidenceInterval{1.0, 1.0, z};
+    ref.method = "exact";
+    return ref;
+  }
+  auto est = engine.EstimateCFAt(epoch, c.index, c.scheme);
+  EXPECT_TRUE(est.ok());
+  ref.cf = est->cf.value;
+  const uint64_t rows = epoch.sample_rows();
+  if (rows < 2ull * groups) groups = static_cast<uint32_t>(rows / 2);
+  if (groups < 2) {
+    ref.interval = Theorem1ConfidenceInterval(ref.cf, rows, z);
+    ref.method = "theorem1";
+    return ref;
+  }
+  const SampleCFOptions& base = engine.options().base;
+  RunningStats spread;
+  for (uint32_t j = 0; j < groups; ++j) {
+    std::vector<RowId> positions;
+    for (uint64_t p = rows * j / groups; p < rows * (j + 1) / groups; ++p) {
+      positions.push_back(p);
+    }
+    auto view = TableView::Make(epoch.sample(), std::move(positions));
+    EXPECT_TRUE(view.ok());
+    auto index = Index::Build(**view, c.index, base.build);
+    EXPECT_TRUE(index.ok());
+    auto compressed = index->Compress(c.scheme, base.build);
+    EXPECT_TRUE(compressed.ok());
+    spread.Add(
+        MeasureCF(index->stats(), compressed->stats(), base.metric).value);
+  }
+  const double t_sigmas =
+      z + (z * z * z + z) / (4.0 * static_cast<double>(groups - 1));
+  double half = t_sigmas * spread.stddev() /
+                std::sqrt(static_cast<double>(groups));
+  // The unseen-mass floor: -ln(two-sided tail mass) / rows.
+  half = std::max(half, -std::log(std::max(std::erfc(z / std::sqrt(2.0)),
+                                           1e-300)) /
+                            static_cast<double>(rows));
+  ref.method = "group_replicates";
+  if (IsUniformNullSuppressionScheme(c.scheme) &&
+      z * Theorem1StdDevBound(rows) < half) {
+    half = z * Theorem1StdDevBound(rows);
+    ref.method = "theorem1";
+  }
+  ref.interval.num_sigmas = z;
+  ref.interval.lower = ref.cf - half < 0.0 ? 0.0 : ref.cf - half;
+  ref.interval.upper = ref.cf + half;
+  return ref;
+}
+
+void ExpectSameInterval(const CandidateIntervalResult& want, double cf,
+                        const ConfidenceInterval& interval,
+                        const std::string& method, const std::string& where) {
+  EXPECT_EQ(want.cf, cf) << where;
+  EXPECT_EQ(want.interval.lower, interval.lower) << where;
+  EXPECT_EQ(want.interval.upper, interval.upper) << where;
+  EXPECT_EQ(want.method, method) << where;
+}
+
+TEST(IntervalDeterminismTest, EveryPoolMatchesSerialReference) {
+  // Samples of the 20k-row table "t" and the 15k-row table "u": 200/150
+  // rows; 102/77 rows (not divisible by g = 8); 14/11 rows (fewer than 2g,
+  // so the group count shrinks); 3/2 rows (the Theorem 1 path).
+  const double kFractions[] = {0.01, 0.0051, 0.0007, 0.00015};
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("t", WorkloadTable(20000, 7)).ok());
+  ASSERT_TRUE(catalog.AddTable("u", WorkloadTable(15000, 3)).ok());
+  const Table& t = *catalog.GetTable("t").ValueOrDie();
+  std::vector<CandidateConfiguration> candidates = DeterminismWorkload("t");
+  for (CandidateConfiguration& c : DeterminismWorkload("u")) {
+    candidates.push_back(std::move(c));
+  }
+  const std::vector<CandidateConfiguration> t_candidates =
+      DeterminismWorkload("t");
+  PrecisionTarget target;
+  const uint32_t g = target.interval_groups;
+  const double z = NumSigmasForConfidence(target.confidence).ValueOrDie();
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (uint32_t workers : {1u, 2u, 4u}) {
+    pools.push_back(std::make_unique<ThreadPool>(workers));
+  }
+
+  bool saw_uneven = false, saw_shrunk = false, saw_theorem1 = false;
+  for (double fraction : kFractions) {
+    EstimationEngineOptions options;
+    options.base.fraction = fraction;
+    options.seed = 42;
+    EstimationEngine engine(t, options);
+    const std::shared_ptr<const SampleEpoch> epoch = Pin(engine);
+    const uint64_t rows = epoch->sample_rows();
+    saw_uneven = saw_uneven || (rows >= 2ull * g && rows % g != 0);
+    saw_shrunk = saw_shrunk || (rows < 2ull * g && rows >= 4);
+    std::vector<CandidateIntervalResult> want;
+    for (const CandidateConfiguration& c : t_candidates) {
+      want.push_back(ReferenceInterval(engine, *epoch, c, z, g));
+      saw_theorem1 = saw_theorem1 || (rows < 4 && want.back().method ==
+                                                      "theorem1");
+    }
+
+    for (size_t p = 0; p < pools.size(); ++p) {
+      ThreadPool* pool = pools[p].get();
+      const std::string where = "rows " + std::to_string(rows) +
+                                ", workers " +
+                                std::to_string(pool ? pool->num_threads() : 0);
+      auto intervals = EstimateCandidateIntervals(engine, t_candidates, z, g,
+                                                  pool);
+      ASSERT_TRUE(intervals.ok()) << where;
+      // The coarse pass's shape: a fan-out over candidates on the same
+      // pool that runs each estimate's chains.
+      auto refiner = CandidateRefiner::Make(engine, target, pool);
+      ASSERT_TRUE(refiner.ok());
+      std::vector<AdaptiveCandidateResult> refined(t_candidates.size());
+      ASSERT_TRUE(StatusParallelFor(pool, t_candidates.size(),
+                                    [&](uint64_t i) -> Status {
+                                      CFEST_ASSIGN_OR_RETURN(
+                                          refined[i],
+                                          refiner->EstimateAtCurrentSample(
+                                              t_candidates[i]));
+                                      return Status::OK();
+                                    })
+                      .ok());
+      for (size_t i = 0; i < t_candidates.size(); ++i) {
+        const std::string at = where + ", " + t_candidates[i].index.name;
+        ExpectSameInterval(want[i], (*intervals)[i].cf,
+                           (*intervals)[i].interval, (*intervals)[i].method,
+                           at + " (intervals)");
+        ExpectSameInterval(want[i], refined[i].cf, refined[i].interval,
+                           refined[i].interval_method, at + " (refiner)");
+      }
+    }
+
+    // The adaptive loop held to its first round: every candidate reports
+    // the interval at the base sample, on one thread and across two
+    // tables, their candidates and their chains nested on one pool.
+    PrecisionTarget one_round = target;
+    one_round.max_rounds = 1;
+    one_round.min_rows = 1;
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      CatalogEstimationServiceOptions service_options;
+      service_options.base.fraction = fraction;
+      service_options.seed = 42;
+      service_options.num_threads = threads;
+      CatalogEstimationService service(catalog, service_options);
+      auto adaptive = EstimateAllAdaptive(service, candidates, one_round);
+      ASSERT_TRUE(adaptive.ok());
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        const CandidateConfiguration& c = candidates[i];
+        EstimationEngine& table_engine = **service.Engine(c.table_name);
+        const CandidateIntervalResult ref =
+            ReferenceInterval(table_engine, *Pin(table_engine), c, z, g);
+        const AdaptiveCandidateResult& r = adaptive->candidates[i];
+        ExpectSameInterval(ref, r.cf, r.interval, r.interval_method,
+                           "threads " + std::to_string(threads) + ", " +
+                               c.table_name + "." + c.index.name +
+                               " (adaptive)");
+      }
+    }
+  }
+  EXPECT_TRUE(saw_uneven);
+  EXPECT_TRUE(saw_shrunk);
+  EXPECT_TRUE(saw_theorem1);
+}
+
+TEST(IntervalDeterminismTest, AdaptiveLoopIsIdenticalOnEveryThreadCount) {
+  // Full growth runs from a Theorem-1-sized first round: every round,
+  // growth decision and final interval must match the serial run.
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable("t", WorkloadTable(20000, 7)).ok());
+  ASSERT_TRUE(catalog.AddTable("u", WorkloadTable(15000, 3)).ok());
+  std::vector<CandidateConfiguration> candidates = DeterminismWorkload("t");
+  for (CandidateConfiguration& c : DeterminismWorkload("u")) {
+    candidates.push_back(std::move(c));
+  }
+  PrecisionTarget target;
+  target.rel_error = 0.10;
+  target.confidence = 0.90;
+  target.min_rows = 3;
+  std::vector<AdaptiveBatchResult> runs;
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    CatalogEstimationServiceOptions options;
+    options.base.fraction = 0.00015;
+    options.seed = 42;
+    options.num_threads = threads;
+    CatalogEstimationService service(catalog, options);
+    auto result = EstimateAllAdaptive(service, candidates, target);
+    ASSERT_TRUE(result.ok());
+    runs.push_back(std::move(result).ValueOrDie());
+  }
+  const AdaptiveBatchResult& serial = runs[0];
+  ASSERT_EQ(serial.tables.size(), 2u);
+  EXPECT_GT(serial.rounds, 1u);
+  for (size_t k = 1; k < runs.size(); ++k) {
+    const AdaptiveBatchResult& run = runs[k];
+    ASSERT_EQ(run.tables.size(), serial.tables.size());
+    for (size_t t = 0; t < serial.tables.size(); ++t) {
+      EXPECT_EQ(run.tables[t].rows_per_round, serial.tables[t].rows_per_round)
+          << "run " << k << ", table " << t;
+    }
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const AdaptiveCandidateResult& want = serial.candidates[i];
+      const AdaptiveCandidateResult& got = run.candidates[i];
+      const std::string at = "run " + std::to_string(k) + ", " +
+                             candidates[i].table_name + "." +
+                             candidates[i].index.name;
+      EXPECT_EQ(want.cf, got.cf) << at;
+      EXPECT_EQ(want.interval.lower, got.interval.lower) << at;
+      EXPECT_EQ(want.interval.upper, got.interval.upper) << at;
+      EXPECT_EQ(want.interval_method, got.interval_method) << at;
+      EXPECT_EQ(want.rows_sampled, got.rows_sampled) << at;
+      EXPECT_EQ(want.rounds, got.rounds) << at;
+      EXPECT_EQ(want.converged, got.converged) << at;
+      EXPECT_EQ(want.sized.estimated_bytes, got.sized.estimated_bytes) << at;
+    }
+  }
 }
 
 TEST(EstimateAllTest, PopulatesSampleRows) {

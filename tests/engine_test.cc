@@ -129,6 +129,23 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
   for (const auto& t : touched) EXPECT_EQ(1, t.load());
 }
 
+TEST(ThreadPoolTest, NestedParallelForRunsEveryPairOnceAndReturns) {
+  // More outer items than workers, so every worker runs an outer body that
+  // fans out again on the same pool while the others are busy; the call
+  // must still return (each caller drains its own range) and run every
+  // (i, j) exactly once.
+  constexpr uint64_t kOuter = 24;
+  constexpr uint64_t kInner = 9;
+  for (uint32_t workers : {2u, 4u}) {
+    ThreadPool pool(workers);
+    std::vector<std::atomic<int>> touched(kOuter * kInner);
+    pool.ParallelFor(kOuter, [&](uint64_t i) {
+      pool.ParallelFor(kInner, [&](uint64_t j) { ++touched[i * kInner + j]; });
+    });
+    for (const auto& t : touched) EXPECT_EQ(1, t.load()) << workers;
+  }
+}
+
 TEST(ThreadPoolTest, SubmitAndWaitDrainsAllTasks) {
   ThreadPool pool(3);
   std::atomic<int> count{0};

@@ -955,53 +955,85 @@ TEST(BatchChunkTest, AddRowsMatchesPerRowPagesWideClustered) {
 // Incremental (Fenwick) advisor bound == legacy rescan bound.
 // ---------------------------------------------------------------------------
 
+/// Searches `candidates` under every bound with both bound implementations
+/// and asserts they select, visit and prune identically.
+void ExpectIncrementalBoundMatchesRescan(
+    const std::vector<SizedCandidate>& candidates,
+    const std::vector<uint64_t>& bounds, int trial) {
+  const std::vector<size_t> order = OrderCandidatesForSelection(candidates);
+  for (const uint64_t bound : bounds) {
+    LazyAdvisorStats fast_stats;
+    LazyAdvisorStats slow_stats;
+    const AdvisorRecommendation fast = SearchSizedCandidates(
+        candidates, order, bound, &fast_stats, /*incremental_bound=*/true);
+    const AdvisorRecommendation slow = SearchSizedCandidates(
+        candidates, order, bound, &slow_stats, /*incremental_bound=*/false);
+    ASSERT_EQ(fast.total_benefit, slow.total_benefit)
+        << "trial=" << trial << " bound=" << bound;
+    ASSERT_EQ(fast.total_bytes, slow.total_bytes);
+    ASSERT_EQ(fast.selected.size(), slow.selected.size());
+    for (size_t i = 0; i < fast.selected.size(); ++i) {
+      ASSERT_EQ(fast.selected[i].config.index.name,
+                slow.selected[i].config.index.name);
+      ASSERT_EQ(fast.selected[i].estimated_bytes,
+                slow.selected[i].estimated_bytes);
+    }
+    // Same tree: the bound values agree at every node, so both searches
+    // visit and prune identically.
+    ASSERT_EQ(fast_stats.nodes_visited, slow_stats.nodes_visited)
+        << "trial=" << trial << " bound=" << bound;
+    ASSERT_EQ(fast_stats.nodes_pruned, slow_stats.nodes_pruned)
+        << "trial=" << trial << " bound=" << bound;
+  }
+}
+
+/// `n` random candidates with footprints in [0, max_bytes) over a handful
+/// of distinct index names, so several share a selection key and exercise
+/// the taken bitmap.
+std::vector<SizedCandidate> RandomSizedCandidates(Random& rng, size_t n,
+                                                  uint64_t max_bytes) {
+  std::vector<SizedCandidate> candidates(n);
+  for (size_t i = 0; i < n; ++i) {
+    SizedCandidate& c = candidates[i];
+    c.config.table_name = std::string("t");
+    c.config.index.name =
+        std::string("idx") + std::to_string(rng.NextBounded(n / 2 + 1));
+    c.config.scheme =
+        CompressionScheme::Uniform(rng.NextBounded(2) == 0
+                                       ? CompressionType::kNullSuppression
+                                       : CompressionType::kRle);
+    // Integer-valued benefits: exact in double, so prune-at-equality
+    // decisions cannot be perturbed by summation order and both bound
+    // implementations must branch identically.
+    c.config.benefit = static_cast<double>(rng.NextBounded(1000));
+    c.estimated_bytes = rng.NextBounded(max_bytes);
+    c.uncompressed_bytes = c.estimated_bytes * 2 + 1;
+  }
+  return candidates;
+}
+
 TEST(IncrementalBoundTest, SameSelectionsAsLegacyRescan) {
   Random rng(52);
   for (int trial = 0; trial < 30; ++trial) {
     const size_t n = 1 + rng.NextBounded(60);
-    std::vector<SizedCandidate> candidates(n);
-    for (size_t i = 0; i < n; ++i) {
-      SizedCandidate& c = candidates[i];
-      c.config.table_name = std::string("t");
-      // A handful of distinct index names so several candidates share a
-      // selection key and exercise the taken bitmap.
-      c.config.index.name =
-          std::string("idx") + std::to_string(rng.NextBounded(n / 2 + 1));
-      c.config.scheme =
-          CompressionScheme::Uniform(rng.NextBounded(2) == 0
-                                         ? CompressionType::kNullSuppression
-                                         : CompressionType::kRle);
-      // Integer-valued benefits: exact in double, so prune-at-equality
-      // decisions cannot be perturbed by summation order and both bound
-      // implementations must branch identically.
-      c.config.benefit = static_cast<double>(rng.NextBounded(1000));
-      c.estimated_bytes = rng.NextBounded(100000);
-      c.uncompressed_bytes = c.estimated_bytes * 2 + 1;
+    ExpectIncrementalBoundMatchesRescan(
+        RandomSizedCandidates(rng, n, 100000),
+        {uint64_t{0}, uint64_t{50000}, uint64_t{300000}, ~uint64_t{0}},
+        trial);
+  }
+  // Small integer footprints (zero included) under bounds equal to prefix
+  // sums of the selection order: a density-order prefix whose weight fills
+  // the remaining capacity exactly is common here, so the Fenwick descent
+  // must take such a prefix whole, as the rescan does.
+  for (int trial = 30; trial < 90; ++trial) {
+    const size_t n = 1 + rng.NextBounded(24);
+    const std::vector<SizedCandidate> candidates =
+        RandomSizedCandidates(rng, n, 21);
+    std::vector<uint64_t> bounds = {0};
+    for (size_t i : OrderCandidatesForSelection(candidates)) {
+      bounds.push_back(bounds.back() + candidates[i].estimated_bytes);
     }
-    const std::vector<size_t> order = OrderCandidatesForSelection(candidates);
-    for (const uint64_t bound :
-         {uint64_t{0}, uint64_t{50000}, uint64_t{300000}, ~uint64_t{0}}) {
-      LazyAdvisorStats fast_stats;
-      LazyAdvisorStats slow_stats;
-      const AdvisorRecommendation fast = SearchSizedCandidates(
-          candidates, order, bound, &fast_stats, /*incremental_bound=*/true);
-      const AdvisorRecommendation slow = SearchSizedCandidates(
-          candidates, order, bound, &slow_stats, /*incremental_bound=*/false);
-      ASSERT_EQ(fast.total_benefit, slow.total_benefit)
-          << "trial=" << trial << " bound=" << bound;
-      ASSERT_EQ(fast.total_bytes, slow.total_bytes);
-      ASSERT_EQ(fast.selected.size(), slow.selected.size());
-      for (size_t i = 0; i < fast.selected.size(); ++i) {
-        ASSERT_EQ(fast.selected[i].config.index.name,
-                  slow.selected[i].config.index.name);
-        ASSERT_EQ(fast.selected[i].estimated_bytes,
-                  slow.selected[i].estimated_bytes);
-      }
-      // Same tree: the bound values agree at every node, so both searches
-      // visit and prune identically.
-      ASSERT_EQ(fast_stats.nodes_visited, slow_stats.nodes_visited);
-      ASSERT_EQ(fast_stats.nodes_pruned, slow_stats.nodes_pruned);
-    }
+    ExpectIncrementalBoundMatchesRescan(candidates, bounds, trial);
   }
 }
 
