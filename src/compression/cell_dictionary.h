@@ -17,6 +17,7 @@
 #ifndef CFEST_COMPRESSION_CELL_DICTIONARY_H_
 #define CFEST_COMPRESSION_CELL_DICTIONARY_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -68,6 +69,18 @@ class CellDictionary {
     slots_[slot] = code + 1;
     if ((entries_.size() + 1) * 4 > slots_.size() * 3) Grow();
     return {code, true};
+  }
+
+  /// Empties the dictionary for the next page: the state of a fresh
+  /// dictionary (codes restart at 0), but the slot table keeps its size and
+  /// the entries and pool keep their capacity. A larger table only shortens
+  /// probe chains; codes follow first appearance, so no code changes.
+  void Clear() {
+    std::fill(slots_.begin(), slots_.end(), 0);
+    entries_.clear();
+    pool_.clear();
+    tentative_mark_ = 0;
+    tentative_slots_ = 0;
   }
 
   /// Opens a tentative section: every entry inserted from here on is

@@ -92,6 +92,14 @@ class CombinedChunk final : public ColumnChunkCompressor {
     return out;
   }
 
+  void Reset() override {
+    dict_.Clear();
+    sum_entry_lengths_ = 0;
+    prefix_len_ = 0;
+    codes_.clear();
+    staged_ = {};
+  }
+
  private:
   /// The code of the null-suppressed payload (the cell's first `l` bytes);
   /// a new entry grows the entry-length sum and may shorten the prefix.

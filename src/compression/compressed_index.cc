@@ -55,10 +55,11 @@ CompressedIndexBuilder::CompressedIndexBuilder(
       compressors_(std::move(compressors)) {
   stats_.page_size = options_.page_size;
   stats_.columns.resize(schema_.num_columns());
+  chunks_.reserve(schema_.num_columns());
   for (size_t c = 0; c < schema_.num_columns(); ++c) {
     stats_.columns[c].type = compressors_->column(c)->type();
+    chunks_.push_back(compressors_->column(c)->NewChunk());
   }
-  OpenPage();
 }
 
 Result<std::unique_ptr<CompressedIndexBuilder>> CompressedIndexBuilder::Make(
@@ -78,14 +79,6 @@ Result<std::unique_ptr<CompressedIndexBuilder>> CompressedIndexBuilder::Make(
   auto shared = std::make_shared<ColumnCompressorSet>(std::move(set));
   return std::unique_ptr<CompressedIndexBuilder>(new CompressedIndexBuilder(
       schema, scheme, std::move(shared), options));
-}
-
-void CompressedIndexBuilder::OpenPage() {
-  chunks_.clear();
-  chunks_.reserve(schema_.num_columns());
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    chunks_.push_back(compressors_->column(c)->NewChunk());
-  }
 }
 
 size_t CompressedIndexBuilder::PageCost(size_t extra_chunk_bytes) const {
@@ -108,7 +101,6 @@ Status CompressedIndexBuilder::Add(Slice encoded_row) {
   // still be closed before the count wraps.
   if (chunks_[0]->count() >= 0xFFFF) {
     CFEST_RETURN_NOT_OK(FlushPage());
-    OpenPage();
   }
   // Exact prospective page size if this row joined the current page.
   size_t prospective = kPageHeaderSize + kSlotSize + 4 * schema_.num_columns();
@@ -124,7 +116,6 @@ Status CompressedIndexBuilder::Add(Slice encoded_row) {
           std::to_string(options_.page_size) + " bytes)");
     }
     CFEST_RETURN_NOT_OK(FlushPage());
-    OpenPage();
     return Add(encoded_row);
   }
   for (size_t c = 0; c < schema_.num_columns(); ++c) {
@@ -155,7 +146,6 @@ Status CompressedIndexBuilder::AddRows(const char* rows, uint64_t n) {
   while (i < n) {
     if (chunks_[0]->count() >= 0xFFFF) {
       CFEST_RETURN_NOT_OK(FlushPage());
-      OpenPage();
     }
     const uint64_t room = 0xFFFF - chunks_[0]->count();
     // Size the attempt to the page's remaining capacity instead of a fixed
@@ -228,7 +218,7 @@ Status CompressedIndexBuilder::FlushPage() {
   // per-column u32 framing plus chunk bytes, behind the page header and one
   // slot — what Page::used_bytes() reports for the serialized image. Only a
   // kept page is serialized, and there each chunk must produce exactly the
-  // bytes it charged.
+  // bytes it charged. Each chunk is then reset, empty for the next page.
   last_page_rows_ = chunks_[0]->count();
   size_t used = kPageHeaderSize + kSlotSize;
   std::string record;
@@ -250,6 +240,7 @@ Status CompressedIndexBuilder::FlushPage() {
   }
   stats_.used_bytes += used;
   ++stats_.data_pages;
+  for (auto& chunk : chunks_) chunk->Reset();
   if (!options_.keep_pages) return Status::OK();
   PageBuilder builder(next_page_id_++, PageType::kCompressedLeaf,
                       options_.page_size);

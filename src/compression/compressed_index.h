@@ -8,7 +8,9 @@
 // Rows are packed greedily in input order (the index build feeds them sorted
 // by key): a page is closed when the next row's exact compressed cost no
 // longer fits, mirroring how page-level compression behaves in real engines
-// and giving rise to the paper's Pg(i) paging effects.
+// and giving rise to the paper's Pg(i) paging effects. Each column compresses
+// through one chunk for the whole build, reset at every page boundary, so a
+// page costs no allocation once the chunks' buffers have grown.
 
 #ifndef CFEST_COMPRESSION_COMPRESSED_INDEX_H_
 #define CFEST_COMPRESSION_COMPRESSED_INDEX_H_
@@ -138,21 +140,24 @@ class CompressedIndexBuilder {
                          std::shared_ptr<ColumnCompressorSet> compressors,
                          const Options& options);
 
-  void OpenPage();
   /// Exact page bytes used if the current chunks (plus `extra` chunk cost)
   /// were serialized now.
   size_t PageCost(size_t extra_chunk_bytes) const;
   /// Closes the current page: charges its chunks' exact costs to the stats
   /// and, under keep_pages only, serializes the chunks into a page image,
-  /// failing with Internal if a chunk's bytes differ from its cost.
+  /// failing with Internal if a chunk's bytes differ from its cost. Then
+  /// resets every chunk, which opens the next page.
   Status FlushPage();
-  /// Tests swap in chunks that break the cost contract.
+  /// Tests swap in chunks that break the cost contract and check that each
+  /// column keeps one chunk across pages.
   friend class CompressedIndexBuilderPeer;
 
   Schema schema_;
   CompressionScheme scheme_;
   Options options_;
   std::shared_ptr<ColumnCompressorSet> compressors_;
+  /// The open page's chunk per column: opened once per build and reused,
+  /// after a Reset(), for every later page.
   std::vector<std::unique_ptr<ColumnChunkCompressor>> chunks_;
   /// Scratch for the row-major -> column-major transpose of AddRows.
   Arena transpose_arena_;
@@ -161,7 +166,7 @@ class CompressedIndexBuilder {
   uint64_t rows_added_ = 0;
   uint64_t next_page_id_ = 0;
   /// Rows the most recently flushed page held — AddRows' batch-size
-  /// predictor for a freshly opened page, before the page has its own
+  /// predictor for a newly opened page, before the page has its own
   /// per-row cost to extrapolate from.
   uint64_t last_page_rows_ = 0;
   bool finished_ = false;

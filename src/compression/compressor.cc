@@ -61,6 +61,11 @@ Result<std::unique_ptr<ColumnCompressor>> MakeColumnCompressor(
     return Status::InvalidArgument("cannot compress zero-width column type " +
                                    data_type.ToString());
   }
+  if (options.global_pointer_bytes > 8) {
+    return Status::InvalidArgument(
+        "global dictionary pointers are at most 8 bytes, got " +
+        std::to_string(options.global_pointer_bytes));
+  }
   switch (type) {
     case CompressionType::kNone:
       return MakeNoneCompressor(data_type);

@@ -9,9 +9,10 @@
 //
 // A ColumnCompressor is the per-index object for one column (it owns any
 // cross-page state, e.g. the global dictionary of the paper's simplified
-// model). It hands out ColumnChunkCompressors, one per page, which accept
+// model). It hands out ColumnChunkCompressors, which accept one page's
 // fixed-width cells and report their exact serialized cost so the page packer
-// can decide when a page is full.
+// can decide when a page is full. The packer opens one chunk per column per
+// build and Reset()s it for each new page.
 
 #ifndef CFEST_COMPRESSION_COMPRESSOR_H_
 #define CFEST_COMPRESSION_COMPRESSOR_H_
@@ -51,9 +52,9 @@ Result<CompressionType> CompressionTypeFromName(const std::string& name);
 
 /// \brief Tuning knobs shared by the compressors.
 struct CompressionOptions {
-  /// Global-dictionary pointer size in bytes (the paper's `p`). Used by
-  /// kDictionaryGlobal. If 0, the pointer width is derived from the final
-  /// dictionary cardinality as ceil(log2(d)/8) bytes, min 1.
+  /// Global-dictionary pointer size in bytes (the paper's `p`), at most 8.
+  /// Used by kDictionaryGlobal and the hybrid estimator's model; 0 means the
+  /// default, 4. MakeColumnCompressor rejects widths above 8.
   uint32_t global_pointer_bytes = 4;
 
   /// kDictionaryPage: store dictionary entries at the full declared width k
@@ -87,6 +88,12 @@ struct CompressionOptions {
 /// staged cells leaves exactly the state and costs of n CostWith/Add calls;
 /// dropping them leaves exactly the state before StageBatch. The packer may
 /// therefore mix the two paths freely without changing any page split.
+///
+/// Reset() empties a chunk for the next page and keeps its buffers'
+/// capacity: afterwards the chunk behaves exactly like a fresh NewChunk() —
+/// the same costs, page splits and Finish() bytes for any later cells.
+/// Cross-page tallies (the parent's TotalDictionaryEntries, the global
+/// dictionary) live in the ColumnCompressor and are untouched by it.
 class ColumnChunkCompressor {
  public:
   virtual ~ColumnChunkCompressor() = default;
@@ -119,6 +126,10 @@ class ColumnChunkCompressor {
   /// Serializes the cells added so far, in exactly Cost() bytes. Has no
   /// side effects.
   virtual std::string Finish() const = 0;
+
+  /// Empties the chunk, as if freshly opened, keeping buffer capacity. Any
+  /// staged batch is discarded.
+  virtual void Reset() = 0;
 };
 
 /// \brief Per-index compressor for one column.
@@ -129,7 +140,7 @@ class ColumnCompressor {
   virtual CompressionType type() const = 0;
   virtual const DataType& data_type() const = 0;
 
-  /// Opens the chunk for the next page of this column.
+  /// Opens an empty chunk for this column's pages.
   virtual std::unique_ptr<ColumnChunkCompressor> NewChunk() = 0;
 
   /// Decodes a serialized chunk back into fixed-width cells, appending each

@@ -109,6 +109,13 @@ class DeltaChunk final : public ColumnChunkCompressor {
     return out;
   }
 
+  void Reset() override {
+    buf_.clear();
+    prev_ = 0;
+    count_ = 0;
+    staged_ = {};
+  }
+
  private:
   /// Bytes `v` adds after `count` values ending in `prev`: the first value
   /// is stored raw in 8 bytes, every later one as a zigzag-varint delta.

@@ -33,12 +33,19 @@ class GlobalDictChunk final : public ColumnChunkCompressor {
     std::string out;
     out.reserve(Cost());
     encoding::PutU16(&out, static_cast<uint16_t>(codes_.size()));
-    for (uint32_t code : codes_) {
+    // Widened first: pointers of 5-8 bytes shift by 32 bits or more.
+    for (const uint64_t code : codes_) {
       for (uint32_t b = 0; b < pointer_bytes_; ++b) {
         out.push_back(static_cast<char>((code >> (8 * b)) & 0xFF));
       }
     }
     return out;
+  }
+
+  void Reset() override {
+    codes_.clear();
+    staged_cells_ = nullptr;
+    staged_n_ = 0;
   }
 
  private:

@@ -63,6 +63,13 @@ class PageDictChunk final : public ColumnChunkCompressor {
 
   std::string Finish() const override;
 
+  void Reset() override {
+    dict_.Clear();
+    dict_bytes_ = 0;
+    codes_.clear();
+    staged_ = {};
+  }
+
  private:
   /// The cell's code, charging a new entry's bytes to the dictionary.
   uint32_t Encode(const char* cell) {

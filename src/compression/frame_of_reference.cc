@@ -108,6 +108,13 @@ class ForChunk final : public ColumnChunkCompressor {
     return out;
   }
 
+  void Reset() override {
+    values_.clear();
+    min_ = 0;
+    max_ = 0;
+    staged_ = {};
+  }
+
  private:
   size_t ChunkCost(size_t n, uint64_t span) const {
     if (n == 0) return 2;

@@ -56,6 +56,12 @@ class NsChunk final : public ColumnChunkCompressor {
     return out;
   }
 
+  void Reset() override {
+    buf_.clear();
+    count_ = 0;
+    staged_ = {};
+  }
+
  private:
   DataType type_;
   std::string buf_;
@@ -141,6 +147,13 @@ class NoneChunk final : public ColumnChunkCompressor {
     encoding::PutU16(&out, static_cast<uint16_t>(count_));
     out += buf_;
     return out;
+  }
+
+  void Reset() override {
+    buf_.clear();
+    count_ = 0;
+    staged_cells_ = nullptr;
+    staged_n_ = 0;
   }
 
  private:

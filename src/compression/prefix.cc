@@ -68,6 +68,14 @@ class PrefixChunk final : public ColumnChunkCompressor {
     return out;
   }
 
+  void Reset() override {
+    pool_.clear();
+    lengths_.clear();
+    sum_lengths_ = 0;
+    prefix_len_ = 0;
+    staged_ = {};
+  }
+
  private:
   /// Appends the cell's `l` null-suppressed payload bytes.
   void Append(const char* cell, uint32_t l) {

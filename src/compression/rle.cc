@@ -36,18 +36,17 @@ class RleChunk final : public ColumnChunkCompressor {
     staged_ = {run_lengths_.size(),
                run_lengths_.empty() ? 0 : run_lengths_.back(), runs_bytes_,
                count_};
-    std::vector<uint32_t>& starts = StartsScratch();
-    starts.clear();
-    kernels::RunStarts(cells, w, n, OpenRunValue(), &starts);
+    starts_.clear();
+    kernels::RunStarts(cells, w, n, OpenRunValue(), &starts_);
     // Cells before the first boundary extend the run left open by Add();
     // a non-zero head implies a run is open (cell 0 matched it).
     const uint32_t head =
-        starts.empty() ? static_cast<uint32_t>(n) : starts[0];
+        starts_.empty() ? static_cast<uint32_t>(n) : starts_[0];
     if (head > 0) run_lengths_.back() += head;
-    for (size_t k = 0; k < starts.size(); ++k) {
-      const uint32_t s = starts[k];
+    for (size_t k = 0; k < starts_.size(); ++k) {
+      const uint32_t s = starts_[k];
       const uint32_t e =
-          k + 1 < starts.size() ? starts[k + 1] : static_cast<uint32_t>(n);
+          k + 1 < starts_.size() ? starts_[k + 1] : static_cast<uint32_t>(n);
       OpenRun(cells + static_cast<size_t>(s) * w, e - s);
     }
     count_ += static_cast<uint32_t>(n);
@@ -80,12 +79,15 @@ class RleChunk final : public ColumnChunkCompressor {
     return out;
   }
 
- private:
-  static std::vector<uint32_t>& StartsScratch() {
-    thread_local std::vector<uint32_t> scratch;
-    return scratch;
+  void Reset() override {
+    values_.clear();
+    run_lengths_.clear();
+    runs_bytes_ = 0;
+    count_ = 0;
+    staged_ = {};
   }
 
+ private:
   /// The value of the open (last) run, or null before the first cell.
   const char* OpenRunValue() const {
     return run_lengths_.empty()
@@ -117,6 +119,7 @@ class RleChunk final : public ColumnChunkCompressor {
     size_t runs_bytes;
     uint32_t count;
   } staged_ = {};  // restore point of the staged batch
+  std::vector<uint32_t> starts_;  // StageBatch's run-start scratch
 };
 
 class RleCompressor final : public ColumnCompressor {

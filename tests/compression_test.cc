@@ -2,10 +2,12 @@
 // accounting, lossless round trips, corruption handling, and the compressed
 // index page packer.
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "common/simd.h"
 #include "compression/compressed_index.h"
 #include "compression/compressor.h"
+#include "compression/encoding_util.h"
 #include "compression/scheme.h"
 #include "datagen/table_gen.h"
 #include "storage/row_codec.h"
@@ -552,6 +555,51 @@ TEST(GlobalDictTest, PointerOverflowDetectedByValidate) {
   EXPECT_TRUE(compressor->Validate().IsCapacityExceeded());
 }
 
+TEST(GlobalDictTest, RoundTripsAtEveryPointerWidth) {
+  // 300 rows over 200 distinct values, so 1-byte pointers still address
+  // them all. Pointers of 5-8 bytes once shifted a 32-bit code by 32 bits
+  // or more, writing garbage high bytes that decode out of range.
+  const Schema schema({{"a", CharType(8)}});
+  std::vector<std::string> cells;
+  for (int i = 0; i < 300; ++i) {
+    cells.push_back(PadCell(Numbered("v", i % 200), 8));
+  }
+  const std::vector<Slice> rows(cells.begin(), cells.end());
+  for (const uint32_t p : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(p);
+    CompressionOptions options;
+    options.global_pointer_bytes = p;
+    Result<CompressedIndex> index = CompressRows(
+        schema,
+        CompressionScheme::Uniform(CompressionType::kDictionaryGlobal, options),
+        rows);
+    ASSERT_TRUE(index.ok()) << index.status();
+    EXPECT_EQ(index->stats().chunk_bytes,
+              300 * p + 2 * index->stats().data_pages);
+    EXPECT_EQ(index->stats().aux_bytes, 200u * 8u);
+    std::vector<std::string> decoded;
+    const Status status = index->DecodeAllRows(&decoded);
+    ASSERT_TRUE(status.ok()) << status;
+    EXPECT_EQ(decoded, cells);
+  }
+}
+
+TEST(GlobalDictTest, RejectsPointersWiderThanEightBytes) {
+  CompressionOptions options;
+  options.global_pointer_bytes = 9;
+  EXPECT_TRUE(MakeColumnCompressor(CompressionType::kDictionaryGlobal,
+                                   CharType(8), options)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      ColumnCompressorSet::Make(
+          Schema({{"a", CharType(8)}}),
+          CompressionScheme::Uniform(CompressionType::kDictionaryGlobal,
+                                     options))
+          .status()
+          .IsInvalidArgument());
+}
+
 // ---------------------------------------------------------------------------
 // RLE specifics
 // ---------------------------------------------------------------------------
@@ -991,6 +1039,30 @@ std::string ShapedRows(const Schema& schema, RowShape shape, size_t n,
   return rows;
 }
 
+/// Every CompressedIndexStats field, and every per-column one, equal.
+void ExpectSameStats(const CompressedIndexStats& a,
+                     const CompressedIndexStats& b) {
+  EXPECT_EQ(b.row_count, a.row_count);
+  EXPECT_EQ(b.data_pages, a.data_pages);
+  EXPECT_EQ(b.aux_pages, a.aux_pages);
+  EXPECT_EQ(b.used_bytes, a.used_bytes);
+  EXPECT_EQ(b.aux_bytes, a.aux_bytes);
+  EXPECT_EQ(b.chunk_bytes, a.chunk_bytes);
+  EXPECT_EQ(b.dictionary_entries, a.dictionary_entries);
+  EXPECT_EQ(b.page_size, a.page_size);
+  ASSERT_EQ(b.columns.size(), a.columns.size());
+  for (size_t c = 0; c < a.columns.size(); ++c) {
+    EXPECT_EQ(b.columns[c].type, a.columns[c].type) << "column " << c;
+    EXPECT_EQ(b.columns[c].chunk_bytes, a.columns[c].chunk_bytes)
+        << "column " << c;
+    EXPECT_EQ(b.columns[c].aux_bytes, a.columns[c].aux_bytes)
+        << "column " << c;
+    EXPECT_EQ(b.columns[c].dictionary_entries,
+              a.columns[c].dictionary_entries)
+        << "column " << c;
+  }
+}
+
 using SizingCase = std::tuple<CompressionType, size_t, RowShape>;
 
 class SizingWithoutPagesTest : public ::testing::TestWithParam<SizingCase> {
@@ -1034,25 +1106,7 @@ TEST_P(SizingWithoutPagesTest, StatsEqualKeptBuild) {
     const CompressedIndexStats& a = kept.stats();
     const CompressedIndexStats& b = sized.stats();
     EXPECT_EQ(a.row_count, n);
-    EXPECT_EQ(b.row_count, a.row_count);
-    EXPECT_EQ(b.data_pages, a.data_pages);
-    EXPECT_EQ(b.aux_pages, a.aux_pages);
-    EXPECT_EQ(b.used_bytes, a.used_bytes);
-    EXPECT_EQ(b.aux_bytes, a.aux_bytes);
-    EXPECT_EQ(b.chunk_bytes, a.chunk_bytes);
-    EXPECT_EQ(b.dictionary_entries, a.dictionary_entries);
-    EXPECT_EQ(b.page_size, a.page_size);
-    ASSERT_EQ(b.columns.size(), a.columns.size());
-    for (size_t c = 0; c < a.columns.size(); ++c) {
-      EXPECT_EQ(b.columns[c].type, a.columns[c].type) << "column " << c;
-      EXPECT_EQ(b.columns[c].chunk_bytes, a.columns[c].chunk_bytes)
-          << "column " << c;
-      EXPECT_EQ(b.columns[c].aux_bytes, a.columns[c].aux_bytes)
-          << "column " << c;
-      EXPECT_EQ(b.columns[c].dictionary_entries,
-                a.columns[c].dictionary_entries)
-          << "column " << c;
-    }
+    ExpectSameStats(a, b);
     EXPECT_TRUE(sized.pages().empty());
     // The kept stats are the kept pages' own accounting, and the pages
     // decode back to the input.
@@ -1086,12 +1140,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 }  // namespace
 
-/// Reaches into a builder to replace its open page's chunks.
+/// Reaches into a builder's per-column chunks.
 class CompressedIndexBuilderPeer {
  public:
   static void SetChunk(CompressedIndexBuilder* builder, size_t column,
                        std::unique_ptr<ColumnChunkCompressor> chunk) {
     builder->chunks_[column] = std::move(chunk);
+  }
+  static const ColumnChunkCompressor* Chunk(
+      const CompressedIndexBuilder& builder, size_t column) {
+    return builder.chunks_[column].get();
   }
 };
 
@@ -1112,6 +1170,7 @@ class MisreportingChunk final : public ColumnChunkCompressor {
   size_t Cost() const override { return inner_->Cost(); }
   uint32_t count() const override { return inner_->count(); }
   std::string Finish() const override { return inner_->Finish() + "!"; }
+  void Reset() override { inner_->Reset(); }
 
  private:
   std::unique_ptr<ColumnChunkCompressor> inner_;
@@ -1148,6 +1207,240 @@ TEST(CompressedIndexBuilderTest2, KeptPageRejectsChunkBytesThatMissTheCost) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Chunk reuse: a Reset() chunk packs exactly like a fresh NewChunk()
+// ---------------------------------------------------------------------------
+
+/// Rows in segments shaped so that chunk state crosses page boundaries:
+/// - sorted runs of 1 to 300 equal values: RLE runs and the prefix, delta
+///   and FOR values of a page straddle its flush;
+/// - a high-cardinality block, which grows a page's dictionary table, then
+///   a low-cardinality one (three values) packed into the grown table;
+/// - high cardinality again: AddRows predicts the first batches of a page
+///   from cheap low-cardinality rows, so they overflow and are dropped;
+/// - 70,000 copies of one value: dictionary pointers, RLE runs and FOR
+///   offsets cost nothing per row, so the page is closed by the 0xFFFF-row
+///   cap, and AddRows' first batch on the next page — sized to that page's
+///   65,535 rows — reaches into the tail and is dropped right after the
+///   reset;
+/// - a high-cardinality tail.
+std::string ReuseRows(const Schema& schema, size_t* n, Random* rng) {
+  enum class Segment { kRuns, kHigh, kLow, kConstant };
+  const std::vector<std::pair<Segment, size_t>> segments = {
+      {Segment::kRuns, 4000}, {Segment::kHigh, 2500},
+      {Segment::kLow, 12000}, {Segment::kHigh, 2500},
+      {Segment::kConstant, 70000}, {Segment::kHigh, 500}};
+  *n = 0;
+  for (const auto& segment : segments) *n += segment.second;
+  std::string rows(*n * schema.row_width(), '\0');
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    const uint32_t w = schema.width(c);
+    const bool is_string = !schema.column(c).type.IsInteger();
+    uint64_t value = 0;
+    size_t run = 0;
+    size_t i = 0;
+    for (const auto& [segment, count] : segments) {
+      for (size_t j = 0; j < count; ++j, ++i) {
+        char* cell = rows.data() + i * schema.row_width() + schema.offset(c);
+        if (segment == Segment::kHigh && is_string) {
+          // Random lowercase strings of random length.
+          std::memset(cell, ' ', w);
+          const uint64_t len = 1 + rng->NextBounded(w);
+          for (uint64_t b = 0; b < len; ++b) {
+            cell[b] = static_cast<char>('a' + rng->NextBounded(26));
+          }
+          continue;
+        }
+        uint64_t v = 7;  // kConstant
+        if (segment == Segment::kRuns) {
+          if (run == 0) {
+            run = 1 + rng->NextBounded(300);
+            value += 1 + rng->NextBounded(50);
+          }
+          --run;
+          v = value;
+        } else if (segment == Segment::kHigh) {
+          v = rng->NextU64();
+        } else if (segment == Segment::kLow) {
+          v = rng->NextBounded(3);
+        }
+        if (is_string) {
+          // "k" and zero-padded digits: sorted values share a prefix.
+          const std::string digits = std::to_string(v % 1000000);
+          cell[0] = 'k';
+          std::memset(cell + 1, '0', w - 1 - digits.size());
+          std::memcpy(cell + w - digits.size(), digits.data(), digits.size());
+        } else {
+          PutIntCell(cell, v, w);
+        }
+      }
+    }
+  }
+  return rows;
+}
+
+/// A reference packer: the per-row path of CompressedIndexBuilder::Add,
+/// but with a fresh NewChunk() per column on every page. Returns the stats
+/// and every page image.
+struct FreshChunkBuild {
+  CompressedIndexStats stats;
+  std::vector<std::string> pages;
+};
+
+FreshChunkBuild PackWithFreshChunks(const Schema& schema,
+                                    const CompressionScheme& scheme,
+                                    const std::string& rows, size_t n,
+                                    size_t page_size) {
+  ColumnCompressorSet set =
+      ColumnCompressorSet::Make(schema, scheme).ValueOrDie();
+  const size_t ncols = schema.num_columns();
+  FreshChunkBuild out;
+  CompressedIndexStats& stats = out.stats;
+  stats.page_size = page_size;
+  stats.columns.resize(ncols);
+  std::vector<std::unique_ptr<ColumnChunkCompressor>> chunks;
+  auto open_page = [&] {
+    chunks.clear();
+    for (size_t c = 0; c < ncols; ++c) {
+      stats.columns[c].type = set.column(c)->type();
+      chunks.push_back(set.column(c)->NewChunk());
+    }
+  };
+  auto flush_page = [&] {
+    std::string record;
+    size_t used = kPageHeaderSize + kSlotSize;
+    for (size_t c = 0; c < ncols; ++c) {
+      const std::string bytes = chunks[c]->Finish();
+      EXPECT_EQ(bytes.size(), chunks[c]->Cost());
+      used += 4 + bytes.size();
+      stats.chunk_bytes += bytes.size();
+      stats.columns[c].chunk_bytes += bytes.size();
+      encoding::PutU32(&record, static_cast<uint32_t>(bytes.size()));
+      record += bytes;
+    }
+    stats.used_bytes += used;
+    ++stats.data_pages;
+    PageBuilder page(out.pages.size(), PageType::kCompressedLeaf, page_size);
+    EXPECT_TRUE(page.Add(Slice(record)).ok());
+    out.pages.push_back(page.Finish().buffer());
+    open_page();
+  };
+  const size_t width = schema.row_width();
+  auto prospective = [&](const char* row) {
+    size_t cost = kPageHeaderSize + kSlotSize + 4 * ncols;
+    for (size_t c = 0; c < ncols; ++c) {
+      cost += chunks[c]->CostWith(
+          Slice(row + schema.offset(c), schema.width(c)));
+    }
+    return cost;
+  };
+  open_page();
+  for (size_t i = 0; i < n; ++i) {
+    const char* row = rows.data() + i * width;
+    if (chunks[0]->count() >= 0xFFFF ||
+        (chunks[0]->count() > 0 && prospective(row) > page_size)) {
+      flush_page();
+    }
+    EXPECT_LE(prospective(row), page_size);
+    for (size_t c = 0; c < ncols; ++c) {
+      chunks[c]->Add(Slice(row + schema.offset(c), schema.width(c)));
+    }
+  }
+  if (chunks[0]->count() > 0 || n == 0) flush_page();
+  stats.row_count = n;
+  stats.aux_bytes = set.AuxiliaryBytes();
+  stats.dictionary_entries = set.TotalDictionaryEntries();
+  for (size_t c = 0; c < ncols; ++c) {
+    stats.columns[c].aux_bytes = set.column(c)->AuxiliaryBytes();
+    stats.columns[c].dictionary_entries =
+        set.column(c)->TotalDictionaryEntries();
+  }
+  const size_t aux_capacity = page_size - kPageHeaderSize;
+  stats.aux_pages = (stats.aux_bytes + aux_capacity - 1) / aux_capacity;
+  return out;
+}
+
+using ReuseCase = std::tuple<CompressionType, size_t>;
+
+class ChunkReuseTest : public ::testing::TestWithParam<ReuseCase> {};
+
+TEST_P(ChunkReuseTest, ResetChunksPackLikeFreshOnes) {
+  const auto [type, page_size] = GetParam();
+  const bool int_only = type == CompressionType::kDelta ||
+                        type == CompressionType::kFrameOfReference;
+  const Schema schema =
+      int_only ? Schema({{"a", Int64Type()}, {"b", Int32Type()}})
+               : Schema({{"s", CharType(14)}, {"i", Int32Type()}});
+  const CompressionScheme scheme = CompressionScheme::Uniform(type);
+  Random rng(83 + static_cast<uint64_t>(type));
+  size_t n = 0;
+  const std::string rows = ReuseRows(schema, &n, &rng);
+  struct LevelGuard {
+    ~LevelGuard() { ResetSimdLevel(); }
+  } guard;
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
+    if (level > MaxSimdLevel()) continue;
+    SetSimdLevel(level);
+    SCOPED_TRACE(SimdLevelName(level));
+    const FreshChunkBuild reference =
+        PackWithFreshChunks(schema, scheme, rows, n, page_size);
+    ASSERT_GT(reference.stats.data_pages, 2u);
+    for (const bool batched : {false, true}) {
+      for (const bool keep_pages : {true, false}) {
+        SCOPED_TRACE(std::string(batched ? "AddRows" : "Add") +
+                     (keep_pages ? ", kept" : ", sized"));
+        IndexBuildOptions options;
+        options.page_size = page_size;
+        options.keep_pages = keep_pages;
+        auto builder =
+            CompressedIndexBuilder::Make(schema, scheme, options).ValueOrDie();
+        std::vector<const ColumnChunkCompressor*> opened;
+        for (size_t c = 0; c < schema.num_columns(); ++c) {
+          opened.push_back(CompressedIndexBuilderPeer::Chunk(*builder, c));
+        }
+        // Every page goes through the chunks opened with the build: checked
+        // after each Add, or after each AddRows slice of up to 1500 rows.
+        const size_t step = batched ? 1500 : 1;
+        for (size_t i = 0; i < n; i += step) {
+          const size_t m = std::min(step, n - i);
+          const char* slice = rows.data() + i * schema.row_width();
+          const Status status =
+              batched ? builder->AddRows(slice, m)
+                      : builder->Add(Slice(slice, schema.row_width()));
+          ASSERT_TRUE(status.ok()) << status;
+          for (size_t c = 0; c < schema.num_columns(); ++c) {
+            ASSERT_EQ(CompressedIndexBuilderPeer::Chunk(*builder, c),
+                      opened[c])
+                << "column " << c << " after row " << i;
+          }
+        }
+        Result<CompressedIndex> index = builder->Finish();
+        ASSERT_TRUE(index.ok()) << index.status();
+        ExpectSameStats(reference.stats, index->stats());
+        if (!keep_pages) {
+          EXPECT_TRUE(index->pages().empty());
+          continue;
+        }
+        ASSERT_EQ(index->pages().size(), reference.pages.size());
+        for (size_t p = 0; p < reference.pages.size(); ++p) {
+          ASSERT_EQ(index->pages()[p].buffer(), reference.pages[p])
+              << "page " << p;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, ChunkReuseTest,
+    ::testing::Combine(::testing::ValuesIn(AllCompressionTypes()),
+                       ::testing::Values(size_t{1024}, size_t{8192})),
+    [](const auto& info) {
+      return std::string(CompressionTypeName(std::get<0>(info.param))) +
+             "_" + std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace cfest
