@@ -250,13 +250,11 @@ class ItemRefinery {
 class LazySearch {
  public:
   LazySearch(std::vector<SearchItem> items, uint64_t bound,
-             ItemRefinery* refinery, LazyRunCounters* stats,
-             bool incremental_bound = true)
+             ItemRefinery* refinery, LazyRunCounters* stats)
       : items_(std::move(items)),
         bound_(bound),
         refinery_(refinery),
-        stats_(stats),
-        incremental_bound_(incremental_bound) {
+        stats_(stats) {
     // Intern candidate keys to dense ids so hot-path membership (the taken
     // set, the bound's key exclusions) is a flat bitmap instead of a
     // std::set of strings.
@@ -344,11 +342,9 @@ class LazySearch {
   /// Marks every item sharing key id `k` as taken (or untaken), keeping the
   /// Fenwick sums in sync with eligibility.
   void SetKeyTaken(uint32_t k, bool taken) {
-    if (incremental_bound_) {
-      for (const uint32_t j : key_items_[k]) {
-        if (items_[j].sized.config.benefit > 0.0 && index_dead_[j] == 0) {
-          FenwickToggle(j, taken ? -1 : +1);
-        }
+    for (const uint32_t j : key_items_[k]) {
+      if (items_[j].sized.config.benefit > 0.0 && index_dead_[j] == 0) {
+        FenwickToggle(j, taken ? -1 : +1);
       }
     }
     key_taken_[k] = taken ? 1 : 0;
@@ -357,7 +353,6 @@ class LazySearch {
   /// Marks item `i` as passed by the DFS frontier for the rest of the
   /// current Dfs frame (and its subtree), logging the flip for rollback.
   void PassIndex(size_t i) {
-    if (!incremental_bound_) return;
     if (ItemEligible(i)) FenwickToggle(i, -1);
     index_dead_[i] = 1;
     dead_log_.push_back(static_cast<uint32_t>(i));
@@ -385,7 +380,6 @@ class LazySearch {
             return items_[a].key < items_[b].key;
           return a < b;
         });
-    if (!incremental_bound_) return;
     // Rebuild the Fenwick prefix sums over the (possibly re-sorted) density
     // positions from the current eligibility flags. Rebuilds happen once at
     // Run() and after each (rare) refinement; every node in between updates
@@ -422,58 +416,38 @@ class LazySearch {
     }
   }
 
-  double FractionalBound(size_t i) const {
+  /// The fractional-knapsack bound over the items still eligible: a
+  /// Fenwick descent to the largest density-order prefix whose eligible
+  /// weight fits the remaining capacity, accumulating its benefit along the
+  /// way, plus a fractional share of the next item. The DFS frontier is
+  /// encoded in the eligibility flags. O(log n) per node.
+  double FractionalBound() const {
     const uint64_t low = SumLow();
     if (low > bound_) return 0.0;
-    uint64_t cap = bound_ - low;
-    if (incremental_bound_) {
-      // Fenwick descent: the largest density-order prefix whose eligible
-      // weight fits `cap`, accumulating its benefit along the way. The DFS
-      // frontier (`j < i` below) is encoded in the eligibility flags, so
-      // `i` itself is implicit. O(log n) against the legacy path's O(n)
-      // rescan of the density order per node.
-      size_t p = 0;
-      uint64_t acc_w = 0;
-      double acc_b = 0.0;
-      const size_t n = density_order_.size();
-      for (size_t step = fen_top_; step > 0; step >>= 1) {
-        const size_t next = p + step;
-        if (next <= n && acc_w + fen_w_[next] <= cap) {
-          p = next;
-          acc_w += fen_w_[next];
-          acc_b += fen_b_[next];
-        }
-      }
-      if (p < n) {
-        // Maximality of the prefix means position p+1 carries weight
-        // strictly greater than the remaining capacity — in particular
-        // non-zero, so the item there is eligible and the greedy fill
-        // breaks exactly here with a fractional share.
-        const SearchItem& it = items_[density_order_[p]];
-        acc_b += it.sized.config.benefit *
-                 (static_cast<double>(cap - acc_w) /
-                  static_cast<double>(it.bytes_low));
-      }
-      return acc_b;
-    }
-    double bound_benefit = 0.0;
-    for (size_t j : density_order_) {
-      if (j < i) continue;
-      const SearchItem& it = items_[j];
-      const double benefit = it.sized.config.benefit;
-      if (benefit <= 0.0) continue;
-      if (key_taken_[kid_[j]] != 0) continue;
-      const uint64_t w = it.bytes_low;
-      if (w == 0 || w <= cap) {
-        bound_benefit += benefit;
-        cap -= std::min(cap, w);
-      } else {
-        bound_benefit +=
-            benefit * (static_cast<double>(cap) / static_cast<double>(w));
-        break;
+    const uint64_t cap = bound_ - low;
+    size_t p = 0;
+    uint64_t acc_w = 0;
+    double acc_b = 0.0;
+    const size_t n = density_order_.size();
+    for (size_t step = fen_top_; step > 0; step >>= 1) {
+      const size_t next = p + step;
+      if (next <= n && acc_w + fen_w_[next] <= cap) {
+        p = next;
+        acc_w += fen_w_[next];
+        acc_b += fen_b_[next];
       }
     }
-    return bound_benefit;
+    if (p < n) {
+      // Maximality of the prefix means position p+1 carries weight
+      // strictly greater than the remaining capacity — in particular
+      // non-zero, so the item there is eligible and the greedy fill
+      // breaks exactly here with a fractional share.
+      const SearchItem& it = items_[density_order_[p]];
+      acc_b += it.sized.config.benefit *
+               (static_cast<double>(cap - acc_w) /
+                static_cast<double>(it.bytes_low));
+    }
+    return acc_b;
   }
 
   /// Commits a take/skip feasibility decision for item `i` against the
@@ -561,7 +535,7 @@ class LazySearch {
           best_ = current_;
         }
         if (i >= items_.size()) break;
-        if (current_benefit_ + FractionalBound(i) <= best_benefit_) {
+        if (current_benefit_ + FractionalBound() <= best_benefit_) {
           stats_->nodes_pruned.Increment();
           break;
         }
@@ -611,7 +585,6 @@ class LazySearch {
   uint64_t bound_ = 0;
   ItemRefinery* refinery_;
   LazyRunCounters* stats_;
-  bool incremental_bound_ = true;
 
   // Key interning: item -> dense key id, key id -> member items, and the
   // taken bitmap replacing the old std::set<std::string>.
@@ -769,7 +742,7 @@ Result<AdvisorRecommendation> AdviseConfigurationsLazy(
 AdvisorRecommendation SearchSizedCandidates(
     const std::vector<SizedCandidate>& candidates,
     const std::vector<size_t>& order, uint64_t storage_bound,
-    LazyAdvisorStats* stats, bool incremental_bound) {
+    LazyAdvisorStats* stats) {
   LazyRunCounters local;
   std::vector<SearchItem> items;
   items.reserve(order.size());
@@ -783,8 +756,7 @@ AdvisorRecommendation SearchSizedCandidates(
     item.refined = true;
     items.push_back(std::move(item));
   }
-  LazySearch search(std::move(items), storage_bound, nullptr, &local,
-                    incremental_bound);
+  LazySearch search(std::move(items), storage_bound, nullptr, &local);
   local.candidates.Add(search.items().size());
   // All items are point-valued: the search cannot fail.
   AdvisorRecommendation rec = search.Run().ValueOrDie();

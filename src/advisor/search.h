@@ -98,19 +98,16 @@ Result<AdvisorRecommendation> AdviseConfigurationsLazy(
 /// SelectConfigurations dispatches AdvisorStrategy::kLazy to. Same
 /// selections as kOptimal up to ties in total benefit.
 ///
-/// `incremental_bound` selects the pruning-bound implementation: true (the
-/// default) maintains the fractional-knapsack bound incrementally in a
-/// Fenwick tree over the density order (O(log n) per node); false rescans
-/// the density order at every node (O(n) per node) — the pre-Fenwick path,
-/// kept as IncrementalBoundTest's selection-equality reference. Both
-/// produce the same selections; summing benefits
-/// in tree order can differ from the sequential rescan by floating-point
-/// rounding, which only matters for prune-at-equality ties between
-/// non-integer benefits.
+/// The bound is kept incrementally in a Fenwick tree over the density
+/// order (O(log n) per node). Its selections equal those of rescanning the
+/// density order at every node (IncrementalBoundTest's test-local
+/// reference); summing benefits in tree order can differ from the
+/// sequential rescan by floating-point rounding, which only matters for
+/// prune-at-equality ties between non-integer benefits.
 AdvisorRecommendation SearchSizedCandidates(
     const std::vector<SizedCandidate>& candidates,
     const std::vector<size_t>& order, uint64_t storage_bound,
-    LazyAdvisorStats* stats = nullptr, bool incremental_bound = true);
+    LazyAdvisorStats* stats = nullptr);
 
 }  // namespace cfest
 

@@ -13,6 +13,15 @@
 // page has room for it: BeginTentative() opens a section whose inserts are
 // provisional. Commit() keeps them (an accepted batch is inserted once);
 // RollBack() removes them again, restoring the exact prior entries.
+//
+// A grouped dictionary, chosen at construction, serves a column whose equal
+// cells are adjacent in the order they are inserted (a sorted leading key,
+// or a row id). There a cell is already an entry exactly when it equals the
+// newest entry, so Insert() and Contains() compare with that one entry and
+// never hash or touch the slot table, and RollBack() and Clear() only
+// truncate the entries and the pool. The codes, entries and sizes are those
+// the hashed mode gives for the same cells; a column that breaks the
+// contract gets a new entry each time a value recurs after another one.
 
 #ifndef CFEST_COMPRESSION_CELL_DICTIONARY_H_
 #define CFEST_COMPRESSION_CELL_DICTIONARY_H_
@@ -31,9 +40,10 @@ namespace cfest {
 
 class CellDictionary {
  public:
-  /// `initial_slots` must be a power of two.
-  explicit CellDictionary(size_t initial_slots = 256)
-      : slots_(initial_slots, 0) {
+  /// `initial_slots` must be a power of two. `grouped` promises that equal
+  /// cells are inserted adjacently (see above); the table then stays empty.
+  explicit CellDictionary(size_t initial_slots = 256, bool grouped = false)
+      : slots_(grouped ? 0 : initial_slots, 0), grouped_(grouped) {
     assert(initial_slots > 0 && (initial_slots & (initial_slots - 1)) == 0);
   }
 
@@ -49,6 +59,7 @@ class CellDictionary {
 
   /// True if the `len` bytes at `data` are an entry.
   bool Contains(const char* data, uint32_t len) const {
+    if (grouped_) return IsNewest(data, len);
     return slots_[FindSlot(data, len, Hash(data, len))] != 0;
   }
 
@@ -60,6 +71,13 @@ class CellDictionary {
   /// The code of the `len` bytes at `data`, inserting them (with the next
   /// code) if they are new.
   Insertion Insert(const char* data, uint32_t len) {
+    if (grouped_) {
+      const uint32_t code = static_cast<uint32_t>(entries_.size());
+      if (IsNewest(data, len)) return {code - 1, false};
+      entries_.push_back({pool_.size(), len, 0});
+      pool_.append(data, len);
+      return {code, true};
+    }
     const uint32_t hash = Hash(data, len);
     const size_t slot = FindSlot(data, len, hash);
     if (slots_[slot] != 0) return {slots_[slot] - 1, false};
@@ -99,11 +117,13 @@ class CellDictionary {
   /// table, the tentative entries only ever extended probe chains past the
   /// older ones, so emptying their slots newest first restores the table
   /// exactly; otherwise the table is rebuilt from the surviving entries.
+  /// A grouped dictionary has no table: truncating the entries makes the
+  /// last surviving one the newest again.
   void RollBack() {
     const size_t mark = tentative_mark_;
     if (mark == entries_.size()) return;
     const bool grew = slots_.size() != tentative_slots_;
-    if (!grew) {
+    if (!grouped_ && !grew) {
       const size_t mask = slots_.size() - 1;
       for (size_t code = entries_.size(); code-- > mark;) {
         size_t i = entries_[code].hash & mask;
@@ -120,8 +140,16 @@ class CellDictionary {
   struct Entry {
     size_t offset;  // into pool_
     uint32_t len;
-    uint32_t hash;  // low bits of HashBytes: skips most memcmps and rehashes
+    uint32_t hash;  // low bits of HashBytes (0 when grouped): skips most
+                    // memcmps and rehashes
   };
+
+  /// Grouped mode's membership test: the bytes equal the newest entry.
+  bool IsNewest(const char* data, uint32_t len) const {
+    if (entries_.empty()) return false;
+    const Entry& e = entries_.back();
+    return e.len == len && std::memcmp(pool_.data() + e.offset, data, len) == 0;
+  }
 
   static uint32_t Hash(const char* data, uint32_t len) {
     return static_cast<uint32_t>(kernels::HashBytes(data, len));
@@ -158,8 +186,10 @@ class CellDictionary {
     }
   }
 
-  /// Entry code + 1 per slot, 0 = empty. Power-of-two sized.
+  /// Entry code + 1 per slot, 0 = empty. Power-of-two sized; empty when
+  /// grouped.
   std::vector<uint32_t> slots_;
+  bool grouped_;
   std::vector<Entry> entries_;  // in code (first-appearance) order
   std::string pool_;            // every entry's bytes, back to back
   size_t tentative_mark_ = 0;

@@ -13,10 +13,12 @@ namespace {
 
 class CombinedChunk final : public ColumnChunkCompressor {
  public:
-  CombinedChunk(const DataType& type, uint64_t* total_dict_entries)
+  CombinedChunk(const DataType& type, bool grouped,
+                uint64_t* total_dict_entries)
       : type_(type),
         len_hdr_(LengthHeaderBytes(type)),
-        total_dict_entries_(total_dict_entries) {}
+        total_dict_entries_(total_dict_entries),
+        dict_(256, grouped) {}
 
   size_t CostWith(const Slice& cell) override {
     const uint32_t l = NullSuppressedLength(cell, type_);
@@ -147,7 +149,8 @@ class CombinedChunk final : public ColumnChunkCompressor {
 
 class CombinedCompressor final : public ColumnCompressor {
  public:
-  explicit CombinedCompressor(const DataType& type) : type_(type) {}
+  CombinedCompressor(const DataType& type, bool grouped)
+      : type_(type), grouped_(grouped) {}
 
   CompressionType type() const override {
     return CompressionType::kPrefixDictionary;
@@ -155,7 +158,8 @@ class CombinedCompressor final : public ColumnCompressor {
   const DataType& data_type() const override { return type_; }
 
   std::unique_ptr<ColumnChunkCompressor> NewChunk() override {
-    return std::make_unique<CombinedChunk>(type_, &total_dict_entries_);
+    return std::make_unique<CombinedChunk>(type_, grouped_,
+                                           &total_dict_entries_);
   }
 
   uint64_t TotalDictionaryEntries() const override {
@@ -228,14 +232,15 @@ class CombinedCompressor final : public ColumnCompressor {
 
  private:
   DataType type_;
+  bool grouped_;
   uint64_t total_dict_entries_ = 0;
 };
 
 }  // namespace
 
 std::unique_ptr<ColumnCompressor> MakeCombinedPageCompressor(
-    const DataType& data_type) {
-  return std::make_unique<CombinedCompressor>(data_type);
+    const DataType& data_type, bool grouped) {
+  return std::make_unique<CombinedCompressor>(data_type, grouped);
 }
 
 }  // namespace cfest

@@ -20,8 +20,9 @@
 
 namespace cfest {
 
+/// `grouped`: the column's equal cells are adjacent (MakeColumnCompressor).
 std::unique_ptr<ColumnCompressor> MakeCombinedPageCompressor(
-    const DataType& data_type);
+    const DataType& data_type, bool grouped);
 
 }  // namespace cfest
 

@@ -64,7 +64,7 @@ CompressedIndexBuilder::CompressedIndexBuilder(
 
 Result<std::unique_ptr<CompressedIndexBuilder>> CompressedIndexBuilder::Make(
     const Schema& schema, const CompressionScheme& scheme,
-    const Options& options) {
+    const Options& options, const std::vector<size_t>& grouped_columns) {
   if (options.page_size < kPageHeaderSize + kSlotSize + 64) {
     return Status::InvalidArgument("page size too small: " +
                                    std::to_string(options.page_size));
@@ -74,8 +74,9 @@ Result<std::unique_ptr<CompressedIndexBuilder>> CompressedIndexBuilder::Make(
         "page size exceeds 16-bit slot addressing: " +
         std::to_string(options.page_size));
   }
-  CFEST_ASSIGN_OR_RETURN(ColumnCompressorSet set,
-                         ColumnCompressorSet::Make(schema, scheme));
+  CFEST_ASSIGN_OR_RETURN(
+      ColumnCompressorSet set,
+      ColumnCompressorSet::Make(schema, scheme, grouped_columns));
   auto shared = std::make_shared<ColumnCompressorSet>(std::move(set));
   return std::unique_ptr<CompressedIndexBuilder>(new CompressedIndexBuilder(
       schema, scheme, std::move(shared), options));

@@ -111,10 +111,16 @@ class CompressedIndexBuilder {
  public:
   using Options = IndexBuildOptions;
 
-  /// Fails if the scheme does not fit the schema.
+  /// Fails if the scheme does not fit the schema. `grouped_columns` lists
+  /// the columns whose equal cells are adjacent in the order rows are added
+  /// (ColumnCompressorSet::Make); their dictionaries compare each cell with
+  /// the newest entry instead of hashing it, with identical results. Only
+  /// code that owns the rows' sort passes a non-empty set (Index::Compress,
+  /// SampleCFFromIndex); the grouped-columns lint rule enforces that.
   static Result<std::unique_ptr<CompressedIndexBuilder>> Make(
       const Schema& schema, const CompressionScheme& scheme,
-      const Options& options = {});
+      const Options& options = {},
+      const std::vector<size_t>& grouped_columns = {});
 
   /// Adds one encoded row (exactly schema.row_width() bytes). Rows should be
   /// fed in index (sorted) order.
@@ -172,7 +178,8 @@ class CompressedIndexBuilder {
   bool finished_ = false;
 };
 
-/// Convenience: compresses a batch of encoded rows in one call.
+/// Convenience: compresses a batch of encoded rows in one call. The rows'
+/// order is the caller's, so no column is declared grouped.
 Result<CompressedIndex> CompressRows(const Schema& schema,
                                      const CompressionScheme& scheme,
                                      const std::vector<Slice>& rows,

@@ -56,7 +56,7 @@ std::vector<CompressionType> AllCompressionTypes() {
 
 Result<std::unique_ptr<ColumnCompressor>> MakeColumnCompressor(
     CompressionType type, const DataType& data_type,
-    const CompressionOptions& options) {
+    const CompressionOptions& options, bool grouped) {
   if (data_type.FixedWidth() == 0) {
     return Status::InvalidArgument("cannot compress zero-width column type " +
                                    data_type.ToString());
@@ -72,9 +72,9 @@ Result<std::unique_ptr<ColumnCompressor>> MakeColumnCompressor(
     case CompressionType::kNullSuppression:
       return MakeNullSuppressionCompressor(data_type);
     case CompressionType::kDictionaryPage:
-      return MakePageDictionaryCompressor(data_type, options);
+      return MakePageDictionaryCompressor(data_type, options, grouped);
     case CompressionType::kDictionaryGlobal:
-      return MakeGlobalDictionaryCompressor(data_type, options);
+      return MakeGlobalDictionaryCompressor(data_type, options, grouped);
     case CompressionType::kRle:
       return MakeRleCompressor(data_type);
     case CompressionType::kPrefix:
@@ -82,7 +82,7 @@ Result<std::unique_ptr<ColumnCompressor>> MakeColumnCompressor(
     case CompressionType::kDelta:
       return MakeDeltaCompressor(data_type);
     case CompressionType::kPrefixDictionary:
-      return MakeCombinedPageCompressor(data_type);
+      return MakeCombinedPageCompressor(data_type, grouped);
     case CompressionType::kFrameOfReference:
       return MakeFrameOfReferenceCompressor(data_type);
   }

@@ -60,11 +60,13 @@ class GlobalDictChunk final : public ColumnChunkCompressor {
 
 class GlobalDictCompressor final : public ColumnCompressor {
  public:
-  GlobalDictCompressor(const DataType& type, const CompressionOptions& options)
+  GlobalDictCompressor(const DataType& type, const CompressionOptions& options,
+                       bool grouped)
       : type_(type),
         pointer_bytes_(options.global_pointer_bytes == 0
                            ? 4
-                           : options.global_pointer_bytes) {}
+                           : options.global_pointer_bytes),
+        dict_(1024, grouped) {}
 
   CompressionType type() const override {
     return CompressionType::kDictionaryGlobal;
@@ -109,8 +111,9 @@ class GlobalDictCompressor final : public ColumnCompressor {
   uint64_t TotalDictionaryEntries() const override { return dict_.size(); }
 
   Status Validate() const override {
-    const uint64_t capacity =
-        pointer_bytes_ >= 4 ? ~uint64_t{0} : (uint64_t{1} << (8 * pointer_bytes_));
+    const uint64_t capacity = pointer_bytes_ >= 4
+                                  ? ~uint64_t{0}
+                                  : (uint64_t{1} << (8 * pointer_bytes_));
     if (dict_.size() > capacity) {
       return Status::CapacityExceeded(
           "global dictionary has " + std::to_string(dict_.size()) +
@@ -130,7 +133,7 @@ class GlobalDictCompressor final : public ColumnCompressor {
  private:
   DataType type_;
   uint32_t pointer_bytes_;
-  CellDictionary dict_{1024};
+  CellDictionary dict_;
 };
 
 size_t GlobalDictChunk::CostWith(const Slice& cell) {
@@ -158,8 +161,9 @@ void GlobalDictChunk::CommitStaged() {
 }  // namespace
 
 std::unique_ptr<ColumnCompressor> MakeGlobalDictionaryCompressor(
-    const DataType& data_type, const CompressionOptions& options) {
-  return std::make_unique<GlobalDictCompressor>(data_type, options);
+    const DataType& data_type, const CompressionOptions& options,
+    bool grouped) {
+  return std::make_unique<GlobalDictCompressor>(data_type, options, grouped);
 }
 
 }  // namespace cfest

@@ -19,8 +19,10 @@
 
 namespace cfest {
 
+/// `grouped`: the column's equal cells are adjacent (MakeColumnCompressor).
 std::unique_ptr<ColumnCompressor> MakeGlobalDictionaryCompressor(
-    const DataType& data_type, const CompressionOptions& options);
+    const DataType& data_type, const CompressionOptions& options,
+    bool grouped);
 
 }  // namespace cfest
 

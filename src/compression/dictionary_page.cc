@@ -13,10 +13,11 @@ namespace {
 class PageDictChunk final : public ColumnChunkCompressor {
  public:
   PageDictChunk(const DataType& type, const CompressionOptions& options,
-                uint64_t* total_dict_entries)
+                bool grouped, uint64_t* total_dict_entries)
       : type_(type),
         options_(options),
-        total_dict_entries_(total_dict_entries) {}
+        total_dict_entries_(total_dict_entries),
+        dict_(256, grouped) {}
 
   size_t CostWith(const Slice& cell) override {
     const bool is_new = !dict_.Contains(cell.data(), type_.FixedWidth());
@@ -137,8 +138,9 @@ std::string PageDictChunk::Finish() const {
 
 class PageDictCompressor final : public ColumnCompressor {
  public:
-  PageDictCompressor(const DataType& type, const CompressionOptions& options)
-      : type_(type), options_(options) {}
+  PageDictCompressor(const DataType& type, const CompressionOptions& options,
+                     bool grouped)
+      : type_(type), options_(options), grouped_(grouped) {}
 
   CompressionType type() const override {
     return CompressionType::kDictionaryPage;
@@ -146,7 +148,7 @@ class PageDictCompressor final : public ColumnCompressor {
   const DataType& data_type() const override { return type_; }
 
   std::unique_ptr<ColumnChunkCompressor> NewChunk() override {
-    return std::make_unique<PageDictChunk>(type_, options_,
+    return std::make_unique<PageDictChunk>(type_, options_, grouped_,
                                            &total_dict_entries_);
   }
 
@@ -210,14 +212,16 @@ class PageDictCompressor final : public ColumnCompressor {
  private:
   DataType type_;
   CompressionOptions options_;
+  bool grouped_;
   uint64_t total_dict_entries_ = 0;  // the paper's sum_i Pg(i)
 };
 
 }  // namespace
 
 std::unique_ptr<ColumnCompressor> MakePageDictionaryCompressor(
-    const DataType& data_type, const CompressionOptions& options) {
-  return std::make_unique<PageDictCompressor>(data_type, options);
+    const DataType& data_type, const CompressionOptions& options,
+    bool grouped) {
+  return std::make_unique<PageDictCompressor>(data_type, options, grouped);
 }
 
 }  // namespace cfest

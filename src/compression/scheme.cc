@@ -14,12 +14,22 @@ std::string CompressionScheme::ToString() const {
 }
 
 Result<ColumnCompressorSet> ColumnCompressorSet::Make(
-    const Schema& schema, const CompressionScheme& scheme) {
+    const Schema& schema, const CompressionScheme& scheme,
+    const std::vector<size_t>& grouped_columns) {
   if (!scheme.per_column.empty() &&
       scheme.per_column.size() != schema.num_columns()) {
     return Status::InvalidArgument(
         "scheme lists " + std::to_string(scheme.per_column.size()) +
         " columns but schema has " + std::to_string(schema.num_columns()));
+  }
+  std::vector<bool> grouped(schema.num_columns(), false);
+  for (const size_t c : grouped_columns) {
+    if (c >= schema.num_columns()) {
+      return Status::InvalidArgument(
+          "grouped column " + std::to_string(c) + " but schema has " +
+          std::to_string(schema.num_columns()) + " columns");
+    }
+    grouped[c] = true;
   }
   ColumnCompressorSet set;
   set.compressors_.reserve(schema.num_columns());
@@ -28,7 +38,8 @@ Result<ColumnCompressorSet> ColumnCompressorSet::Make(
         scheme.per_column.empty() ? scheme.default_type : scheme.per_column[i];
     CFEST_ASSIGN_OR_RETURN(
         auto compressor,
-        MakeColumnCompressor(type, schema.column(i).type, scheme.options));
+        MakeColumnCompressor(type, schema.column(i).type, scheme.options,
+                             grouped[i]));
     set.compressors_.push_back(std::move(compressor));
   }
   return set;

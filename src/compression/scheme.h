@@ -41,8 +41,12 @@ struct CompressionScheme {
 class ColumnCompressorSet {
  public:
   /// Validates the scheme against the schema and creates all compressors.
-  static Result<ColumnCompressorSet> Make(const Schema& schema,
-                                          const CompressionScheme& scheme);
+  /// `grouped_columns` lists the columns whose equal cells are adjacent in
+  /// the order rows are added (MakeColumnCompressor's `grouped`); an index
+  /// past the schema is InvalidArgument.
+  static Result<ColumnCompressorSet> Make(
+      const Schema& schema, const CompressionScheme& scheme,
+      const std::vector<size_t>& grouped_columns = {});
 
   size_t num_columns() const { return compressors_.size(); }
   ColumnCompressor* column(size_t i) { return compressors_[i].get(); }

@@ -50,7 +50,9 @@ Result<SampleCFResult> SampleCFFromIndex(const Index& index,
     return Status::InvalidArgument("cannot sample an empty index");
   }
   // Uniform with replacement over index positions; sorting the positions
-  // restores key order for free (the index rows already are key-ordered).
+  // restores key order for free (the index rows already are key-ordered)
+  // and keeps a position drawn twice adjacent, so the index's grouped
+  // columns stay grouped.
   const uint64_t r = std::max<uint64_t>(
       1, static_cast<uint64_t>(std::llround(
              options.fraction * static_cast<double>(index.num_rows()))));
@@ -67,7 +69,8 @@ Result<SampleCFResult> SampleCFFromIndex(const Index& index,
                       rows.data());
   CFEST_ASSIGN_OR_RETURN(
       auto builder,
-      CompressedIndexBuilder::Make(index.schema(), scheme, options.build));
+      CompressedIndexBuilder::Make(index.schema(), scheme, options.build,
+                                   index.GroupedColumns()));
   CFEST_RETURN_NOT_OK(builder->AddRows(rows.data(), r));
   CFEST_ASSIGN_OR_RETURN(CompressedIndex compressed, builder->Finish());
 

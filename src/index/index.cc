@@ -461,10 +461,16 @@ Result<Index> Index::Patched(const Table& old_source, const Table& source,
   return patched;
 }
 
+std::vector<size_t> Index::GroupedColumns() const {
+  if (descriptor_.clustered) return {0};
+  return {0, schema_.num_columns() - 1};  // the leading key and __rid
+}
+
 Result<CompressedIndex> Index::Compress(
     const CompressionScheme& scheme, const IndexBuildOptions& options) const {
-  CFEST_ASSIGN_OR_RETURN(
-      auto builder, CompressedIndexBuilder::Make(schema_, scheme, options));
+  CFEST_ASSIGN_OR_RETURN(auto builder,
+                         CompressedIndexBuilder::Make(schema_, scheme, options,
+                                                      GroupedColumns()));
   CFEST_RETURN_NOT_OK(builder->AddRows(sorted_rows_.data(), num_rows_));
   return builder->Finish();
 }

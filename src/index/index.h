@@ -92,7 +92,15 @@ class Index {
   /// Children per internal page for this schema and page size.
   uint64_t fanout() const;
 
-  /// Compresses this index's rows (in key order) with `scheme`.
+  /// The columns whose equal cells are adjacent in key order, and in any
+  /// sorted selection of rows: the leading key column and, on a
+  /// non-clustered index, __rid (each row's unique position). Compression
+  /// sizes their dictionaries without hashing
+  /// (CompressedIndexBuilder::Make).
+  std::vector<size_t> GroupedColumns() const;
+
+  /// Compresses this index's rows (in key order) with `scheme`, declaring
+  /// GroupedColumns() grouped.
   /// This is the ground-truth compressed size, and — when the index was built
   /// on a sample — the estimate returned by SampleCF.
   Result<CompressedIndex> Compress(const CompressionScheme& scheme,

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -1039,6 +1040,52 @@ std::string ShapedRows(const Schema& schema, RowShape shape, size_t n,
   return rows;
 }
 
+bool IsDictionaryScheme(CompressionType type) {
+  return type == CompressionType::kDictionaryPage ||
+         type == CompressionType::kDictionaryGlobal ||
+         type == CompressionType::kPrefixDictionary;
+}
+
+/// Makes every column of `n` row-major `rows` grouped (equal cells
+/// adjacent) while keeping its runs: a run whose value already occurred
+/// earlier in the column is rewritten to a value the column has not held
+/// ("G" and a number, or a little-endian counter). Returns every column's
+/// index, the set to declare grouped.
+std::vector<size_t> GroupColumns(const Schema& schema, size_t n,
+                                 std::string* rows) {
+  std::vector<size_t> columns;
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    const uint32_t w = schema.width(c);
+    const bool is_string = !schema.column(c).type.IsInteger();
+    std::set<std::string> seen;
+    std::string prev_in;
+    std::string prev_out;
+    uint64_t fresh = 0;
+    for (size_t i = 0; i < n; ++i) {
+      char* cell = rows->data() + i * schema.row_width() + schema.offset(c);
+      const std::string in(cell, w);
+      if (i == 0 || in != prev_in) {
+        prev_in = in;
+        prev_out = in;
+        while (seen.count(prev_out) != 0) {
+          prev_out.assign(w, is_string ? ' ' : '\0');
+          if (is_string) {
+            std::string text = "G";
+            text += std::to_string(fresh++);
+            prev_out.replace(0, std::min<size_t>(text.size(), w), text);
+          } else {
+            PutIntCell(prev_out.data(), fresh++, w);
+          }
+        }
+        seen.insert(prev_out);
+      }
+      std::memcpy(cell, prev_out.data(), w);
+    }
+    columns.push_back(c);
+  }
+  return columns;
+}
+
 /// Every CompressedIndexStats field, and every per-column one, equal.
 void ExpectSameStats(const CompressedIndexStats& a,
                      const CompressedIndexStats& b) {
@@ -1080,13 +1127,14 @@ TEST_P(SizingWithoutPagesTest, StatsEqualKeptBuild) {
                : Schema({{"s", CharType(14)}, {"i", Int32Type()}});
   Random rng(61 + static_cast<uint64_t>(type));
   const size_t n = 3000;
-  const std::string rows = ShapedRows(schema, shape, n, &rng);
-  auto build = [&](bool keep_pages) {
+  std::string rows = ShapedRows(schema, shape, n, &rng);
+  auto build = [&](bool keep_pages, const std::vector<size_t>& grouped) {
     IndexBuildOptions options;
     options.page_size = page_size;
     options.keep_pages = keep_pages;
     auto builder = CompressedIndexBuilder::Make(
-                       schema, CompressionScheme::Uniform(type), options)
+                       schema, CompressionScheme::Uniform(type), options,
+                       grouped)
                        .ValueOrDie();
     EXPECT_TRUE(builder->AddRows(rows.data(), n).ok());
     Result<CompressedIndex> index = builder->Finish();
@@ -1096,31 +1144,41 @@ TEST_P(SizingWithoutPagesTest, StatsEqualKeptBuild) {
   struct LevelGuard {
     ~LevelGuard() { ResetSimdLevel(); }
   } guard;
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
-    if (level > MaxSimdLevel()) continue;
-    SetSimdLevel(level);
-    SCOPED_TRACE(SimdLevelName(level));
-    const CompressedIndex kept = build(true);
-    const CompressedIndex sized = build(false);
-    const CompressedIndexStats& a = kept.stats();
-    const CompressedIndexStats& b = sized.stats();
-    EXPECT_EQ(a.row_count, n);
-    ExpectSameStats(a, b);
-    EXPECT_TRUE(sized.pages().empty());
-    // The kept stats are the kept pages' own accounting, and the pages
-    // decode back to the input.
-    ASSERT_EQ(kept.pages().size(), a.data_pages);
-    uint64_t used = 0;
-    for (const Page& page : kept.pages()) used += page.used_bytes();
-    EXPECT_EQ(used, a.used_bytes);
-    std::vector<std::string> decoded;
-    ASSERT_TRUE(kept.DecodeAllRows(&decoded).ok());
-    ASSERT_EQ(decoded.size(), n);
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(decoded[i], rows.substr(i * schema.row_width(),
-                                        schema.row_width()))
-          << "row " << i;
+  // The dictionary schemes run a second pass over the rows made grouped,
+  // with every column declared grouped: kept and sized builds must still
+  // agree, and equal the hashed build of the same rows.
+  for (const bool grouped : {false, true}) {
+    if (grouped && !IsDictionaryScheme(type)) continue;
+    const std::vector<size_t> columns =
+        grouped ? GroupColumns(schema, n, &rows) : std::vector<size_t>{};
+    for (const SimdLevel level :
+         {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
+      if (level > MaxSimdLevel()) continue;
+      SetSimdLevel(level);
+      SCOPED_TRACE(std::string(SimdLevelName(level)) +
+                   (grouped ? " grouped" : ""));
+      const CompressedIndex kept = build(true, columns);
+      const CompressedIndex sized = build(false, columns);
+      const CompressedIndexStats& a = kept.stats();
+      const CompressedIndexStats& b = sized.stats();
+      EXPECT_EQ(a.row_count, n);
+      ExpectSameStats(a, b);
+      if (grouped) ExpectSameStats(build(false, {}).stats(), b);
+      EXPECT_TRUE(sized.pages().empty());
+      // The kept stats are the kept pages' own accounting, and the pages
+      // decode back to the input.
+      ASSERT_EQ(kept.pages().size(), a.data_pages);
+      uint64_t used = 0;
+      for (const Page& page : kept.pages()) used += page.used_bytes();
+      EXPECT_EQ(used, a.used_bytes);
+      std::vector<std::string> decoded;
+      ASSERT_TRUE(kept.DecodeAllRows(&decoded).ok());
+      ASSERT_EQ(decoded.size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(decoded[i], rows.substr(i * schema.row_width(),
+                                          schema.row_width()))
+            << "row " << i;
+      }
     }
   }
 }
@@ -1375,58 +1433,70 @@ TEST_P(ChunkReuseTest, ResetChunksPackLikeFreshOnes) {
   const CompressionScheme scheme = CompressionScheme::Uniform(type);
   Random rng(83 + static_cast<uint64_t>(type));
   size_t n = 0;
-  const std::string rows = ReuseRows(schema, &n, &rng);
+  std::string rows = ReuseRows(schema, &n, &rng);
   struct LevelGuard {
     ~LevelGuard() { ResetSimdLevel(); }
   } guard;
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
-    if (level > MaxSimdLevel()) continue;
-    SetSimdLevel(level);
-    SCOPED_TRACE(SimdLevelName(level));
-    const FreshChunkBuild reference =
-        PackWithFreshChunks(schema, scheme, rows, n, page_size);
-    ASSERT_GT(reference.stats.data_pages, 2u);
-    for (const bool batched : {false, true}) {
-      for (const bool keep_pages : {true, false}) {
-        SCOPED_TRACE(std::string(batched ? "AddRows" : "Add") +
-                     (keep_pages ? ", kept" : ", sized"));
-        IndexBuildOptions options;
-        options.page_size = page_size;
-        options.keep_pages = keep_pages;
-        auto builder =
-            CompressedIndexBuilder::Make(schema, scheme, options).ValueOrDie();
-        std::vector<const ColumnChunkCompressor*> opened;
-        for (size_t c = 0; c < schema.num_columns(); ++c) {
-          opened.push_back(CompressedIndexBuilderPeer::Chunk(*builder, c));
-        }
-        // Every page goes through the chunks opened with the build: checked
-        // after each Add, or after each AddRows slice of up to 1500 rows.
-        const size_t step = batched ? 1500 : 1;
-        for (size_t i = 0; i < n; i += step) {
-          const size_t m = std::min(step, n - i);
-          const char* slice = rows.data() + i * schema.row_width();
-          const Status status =
-              batched ? builder->AddRows(slice, m)
-                      : builder->Add(Slice(slice, schema.row_width()));
-          ASSERT_TRUE(status.ok()) << status;
+  // The dictionary schemes run a second pass over the rows made grouped,
+  // with every column declared grouped, against the same hashed fresh-chunk
+  // reference: runs straddle page flushes and dropped batches, including
+  // the 70,000-row run that closes pages at the row cap.
+  for (const bool grouped : {false, true}) {
+    if (grouped && !IsDictionaryScheme(type)) continue;
+    const std::vector<size_t> columns =
+        grouped ? GroupColumns(schema, n, &rows) : std::vector<size_t>{};
+    for (const SimdLevel level :
+         {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
+      if (level > MaxSimdLevel()) continue;
+      SetSimdLevel(level);
+      SCOPED_TRACE(std::string(SimdLevelName(level)) +
+                   (grouped ? " grouped" : ""));
+      const FreshChunkBuild reference =
+          PackWithFreshChunks(schema, scheme, rows, n, page_size);
+      ASSERT_GT(reference.stats.data_pages, 2u);
+      for (const bool batched : {false, true}) {
+        for (const bool keep_pages : {true, false}) {
+          SCOPED_TRACE(std::string(batched ? "AddRows" : "Add") +
+                       (keep_pages ? ", kept" : ", sized"));
+          IndexBuildOptions options;
+          options.page_size = page_size;
+          options.keep_pages = keep_pages;
+          auto builder =
+              CompressedIndexBuilder::Make(schema, scheme, options, columns)
+                  .ValueOrDie();
+          std::vector<const ColumnChunkCompressor*> opened;
           for (size_t c = 0; c < schema.num_columns(); ++c) {
-            ASSERT_EQ(CompressedIndexBuilderPeer::Chunk(*builder, c),
-                      opened[c])
-                << "column " << c << " after row " << i;
+            opened.push_back(CompressedIndexBuilderPeer::Chunk(*builder, c));
           }
-        }
-        Result<CompressedIndex> index = builder->Finish();
-        ASSERT_TRUE(index.ok()) << index.status();
-        ExpectSameStats(reference.stats, index->stats());
-        if (!keep_pages) {
-          EXPECT_TRUE(index->pages().empty());
-          continue;
-        }
-        ASSERT_EQ(index->pages().size(), reference.pages.size());
-        for (size_t p = 0; p < reference.pages.size(); ++p) {
-          ASSERT_EQ(index->pages()[p].buffer(), reference.pages[p])
-              << "page " << p;
+          // Every page goes through the chunks opened with the build:
+          // checked after each Add, or after each AddRows slice of up to
+          // 1500 rows.
+          const size_t step = batched ? 1500 : 1;
+          for (size_t i = 0; i < n; i += step) {
+            const size_t m = std::min(step, n - i);
+            const char* slice = rows.data() + i * schema.row_width();
+            const Status status =
+                batched ? builder->AddRows(slice, m)
+                        : builder->Add(Slice(slice, schema.row_width()));
+            ASSERT_TRUE(status.ok()) << status;
+            for (size_t c = 0; c < schema.num_columns(); ++c) {
+              ASSERT_EQ(CompressedIndexBuilderPeer::Chunk(*builder, c),
+                        opened[c])
+                  << "column " << c << " after row " << i;
+            }
+          }
+          Result<CompressedIndex> index = builder->Finish();
+          ASSERT_TRUE(index.ok()) << index.status();
+          ExpectSameStats(reference.stats, index->stats());
+          if (!keep_pages) {
+            EXPECT_TRUE(index->pages().empty());
+            continue;
+          }
+          ASSERT_EQ(index->pages().size(), reference.pages.size());
+          for (size_t p = 0; p < reference.pages.size(); ++p) {
+            ASSERT_EQ(index->pages()[p].buffer(), reference.pages[p])
+                << "page " << p;
+          }
         }
       }
     }

@@ -1,9 +1,11 @@
 // Tests for the index substrate: typed comparators, bulk build (sorting,
 // clustered vs non-clustered projection, leaf packing, builds racing an
 // appender), patching a built index, size accounting, and compression of
-// index rows.
+// index rows, whose grouped columns size exactly like hashed ones.
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,6 +13,10 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/simd.h"
+#include "compression/kernels.h"
+#include "datagen/table_gen.h"
+#include "estimator/sample_cf.h"
 #include "index/comparator.h"
 #include "index/index.h"
 #include "storage/table.h"
@@ -520,6 +526,230 @@ TEST(IndexCompressTest, CompressedRowsMatchIndexRows) {
   ASSERT_EQ(decoded.size(), index->num_rows());
   for (uint64_t i = 0; i < index->num_rows(); ++i) {
     EXPECT_EQ(Slice(decoded[i]), index->row(i));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Grouped columns: an index's sort makes its leading key and __rid grouped,
+// and compressing with them declared grouped equals hashing every column.
+// ---------------------------------------------------------------------------
+
+TEST(GroupedColumnsTest, LeadingKeyAndRid) {
+  auto table = ScoresTable();
+  const Index single =
+      Index::Build(*table, {"a", {"name"}, false}).ValueOrDie();
+  EXPECT_EQ(single.GroupedColumns(), (std::vector<size_t>{0, 1}));
+  const Index two =
+      Index::Build(*table, {"b", {"name", "score"}, false}).ValueOrDie();
+  EXPECT_EQ(two.GroupedColumns(), (std::vector<size_t>{0, 2}));
+  const Index clustered =
+      Index::Build(*table, {"c", {"score"}, true}).ValueOrDie();
+  EXPECT_EQ(clustered.GroupedColumns(), (std::vector<size_t>{0}));
+}
+
+/// Low- and mid-cardinality, skewed and unique columns: string and integer
+/// ones for most schemes, integers only for delta and frame of reference.
+std::vector<ColumnSpec> GroupedTestSpecs(bool int_only) {
+  if (int_only) {
+    return {ColumnSpec::Integer("a", 4),
+            ColumnSpec::Integer("b", 300, FrequencySpec::Zipf(1.0)),
+            ColumnSpec::Integer("c", 0)};
+  }
+  return {ColumnSpec::String("a", 2, 4),
+          ColumnSpec::Integer("b", 300, FrequencySpec::Zipf(1.0)),
+          ColumnSpec::String("c", 14, 900, FrequencySpec::Uniform(),
+                             LengthSpec::Uniform(3, 14)),
+          ColumnSpec::Integer("d", 0)};
+}
+
+/// Compresses `n` rows of `schema` through the builder with `grouped`
+/// declared grouped.
+CompressedIndex BuildCompressed(const Schema& schema,
+                                const CompressionScheme& scheme,
+                                const IndexBuildOptions& options,
+                                const char* rows, uint64_t n,
+                                const std::vector<size_t>& grouped) {
+  auto builder =
+      CompressedIndexBuilder::Make(schema, scheme, options, grouped)
+          .ValueOrDie();
+  EXPECT_TRUE(builder->AddRows(rows, n).ok());
+  Result<CompressedIndex> index = builder->Finish();
+  EXPECT_TRUE(index.ok()) << index.status();
+  return std::move(index).ValueOrDie();
+}
+
+/// Every data-level CompressedIndexStats field, per column too, and every
+/// kept page's bytes equal.
+void ExpectSameCompression(const CompressedIndex& a, const CompressedIndex& b) {
+  const CompressedIndexStats& x = a.stats();
+  const CompressedIndexStats& y = b.stats();
+  EXPECT_EQ(y.row_count, x.row_count);
+  EXPECT_EQ(y.data_pages, x.data_pages);
+  EXPECT_EQ(y.aux_pages, x.aux_pages);
+  EXPECT_EQ(y.used_bytes, x.used_bytes);
+  EXPECT_EQ(y.aux_bytes, x.aux_bytes);
+  EXPECT_EQ(y.chunk_bytes, x.chunk_bytes);
+  EXPECT_EQ(y.dictionary_entries, x.dictionary_entries);
+  ASSERT_EQ(y.columns.size(), x.columns.size());
+  for (size_t c = 0; c < x.columns.size(); ++c) {
+    EXPECT_EQ(y.columns[c].chunk_bytes, x.columns[c].chunk_bytes) << c;
+    EXPECT_EQ(y.columns[c].aux_bytes, x.columns[c].aux_bytes) << c;
+    EXPECT_EQ(y.columns[c].dictionary_entries,
+              x.columns[c].dictionary_entries)
+        << c;
+  }
+  ASSERT_EQ(b.pages().size(), a.pages().size());
+  for (size_t p = 0; p < a.pages().size(); ++p) {
+    ASSERT_EQ(b.pages()[p].buffer(), a.pages()[p].buffer()) << "page " << p;
+  }
+}
+
+class GroupedCompressionTest
+    : public ::testing::TestWithParam<CompressionType> {};
+
+TEST_P(GroupedCompressionTest, EqualsHashedCompression) {
+  const CompressionType type = GetParam();
+  const bool int_only = type == CompressionType::kDelta ||
+                        type == CompressionType::kFrameOfReference;
+  const CompressionScheme scheme = CompressionScheme::Uniform(type);
+  const std::vector<ColumnSpec> specs = GroupedTestSpecs(int_only);
+  auto generated = GenerateTable(specs, 3000, 71);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  auto table = std::move(generated).ValueOrDie();
+  // Single-key and two-key non-clustered indexes, and clustered ones.
+  const std::vector<IndexDescriptor> descriptors = {
+      {"a", {"a"}, false},       {"b", {"b"}, false},
+      {"c", {"c"}, false},       {"ab", {"a", "b"}, false},
+      {"ba", {"b", "a"}, false}, {"a_clustered", {"a"}, true},
+      {"bc_clustered", {"b", "c"}, true}};
+  // Replicate-sized indexes: draw-order groups of 3 to 100 rows, built
+  // from views over the table as the adaptive loop's groups are.
+  std::vector<std::unique_ptr<TableView>> groups;
+  for (const uint64_t rows : {3, 8, 37, 100}) {
+    std::vector<RowId> ids(rows);
+    std::iota(ids.begin(), ids.end(), RowId{rows * 7});
+    groups.push_back(TableView::Make(*table, std::move(ids)).ValueOrDie());
+  }
+  struct LevelGuard {
+    ~LevelGuard() { ResetSimdLevel(); }
+  } guard;
+  for (const size_t page_size : {size_t{1024}, size_t{8192}}) {
+    IndexBuildOptions kept{page_size, /*keep_pages=*/true};
+    IndexBuildOptions sized{page_size, /*keep_pages=*/false};
+    for (const IndexDescriptor& descriptor : descriptors) {
+      std::vector<Index> indexes = {
+          Index::Build(*table, descriptor, kept).ValueOrDie()};
+      for (const auto& group : groups) {
+        indexes.push_back(Index::Build(*group, descriptor, kept).ValueOrDie());
+      }
+      for (const SimdLevel level :
+           {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
+        if (level > MaxSimdLevel()) continue;
+        SetSimdLevel(level);
+        for (const Index& index : indexes) {
+          SCOPED_TRACE(descriptor.name + " rows=" +
+                       std::to_string(index.num_rows()) + " page=" +
+                       std::to_string(page_size) + " " +
+                       SimdLevelName(level));
+          const CompressedIndex hashed =
+              BuildCompressed(index.schema(), scheme, kept,
+                              index.row(0).data(), index.num_rows(), {});
+          ExpectSameCompression(hashed,
+                                index.Compress(scheme, kept).ValueOrDie());
+          ExpectSameCompression(
+              BuildCompressed(index.schema(), scheme, sized,
+                              index.row(0).data(), index.num_rows(), {}),
+              index.Compress(scheme, sized).ValueOrDie());
+        }
+        // SampleCFFromIndex's with-replacement gather over the full index:
+        // sorted positions keep a row drawn twice adjacent.
+        const Index& full = indexes[0];
+        for (const double fraction : {0.02, 0.3, 1.0}) {
+          SCOPED_TRACE(descriptor.name + " gather f=" +
+                       std::to_string(fraction) + " page=" +
+                       std::to_string(page_size) + " " +
+                       SimdLevelName(level));
+          SampleCFOptions options;
+          options.fraction = fraction;
+          options.build = sized;
+          Random draw(91);
+          const SampleCFResult sample =
+              SampleCFFromIndex(full, scheme, options, &draw).ValueOrDie();
+          Random redraw(91);
+          const uint64_t r = sample.sample_rows;
+          std::vector<uint64_t> positions(r);
+          for (uint64_t& p : positions) p = redraw.NextBounded(full.num_rows());
+          std::sort(positions.begin(), positions.end());
+          const uint32_t w = full.schema().row_width();
+          std::string rows(r * w, '\0');
+          kernels::GatherRows(full.row(0).data(), w, positions.data(), r,
+                              rows.data());
+          const CompressedIndex hashed = BuildCompressed(
+              full.schema(), scheme, kept, rows.data(), r, {});
+          ExpectSameCompression(
+              hashed, BuildCompressed(full.schema(), scheme, kept, rows.data(),
+                                      r, full.GroupedColumns()));
+          const CompressedIndexStats& x = hashed.stats();
+          const CompressedIndexStats& y = sample.sample_compressed;
+          EXPECT_EQ(y.row_count, x.row_count);
+          EXPECT_EQ(y.data_pages, x.data_pages);
+          EXPECT_EQ(y.used_bytes, x.used_bytes);
+          EXPECT_EQ(y.aux_bytes, x.aux_bytes);
+          EXPECT_EQ(y.chunk_bytes, x.chunk_bytes);
+          EXPECT_EQ(y.dictionary_entries, x.dictionary_entries);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, GroupedCompressionTest,
+    ::testing::ValuesIn(AllCompressionTypes()),
+    [](const auto& info) { return CompressionTypeName(info.param); });
+
+TEST(GroupedColumnsTest, FalseDeclarationChangesDictionaryEntries) {
+  // The negative control: the same index rows shuffled, so the leading key
+  // and __rid are no longer grouped. Declaring them grouped anyway must
+  // show as extra dictionary entries, or the equality gate above could not
+  // tell a grouped column from a hashed one.
+  auto table =
+      GenerateTable(GroupedTestSpecs(/*int_only=*/false), 3000, 72)
+          .ValueOrDie();
+  const IndexBuildOptions sized{kDefaultPageSize, /*keep_pages=*/false};
+  const Index index = Index::Build(*table, {"a", {"a"}, false}, sized)
+                          .ValueOrDie();
+  const uint32_t w = index.schema().row_width();
+  std::vector<uint64_t> order(index.num_rows());
+  std::iota(order.begin(), order.end(), uint64_t{0});
+  Random rng(73);
+  for (uint64_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.NextBounded(i)]);
+  }
+  std::string shuffled(order.size() * w, '\0');
+  kernels::GatherRows(index.row(0).data(), w, order.data(), order.size(),
+                      shuffled.data());
+  for (const CompressionType type :
+       {CompressionType::kDictionaryPage, CompressionType::kDictionaryGlobal,
+        CompressionType::kPrefixDictionary}) {
+    const CompressionScheme scheme = CompressionScheme::Uniform(type);
+    const CompressedIndex hashed =
+        BuildCompressed(index.schema(), scheme, sized, shuffled.data(),
+                        order.size(), {});
+    const CompressedIndex declared =
+        BuildCompressed(index.schema(), scheme, sized, shuffled.data(),
+                        order.size(), index.GroupedColumns());
+    EXPECT_GT(declared.stats().columns[0].dictionary_entries,
+              hashed.stats().columns[0].dictionary_entries)
+        << CompressionTypeName(type);
+    EXPECT_NE(declared.stats().dictionary_entries,
+              hashed.stats().dictionary_entries)
+        << CompressionTypeName(type);
+    // In sorted order the same declaration is exact.
+    ExpectSameCompression(
+        BuildCompressed(index.schema(), scheme, sized, index.row(0).data(),
+                        index.num_rows(), {}),
+        index.Compress(scheme, sized).ValueOrDie());
   }
 }
 

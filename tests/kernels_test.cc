@@ -3,11 +3,13 @@
 // widths, alignments, odd tails, and empty/single-cell slices; the arena
 // allocator; the bulk BitWriter; the batched chunk path (stage, then commit
 // or drop) against the per-cell path; and the incremental (Fenwick) advisor
-// bound against the legacy rescan.
+// bound against a test-local rescan.
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -492,15 +494,164 @@ TEST(CellDictionaryTest, CommitKeepsEntriesWithAndWithoutGrowth) {
   }
 }
 
+/// The i-th cell of a grouped key sequence: "g<i / 3>", so each value is
+/// inserted three times in a row and never again.
+std::string GroupedKey(size_t i) {
+  std::string k = "g";
+  k += std::to_string(i / 3);
+  return k;
+}
+
+TEST(CellDictionaryTest, GroupedModeMatchesHashedMode) {
+  // A grouped dictionary compares each cell with its newest entry only. On
+  // a grouped sequence it must give every code, insertion flag, entry and
+  // Contains() answer the hashed one gives, through tentative sections that
+  // are committed or rolled back (a value's run straddling the section's
+  // start or end) and through Clear().
+  SimdLevelGuard guard;
+  for (const SimdLevel level : TestableLevels()) {
+    SetSimdLevel(level);
+    Random rng(57);
+    CellDictionary hashed(16);
+    CellDictionary grouped(16, /*grouped=*/true);
+    size_t next = 0;  // position in the grouped key sequence
+    auto insert_next = [&] {
+      const std::string k = GroupedKey(next++);
+      const auto len = static_cast<uint32_t>(k.size());
+      const CellDictionary::Insertion a = hashed.Insert(k.data(), len);
+      const CellDictionary::Insertion b = grouped.Insert(k.data(), len);
+      ASSERT_EQ(b.code, a.code) << "key " << k;
+      ASSERT_EQ(b.inserted, a.inserted) << "key " << k;
+    };
+    auto expect_same = [&](const char* step) {
+      ASSERT_EQ(grouped.size(), hashed.size()) << step;
+      for (uint32_t code = 0; code < hashed.size(); ++code) {
+        ASSERT_EQ(grouped.entry(code).ToString(),
+                  hashed.entry(code).ToString())
+            << step;
+      }
+      // The next key continues the newest run or starts a new value.
+      const std::string k = GroupedKey(next);
+      const auto len = static_cast<uint32_t>(k.size());
+      ASSERT_EQ(grouped.Contains(k.data(), len), hashed.Contains(k.data(), len))
+          << step << " key " << k;
+    };
+    for (int round = 0; round < 200; ++round) {
+      const size_t mark = next;
+      grouped.BeginTentative();
+      hashed.BeginTentative();
+      const size_t staged = rng.NextBounded(12);
+      for (size_t i = 0; i < staged; ++i) insert_next();
+      const uint64_t action = rng.NextBounded(5);
+      if (action < 2) {
+        grouped.RollBack();
+        hashed.RollBack();
+        next = mark;  // the packer re-stages the same cells
+        expect_same("rolled back");
+      } else if (action < 4) {
+        grouped.Commit();
+        hashed.Commit();
+        grouped.RollBack();  // after a commit, removes nothing
+        hashed.RollBack();
+        expect_same("committed");
+      } else {
+        grouped.Clear();
+        hashed.Clear();
+        ASSERT_TRUE(grouped.empty());
+        expect_same("cleared");
+      }
+    }
+  }
+}
+
+TEST(CellDictionaryTest, GroupedRollBackRestoresTheNewestEntry) {
+  CellDictionary dict(256, /*grouped=*/true);
+  auto insert = [&](const std::string& k) {
+    return dict.Insert(k.data(), static_cast<uint32_t>(k.size()));
+  };
+  auto contains = [&](const std::string& k) {
+    return dict.Contains(k.data(), static_cast<uint32_t>(k.size()));
+  };
+  EXPECT_FALSE(contains("a"));
+  EXPECT_TRUE(insert("a").inserted);
+  EXPECT_EQ(insert("b").code, 1u);
+  // A section that continues b's run, then moves on; rolled back, b is the
+  // newest entry again and keeps its code.
+  dict.BeginTentative();
+  EXPECT_FALSE(insert("b").inserted);
+  EXPECT_EQ(insert("c").code, 2u);
+  EXPECT_EQ(insert("d").code, 3u);
+  dict.RollBack();
+  EXPECT_EQ(dict.size(), 2u);
+  EXPECT_TRUE(contains("b"));
+  EXPECT_FALSE(contains("d"));
+  const CellDictionary::Insertion again = insert("b");
+  EXPECT_FALSE(again.inserted);
+  EXPECT_EQ(again.code, 1u);
+  EXPECT_EQ(insert("c").code, 2u);
+  EXPECT_EQ(dict.entry(2).ToString(), "c");
+  // Only the newest entry is compared: a value that recurs after another
+  // one (a column that is not grouped) becomes a new entry.
+  EXPECT_FALSE(contains("a"));
+  EXPECT_EQ(insert("a").code, 3u);
+  // Clear() restarts the codes.
+  dict.Clear();
+  EXPECT_TRUE(dict.empty());
+  EXPECT_FALSE(contains("a"));
+  EXPECT_EQ(insert("a").code, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Batched chunk path == per-cell path, per scheme and per SIMD level.
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<ColumnCompressor> MustMake(CompressionType type,
-                                           const DataType& dt) {
-  auto result = MakeColumnCompressor(type, dt);
+                                           const DataType& dt,
+                                           bool grouped = false) {
+  auto result = MakeColumnCompressor(type, dt, {}, grouped);
   EXPECT_TRUE(result.ok()) << result.status();
   return std::move(result).ValueOrDie();
+}
+
+bool IsDictionaryScheme(CompressionType type) {
+  return type == CompressionType::kDictionaryPage ||
+         type == CompressionType::kDictionaryGlobal ||
+         type == CompressionType::kPrefixDictionary;
+}
+
+/// `cells` (n cells of `width` bytes) made grouped with their runs kept: a
+/// run whose value already occurred earlier is rewritten to a value the
+/// column has not held ("G" and a number, or a little-endian counter).
+std::string GroupedCells(std::string cells, uint32_t width, size_t n,
+                         bool is_string) {
+  std::set<std::string> seen;
+  std::string prev_in;
+  std::string prev_out;
+  uint64_t fresh = 0;
+  for (size_t i = 0; i < n; ++i) {
+    char* cell = cells.data() + i * width;
+    const std::string in(cell, width);
+    if (i == 0 || in != prev_in) {
+      prev_in = in;
+      prev_out = in;
+      while (seen.count(prev_out) != 0) {
+        prev_out.assign(width, is_string ? ' ' : '\0');
+        if (is_string) {
+          std::string text = "G";
+          text += std::to_string(fresh++);
+          prev_out.replace(0, std::min<size_t>(text.size(), width), text);
+        } else {
+          for (uint32_t b = 0; b < width && b < 8; ++b) {
+            prev_out[b] = static_cast<char>((fresh >> (8 * b)) & 0xFF);
+          }
+          ++fresh;
+        }
+      }
+      seen.insert(prev_out);
+    }
+    std::memcpy(cell, prev_out.data(), width);
+  }
+  return cells;
 }
 
 /// Stages, commits and drops random-sized batches on one chunk while the
@@ -607,9 +758,13 @@ TEST(BatchChunkTest, DroppedStagesLeaveNoTrace) {
   // a chunk that was never staged: dictionary entries, run lengths, prefix
   // lengths, buffers, minima and maxima all restore, or a later code, cost
   // or entry count would differ. Per-row Add() calls (the page-closing
-  // path) follow some drops directly.
+  // path) follow some drops directly. The dictionary schemes run again
+  // with the column declared grouped, on grouped inputs, against a hashed
+  // per-cell chunk: a value's run straddles the dropped batches, and a drop
+  // must leave the run's value the newest entry.
   SimdLevelGuard guard;
-  Random rng(53);
+  Random hashed_rng(53);
+  Random grouped_rng(54);
   struct Case {
     CompressionType type;
     DataType dt;
@@ -630,73 +785,85 @@ TEST(BatchChunkTest, DroppedStagesLeaveNoTrace) {
       {CompressionType::kFrameOfReference, Int32Type()},
   };
   for (const Case& c : cases) {
-    const uint32_t w = c.dt.FixedWidth();
-    const bool is_string = !c.dt.IsInteger();
-    const size_t n = 900;
-    const std::string inputs[] = {
-        is_string ? StemmedCells(&rng, w, n) : RandomWalkCells(&rng, w, n),
-        SortedRunCells(&rng, w, n, is_string),
-        FuzzCells(&rng, w, n, is_string, 0),
-    };
-    for (const std::string& cells : inputs) {
-      for (const SimdLevel level : TestableLevels()) {
-        SetSimdLevel(level);
-        const std::string where = std::string(CompressionTypeName(c.type)) +
-                                  " " + SimdLevelName(level);
-        auto per_cell_comp = MustMake(c.type, c.dt);
-        auto batch_comp = MustMake(c.type, c.dt);
-        auto per_cell = per_cell_comp->NewChunk();
-        auto batch = batch_comp->NewChunk();
-        auto expect_untouched = [&](const char* step, size_t i) {
-          ASSERT_EQ(batch->Cost(), per_cell->Cost())
-              << where << " " << step << " i=" << i;
-          ASSERT_EQ(batch->count(), per_cell->count()) << where << " " << step;
-          ASSERT_EQ(batch_comp->TotalDictionaryEntries(),
-                    per_cell_comp->TotalDictionaryEntries())
-              << where << " " << step;
-          ASSERT_EQ(batch_comp->AuxiliaryBytes(),
-                    per_cell_comp->AuxiliaryBytes())
-              << where << " " << step;
-        };
-        size_t i = 0;
-        while (i < n) {
-          const size_t take = std::min<size_t>(n - i, 1 + rng.NextBounded(60));
-          const char* slice = cells.data() + i * w;
-          // An oversized attempt, its halving, and a later slice the chunk
-          // never receives, each staged and dropped before the batch that
-          // is kept.
-          batch->StageBatch(slice, std::min(n - i, 2 * take));
-          batch->DropStaged();
-          expect_untouched("oversized", i);
-          batch->StageBatch(slice, (take + 1) / 2);
-          batch->DropStaged();
-          expect_untouched("halved", i);
-          batch->StageBatch(cells.data() + (n - take) * w, take);
-          batch->DropStaged();
-          expect_untouched("never appended", i);
-          size_t k = 0;
-          if (rng.NextBounded(3) == 0) {
-            // The packer's last resort after a drop: one row through Add().
-            batch->Add(Slice(slice, w));
-            k = 1;
-          }
-          if (k < take) {
-            const size_t prospective =
-                batch->StageBatch(slice + k * w, take - k);
-            batch->CommitStaged();
-            ASSERT_EQ(batch->Cost(), prospective) << where;
-          }
-          for (k = 0; k < take; ++k) {
-            per_cell->Add(Slice(slice + k * w, w));
-          }
-          i += take;
-          expect_untouched("committed", i);
+    for (const bool grouped : {false, true}) {
+      if (grouped && !IsDictionaryScheme(c.type)) continue;
+      Random& rng = grouped ? grouped_rng : hashed_rng;
+      const uint32_t w = c.dt.FixedWidth();
+      const bool is_string = !c.dt.IsInteger();
+      const size_t n = 900;
+      std::vector<std::string> inputs = {
+          is_string ? StemmedCells(&rng, w, n) : RandomWalkCells(&rng, w, n),
+          SortedRunCells(&rng, w, n, is_string),
+          FuzzCells(&rng, w, n, is_string, 0),
+      };
+      if (grouped) {
+        for (std::string& cells : inputs) {
+          cells = GroupedCells(std::move(cells), w, n, is_string);
         }
-        // A drop right before the chunk closes leaves its bytes untouched.
-        batch->StageBatch(cells.data(), n);
-        batch->DropStaged();
-        ASSERT_EQ(batch->Finish(), per_cell->Finish()) << where;
-        expect_untouched("finished", n);
+      }
+      for (const std::string& cells : inputs) {
+        for (const SimdLevel level : TestableLevels()) {
+          SetSimdLevel(level);
+          const std::string where = std::string(CompressionTypeName(c.type)) +
+                                    (grouped ? " grouped " : " ") +
+                                    SimdLevelName(level);
+          auto per_cell_comp = MustMake(c.type, c.dt);
+          auto batch_comp = MustMake(c.type, c.dt, grouped);
+          auto per_cell = per_cell_comp->NewChunk();
+          auto batch = batch_comp->NewChunk();
+          auto expect_untouched = [&](const char* step, size_t i) {
+            ASSERT_EQ(batch->Cost(), per_cell->Cost())
+                << where << " " << step << " i=" << i;
+            ASSERT_EQ(batch->count(), per_cell->count())
+                << where << " " << step;
+            ASSERT_EQ(batch_comp->TotalDictionaryEntries(),
+                      per_cell_comp->TotalDictionaryEntries())
+                << where << " " << step;
+            ASSERT_EQ(batch_comp->AuxiliaryBytes(),
+                      per_cell_comp->AuxiliaryBytes())
+                << where << " " << step;
+          };
+          size_t i = 0;
+          while (i < n) {
+            const size_t take =
+                std::min<size_t>(n - i, 1 + rng.NextBounded(60));
+            const char* slice = cells.data() + i * w;
+            // An oversized attempt, its halving, and a later slice the chunk
+            // never receives, each staged and dropped before the batch that
+            // is kept.
+            batch->StageBatch(slice, std::min(n - i, 2 * take));
+            batch->DropStaged();
+            expect_untouched("oversized", i);
+            batch->StageBatch(slice, (take + 1) / 2);
+            batch->DropStaged();
+            expect_untouched("halved", i);
+            batch->StageBatch(cells.data() + (n - take) * w, take);
+            batch->DropStaged();
+            expect_untouched("never appended", i);
+            size_t k = 0;
+            if (rng.NextBounded(3) == 0) {
+              // The packer's last resort after a drop: one row through Add().
+              batch->Add(Slice(slice, w));
+              k = 1;
+            }
+            if (k < take) {
+              const size_t prospective =
+                  batch->StageBatch(slice + k * w, take - k);
+              batch->CommitStaged();
+              ASSERT_EQ(batch->Cost(), prospective) << where;
+            }
+            for (k = 0; k < take; ++k) {
+              per_cell->Add(Slice(slice + k * w, w));
+            }
+            i += take;
+            expect_untouched("committed", i);
+          }
+          // A drop right before the chunk closes leaves its bytes untouched.
+          batch->StageBatch(cells.data(), n);
+          batch->DropStaged();
+          ASSERT_EQ(batch->Finish(), per_cell->Finish()) << where;
+          expect_untouched("finished", n);
+        }
       }
     }
   }
@@ -952,11 +1119,126 @@ TEST(BatchChunkTest, AddRowsMatchesPerRowPagesWideClustered) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental (Fenwick) advisor bound == legacy rescan bound.
+// Incremental (Fenwick) advisor bound == a rescan of the density order.
 // ---------------------------------------------------------------------------
 
-/// Searches `candidates` under every bound with both bound implementations
-/// and asserts they select, visit and prune identically.
+/// The rescan reference for SearchSizedCandidates: the same take-first
+/// branch-and-bound over point-valued items in `order` (one item per
+/// selection key, greedy incumbent), whose fractional-knapsack bound
+/// rescans the density order at every node instead of descending a
+/// Fenwick tree.
+class RescanSearch {
+ public:
+  RescanSearch(const std::vector<SizedCandidate>& candidates,
+               const std::vector<size_t>& order, uint64_t bound)
+      : bound_(bound) {
+    std::map<std::string, size_t> key_ids;
+    std::vector<std::string> keys;
+    for (const size_t i : order) {
+      items_.push_back(&candidates[i]);
+      keys.push_back(CandidateSelectionKey(candidates[i].config));
+      key_.push_back(
+          key_ids.emplace(keys.back(), key_ids.size()).first->second);
+    }
+    taken_.assign(key_ids.size(), false);
+    for (size_t i = 0; i < items_.size(); ++i) density_.push_back(i);
+    std::stable_sort(density_.begin(), density_.end(), [&](size_t a, size_t b) {
+      const double da = Benefit(a) * static_cast<double>(Bytes(b));
+      const double db = Benefit(b) * static_cast<double>(Bytes(a));
+      if (da != db) return da > db;
+      if (keys[a] != keys[b]) return keys[a] < keys[b];
+      return a < b;
+    });
+  }
+
+  AdvisorRecommendation Run(LazyAdvisorStats* stats) {
+    // Greedy incumbent over the order.
+    std::vector<bool> seeded(taken_.size(), false);
+    uint64_t seeded_bytes = 0;
+    for (size_t i = 0; i < items_.size(); ++i) {
+      if (Benefit(i) <= 0.0 || seeded_bytes + Bytes(i) > bound_ ||
+          seeded[key_[i]]) {
+        continue;
+      }
+      seeded[key_[i]] = true;
+      best_.push_back(i);
+      best_benefit_ += Benefit(i);
+      seeded_bytes += Bytes(i);
+    }
+    Dfs(0, stats);
+    AdvisorRecommendation rec;
+    rec.storage_bound = bound_;
+    for (const size_t i : best_) {
+      rec.selected.push_back(*items_[i]);
+      rec.total_benefit += Benefit(i);
+      rec.total_bytes += Bytes(i);
+    }
+    return rec;
+  }
+
+ private:
+  double Benefit(size_t i) const { return items_[i]->config.benefit; }
+  uint64_t Bytes(size_t i) const { return items_[i]->estimated_bytes; }
+
+  double RescanBound(size_t i) const {
+    if (bytes_ > bound_) return 0.0;
+    uint64_t cap = bound_ - bytes_;
+    double benefit = 0.0;
+    for (const size_t j : density_) {
+      if (j < i || Benefit(j) <= 0.0 || taken_[key_[j]]) continue;
+      if (Bytes(j) <= cap) {
+        benefit += Benefit(j);
+        cap -= Bytes(j);
+      } else {
+        return benefit + Benefit(j) * (static_cast<double>(cap) /
+                                       static_cast<double>(Bytes(j)));
+      }
+    }
+    return benefit;
+  }
+
+  void Dfs(size_t start, LazyAdvisorStats* stats) {
+    for (size_t i = start;; ++i) {
+      ++stats->nodes_visited;
+      if (benefit_ > best_benefit_) {
+        best_benefit_ = benefit_;
+        best_ = current_;
+      }
+      if (i >= items_.size()) return;
+      if (benefit_ + RescanBound(i) <= best_benefit_) {
+        ++stats->nodes_pruned;
+        return;
+      }
+      if (Benefit(i) > 0.0 && !taken_[key_[i]] &&
+          bytes_ + Bytes(i) <= bound_) {
+        taken_[key_[i]] = true;
+        current_.push_back(i);
+        benefit_ += Benefit(i);
+        bytes_ += Bytes(i);
+        Dfs(i + 1, stats);
+        bytes_ -= Bytes(i);
+        benefit_ -= Benefit(i);
+        current_.pop_back();
+        taken_[key_[i]] = false;
+      }
+    }
+  }
+
+  uint64_t bound_;
+  std::vector<const SizedCandidate*> items_;  // in the selection order
+  std::vector<size_t> key_;                   // dense selection-key ids
+  std::vector<size_t> density_;
+  std::vector<bool> taken_;                   // per key, on the DFS path
+  std::vector<size_t> current_;
+  uint64_t bytes_ = 0;
+  double benefit_ = 0.0;
+  std::vector<size_t> best_;
+  double best_benefit_ = 0.0;
+};
+
+/// Searches `candidates` under every bound with SearchSizedCandidates and
+/// the rescan reference and asserts they select, visit and prune
+/// identically.
 void ExpectIncrementalBoundMatchesRescan(
     const std::vector<SizedCandidate>& candidates,
     const std::vector<uint64_t>& bounds, int trial) {
@@ -964,10 +1246,10 @@ void ExpectIncrementalBoundMatchesRescan(
   for (const uint64_t bound : bounds) {
     LazyAdvisorStats fast_stats;
     LazyAdvisorStats slow_stats;
-    const AdvisorRecommendation fast = SearchSizedCandidates(
-        candidates, order, bound, &fast_stats, /*incremental_bound=*/true);
-    const AdvisorRecommendation slow = SearchSizedCandidates(
-        candidates, order, bound, &slow_stats, /*incremental_bound=*/false);
+    const AdvisorRecommendation fast =
+        SearchSizedCandidates(candidates, order, bound, &fast_stats);
+    const AdvisorRecommendation slow =
+        RescanSearch(candidates, order, bound).Run(&slow_stats);
     ASSERT_EQ(fast.total_benefit, slow.total_benefit)
         << "trial=" << trial << " bound=" << bound;
     ASSERT_EQ(fast.total_bytes, slow.total_bytes);

@@ -25,6 +25,17 @@ warnings) cannot express:
                  breaks the aggregate-parity contract, and bypasses the
                  labeled-child API (GetCounter(name, labels) /
                  RegisterCounters(labels, ...)).
+  grouped-columns
+                 Declaring a column grouped (its equal cells adjacent in
+                 row order) lets the dictionary compressors skip hashing;
+                 a false declaration silently over-counts dictionary
+                 entries. Only the code that owns the rows' sort may pass
+                 a grouped set: src/index/index.cc (Index::Compress) and
+                 src/estimator/sample_cf.cc (SampleCFFromIndex) to
+                 CompressedIndexBuilder::Make. The compression layer
+                 forwards it (Make -> ColumnCompressorSet::Make ->
+                 MakeColumnCompressor -> the dictionary makers) and
+                 nowhere else passes one; an explicitly empty `{}` is fine.
 
 A finding can be suppressed for one line with a trailing or preceding
 comment: // cfest-lint: allow(rule-id)
@@ -172,6 +183,65 @@ METRIC_NAME_CONCAT_RE = re.compile(
 )
 
 
+# Entry points that take a grouped-column argument: name -> (arguments
+# without it, the files allowed to pass it). A call with more arguments than
+# the first number passes a grouped set unless the extra argument is `{}`.
+GROUPED_ENTRY_POINTS = {
+    "CompressedIndexBuilder::Make": (
+        3,
+        ("src/index/index.cc", "src/estimator/sample_cf.cc"),
+    ),
+    "ColumnCompressorSet::Make": (2, ("src/compression/compressed_index.cc",)),
+    "MakeColumnCompressor": (3, ("src/compression/scheme.cc",)),
+    "MakePageDictionaryCompressor": (2, ("src/compression/compressor.cc",)),
+    "MakeGlobalDictionaryCompressor": (2, ("src/compression/compressor.cc",)),
+    "MakeCombinedPageCompressor": (1, ("src/compression/compressor.cc",)),
+}
+GROUPED_CALL_RE = re.compile(
+    r"(?<!\w)(%s)\s*\("
+    % "|".join(re.escape(name) for name in GROUPED_ENTRY_POINTS)
+)
+
+
+def call_arguments(text, open_paren):
+    """Top-level arguments of the call whose '(' is at `open_paren`."""
+    args = []
+    depth = 0
+    start = open_paren + 1
+    i = open_paren
+    while i < len(text):
+        c = text[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                args.append(text[start:i].strip())
+                return [a for a in args if a]
+        elif c == "," and depth == 1:
+            args.append(text[start:i].strip())
+            start = i + 1
+        i += 1
+    return []
+
+
+def is_declaration(text, name_start):
+    """True if the name at `name_start` is declared or defined, not called:
+    a return type (identifier, '>', '*' or '&') precedes it, behind any
+    namespace qualifier."""
+    before = re.sub(r"(\w+\s*::\s*)+$", "", text[:name_start].rstrip())
+    before = before.rstrip()
+    if not before:
+        return False
+    last = before[-1]
+    if last in ">*&":
+        return True
+    if last.isalnum() or last == "_":
+        word = re.search(r"(\w+)$", before).group(1)
+        return word != "return"
+    return False
+
+
 def is_mutex_home(path):
     return path.replace(os.sep, "/").endswith("src/common/mutex.h")
 
@@ -233,6 +303,33 @@ def check_metric_name_concat(path, comment_stripped, everywhere=False):
                     "RegisterCounters(labels, ...))",
                 )
             )
+    return findings
+
+
+def check_grouped_columns(path, stripped, everywhere=False):
+    norm = path.replace(os.sep, "/")
+    findings = []
+    for match in GROUPED_CALL_RE.finditer(stripped):
+        name = match.group(1)
+        if is_declaration(stripped, match.start()):
+            continue
+        base, homes = GROUPED_ENTRY_POINTS[name]
+        if not everywhere and any(norm.endswith(home) for home in homes):
+            continue
+        args = call_arguments(stripped, match.end() - 1)
+        if len(args) <= base or args[base] == "{}":
+            continue
+        line = stripped.count("\n", 0, match.start()) + 1
+        findings.append(
+            (
+                line,
+                "grouped-columns",
+                "%s passes a grouped column set outside %s; a false "
+                "declaration silently over-counts dictionary entries, so "
+                "only the code that owns the rows' sort declares one"
+                % (name, " / ".join(homes)),
+            )
+        )
     return findings
 
 
@@ -352,6 +449,7 @@ def lint_file(path, everywhere=False):
     findings += check_raw_mutex(path, stripped, everywhere)
     findings += check_row_count_int(path, stripped, everywhere)
     findings += check_metric_name_concat(path, comment_stripped, everywhere)
+    findings += check_grouped_columns(path, stripped, everywhere)
     norm = path.replace(os.sep, "/")
     if norm.endswith(KERNELS_HEADER.replace(os.sep, "/")) or (
         everywhere and "kernel_parity" in os.path.basename(path)
@@ -404,7 +502,7 @@ def run_fixture_check():
             continue
         expected = None
         for rule in ("raw-mutex", "kernel-parity", "row-count-int",
-                     "metric-name-concat"):
+                     "metric-name-concat", "grouped-columns"):
             if name.startswith(rule.replace("-", "_")):
                 expected = rule
                 break
