@@ -662,7 +662,7 @@ Result<AdvisorRecommendation> AdviseConfigurationsLazy(
 
   // One refiner per table engine (validates the target once per table).
   // Every estimate, coarse or refining, runs its chains on the service
-  // pool, so refinement on this thread shares its work with a worker.
+  // pool, so refinement on this thread shares its work with every worker.
   ThreadPool* pool =
       service.options().num_threads == 1 ? nullptr : service.shared_pool();
   std::map<std::string, CandidateRefiner> refiners;
@@ -688,15 +688,16 @@ Result<AdvisorRecommendation> AdviseConfigurationsLazy(
   }
   // One flat fan-out over every candidate, each reading its own table's
   // refiner, keeps the pool busy even when one table holds most of the
-  // candidates; each estimate's chains fan out again inside it, which is
-  // what busies the worker the outer fan-out leaves idle. Each coarse
-  // estimate is a pure function of its table's pinned epoch (growth is
-  // done), so the results do not depend on the schedule.
+  // candidates. It runs on this thread and every worker, and each
+  // estimate's chains fan out again inside it, onto whichever thread is
+  // free. Candidates start in key-set-interleaved order, so the threads
+  // begin on distinct key sets' index builds rather than all waiting on
+  // one. Each coarse estimate is a pure function of its table's pinned
+  // epoch (growth is done), so the results do not depend on the schedule.
   std::vector<AdaptiveCandidateResult> coarse(candidates.size());
   std::vector<uint64_t> floors(candidates.size(), 0);
   CFEST_RETURN_NOT_OK(StatusParallelFor(
-      pool, candidates.size(), [&](uint64_t k) -> Status {
-        const size_t i = static_cast<size_t>(k);
+      pool, KeySetInterleavedOrder(candidates), [&](size_t i) -> Status {
         CandidateRefiner& refiner = *refiner_of[i];
         CFEST_ASSIGN_OR_RETURN(coarse[i],
                                refiner.EstimateAtCurrentSample(candidates[i]));

@@ -25,6 +25,10 @@ PoolMetrics& Metrics() {
   return *metrics;
 }
 
+/// The pool whose WorkerLoop runs on this thread (null on threads no pool
+/// owns), so ParallelFor can tell a nested call from an outside one.
+thread_local const ThreadPool* current_pool = nullptr;
+
 }  // namespace
 
 ThreadPool::ThreadPool(uint32_t num_threads) {
@@ -74,7 +78,11 @@ void ThreadPool::Wait() {
 void ThreadPool::ParallelFor(uint64_t n,
                              const std::function<void(uint64_t)>& body) {
   if (n == 0) return;
-  if (n == 1 || num_threads() == 1) {
+  // One drain per free worker: every worker when the caller is outside the
+  // pool, all but the caller's own worker when the call is nested.
+  const uint64_t free_workers = num_threads() - (current_pool == this ? 1 : 0);
+  const uint64_t drains = std::min<uint64_t>(n - 1, free_workers);
+  if (drains == 0) {
     for (uint64_t i = 0; i < n; ++i) body(i);
     return;
   }
@@ -89,7 +97,6 @@ void ThreadPool::ParallelFor(uint64_t n,
     uint64_t done GUARDED_BY(mu) = 0;
   };
   auto state = std::make_shared<SharedState>();
-  const uint64_t tasks = std::min<uint64_t>(num_threads(), n);
   auto drain = [state, n, &body] {
     uint64_t completed = 0;
     for (uint64_t i = state->next++; i < n; i = state->next++) {
@@ -101,16 +108,14 @@ void ThreadPool::ParallelFor(uint64_t n,
     state->done += completed;
     if (state->done == n) state->all_done.NotifyAll();
   };
-  if (tasks > 1) {
-    SubmitBatch(std::vector<std::function<void()>>(
-        static_cast<size_t>(tasks - 1), drain));
-  }
+  SubmitBatch(std::vector<std::function<void()>>(drains, drain));
   drain();
   MutexLock lock(state->mu);
   while (state->done != n) state->all_done.Wait(state->mu);
 }
 
 void ThreadPool::WorkerLoop() {
+  current_pool = this;
   for (;;) {
     std::function<void()> task;
     {

@@ -14,7 +14,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <numeric>
 #include <queue>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -60,7 +62,15 @@ class ThreadPool {
   void Wait();
 
   /// Runs body(0..n-1) across the pool and blocks until all complete.
-  /// Iterations may run in any order and concurrently.
+  /// Iterations may run in any order and concurrently, but are claimed in
+  /// index order, so a caller that wants some work started first lists it
+  /// first.
+  ///
+  /// The caller runs iterations too, and the call queues one drain for
+  /// every free worker, never more than n - 1: `num_threads` drains when
+  /// the caller is not a worker of this pool, `num_threads - 1` when it is
+  /// (a nested call, whose own worker is the caller). A call from outside
+  /// the pool therefore runs on num_threads + 1 threads.
   ///
   /// Nesting is supported: a body may call ParallelFor on the same pool.
   /// The caller drains its own range before it waits, so it only ever
@@ -84,24 +94,40 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs body(0..n-1) — serially when `pool` is null or n < 2, across the
-/// pool otherwise — always completing every iteration, then returns the
-/// first non-OK Status in index order (not completion order, so the
-/// outcome is independent of scheduling). The batch-estimation fan-outs
-/// (EstimationEngine / CatalogEstimationService) share this shape.
+/// Runs body(order[0]), body(order[1]), ... — serially when `pool` is
+/// null or there are fewer than two, across the pool otherwise, claimed in
+/// `order` — always completing every iteration, then returns the first
+/// non-OK Status by index (not by position in `order`, nor by completion,
+/// so the outcome is independent of both the start order and scheduling).
+/// The batch-estimation fan-outs (CatalogEstimationService, the adaptive
+/// and lazy-advisor passes) share this shape; the candidate fan-outs pass
+/// KeySetInterleavedOrder (estimator/engine.h) as `order`.
+template <typename Body>
+Status StatusParallelFor(ThreadPool* pool, std::span<const size_t> order,
+                         const Body& body) {
+  std::vector<Status> statuses(order.size(), Status::OK());
+  auto run_one = [&](uint64_t k) { statuses[k] = body(order[k]); };
+  if (pool == nullptr || order.size() < 2) {
+    for (uint64_t k = 0; k < order.size(); ++k) run_one(k);
+  } else {
+    pool->ParallelFor(order.size(), run_one);
+  }
+  size_t first = order.size();  // position of the lowest failing index
+  for (size_t k = 0; k < order.size(); ++k) {
+    if (!statuses[k].ok() &&
+        (first == order.size() || order[k] < order[first])) {
+      first = k;
+    }
+  }
+  return first == order.size() ? Status::OK() : statuses[first];
+}
+
+/// StatusParallelFor over body(0..n-1) in index order.
 template <typename Body>
 Status StatusParallelFor(ThreadPool* pool, uint64_t n, const Body& body) {
-  std::vector<Status> statuses(n, Status::OK());
-  auto run_one = [&](uint64_t i) { statuses[i] = body(i); };
-  if (pool == nullptr || n < 2) {
-    for (uint64_t i = 0; i < n; ++i) run_one(i);
-  } else {
-    pool->ParallelFor(n, run_one);
-  }
-  for (const Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
-  return Status::OK();
+  std::vector<size_t> order(static_cast<size_t>(n));
+  std::iota(order.begin(), order.end(), size_t{0});
+  return StatusParallelFor(pool, std::span<const size_t>(order), body);
 }
 
 }  // namespace cfest

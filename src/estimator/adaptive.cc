@@ -222,6 +222,8 @@ class GroupIndexCache {
         entry.status = built.status();
       }
       promise.set_value(std::move(entry));
+    } else {
+      WaitForSharedBuild(future);
     }
     const Entry& entry = future.get();
     CFEST_RETURN_NOT_OK(entry.status);
@@ -448,7 +450,7 @@ Result<std::vector<CandidateIntervalResult>> EstimateCandidateIntervals(
   GroupIndexCache cache;
   std::vector<CandidateIntervalResult> results(candidates.size());
   CFEST_RETURN_NOT_OK(StatusParallelFor(
-      pool, candidates.size(), [&](uint64_t i) -> Status {
+      pool, KeySetInterleavedOrder(candidates), [&](size_t i) -> Status {
         CandidateIntervalResult& r = results[i];
         if (IsUncompressedScheme(candidates[i].scheme)) {
           r.cf = 1.0;
@@ -524,9 +526,8 @@ Result<AdaptiveBatchResult> AdaptiveEstimator::EstimateAll(
       GroupIndexCache group_cache;
 
       CFEST_RETURN_NOT_OK(StatusParallelFor(
-          pool_, active.size(),
-          [&](uint64_t k) -> Status {
-            const size_t i = active[static_cast<size_t>(k)];
+          pool_, KeySetInterleavedOrder(candidates, active),
+          [&](size_t i) -> Status {
             AdaptiveCandidateResult& r = batch.candidates[i];
             CFEST_RETURN_NOT_OK(EstimateCandidateNow(engine_, *epoch,
                                                      candidates[i], z, target_,

@@ -1,6 +1,8 @@
 #include "estimator/engine.h"
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
 #include <utility>
 
@@ -42,6 +44,33 @@ std::string SampleIndexCacheKey(const IndexDescriptor& descriptor) {
     key += col;
   }
   return key;
+}
+
+std::vector<size_t> KeySetInterleavedOrder(
+    std::span<const CandidateConfiguration> candidates,
+    std::span<const size_t> members) {
+  // A member's round is how many earlier members share its key set.
+  std::map<std::pair<std::string, std::string>, uint32_t> seen;
+  std::vector<uint32_t> round(members.size());
+  for (size_t k = 0; k < members.size(); ++k) {
+    const CandidateConfiguration& c = candidates[members[k]];
+    round[k] = seen[{c.table_name, SampleIndexCacheKey(c.index)}]++;
+  }
+  std::vector<size_t> positions(members.size());
+  std::iota(positions.begin(), positions.end(), size_t{0});
+  std::stable_sort(positions.begin(), positions.end(),
+                   [&](size_t a, size_t b) { return round[a] < round[b]; });
+  std::vector<size_t> order;
+  order.reserve(members.size());
+  for (size_t k : positions) order.push_back(members[k]);
+  return order;
+}
+
+std::vector<size_t> KeySetInterleavedOrder(
+    std::span<const CandidateConfiguration> candidates) {
+  std::vector<size_t> all(candidates.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  return KeySetInterleavedOrder(candidates, all);
 }
 
 bool IsUncompressedScheme(const CompressionScheme& scheme) {

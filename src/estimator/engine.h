@@ -51,6 +51,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -366,6 +367,20 @@ class EstimationEngine {
 /// Shared with the adaptive layer's replicate-index cache and the service's
 /// request coalescer so all three key identically.
 std::string SampleIndexCacheKey(const IndexDescriptor& descriptor);
+
+/// The order a candidate fan-out starts `members` (indices into
+/// `candidates`) in: the first member of every key set — a (table,
+/// SampleIndexCacheKey) pair — then each key set's second, and so on, each
+/// round in input order (so input order holds within a key set). Members
+/// on one key set share one sample-index build and one replicate build per
+/// group, and all but one of them wait for it; started adjacently, they
+/// block the pool's threads together while one thread builds.
+std::vector<size_t> KeySetInterleavedOrder(
+    std::span<const CandidateConfiguration> candidates,
+    std::span<const size_t> members);
+/// KeySetInterleavedOrder over every candidate.
+std::vector<size_t> KeySetInterleavedOrder(
+    std::span<const CandidateConfiguration> candidates);
 
 }  // namespace cfest
 

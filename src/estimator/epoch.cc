@@ -93,6 +93,8 @@ Result<std::shared_ptr<const Index>> SampleEpoch::SampleIndex(
       counters_->index_builds.Increment();
     }
     promise.set_value(std::move(entry));
+  } else {
+    WaitForSharedBuild(future);
   }
 
   const IndexEntry& entry = future.get();

@@ -41,6 +41,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -52,6 +53,7 @@
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/result.h"
+#include "common/trace.h"
 #include "compression/compressed_index.h"
 #include "index/index.h"
 #include "storage/table_view.h"
@@ -127,6 +129,19 @@ struct EpochCounters {
   std::array<metrics::MetricRegistry::Registration, kCompressionTypeCount>
       scheme_registrations;
 };
+
+/// Blocks until `build`, a shared index build or patch another thread
+/// owns, is ready. A wait that finds it still running is traced as
+/// `engine.index_wait`, so time blocked on another thread's build shows in
+/// traces instead of in the waiter's self time; a ready hit pays no span.
+template <typename Entry>
+void WaitForSharedBuild(const std::shared_future<Entry>& build) {
+  if (build.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+    return;
+  }
+  trace::Span span("engine.index_wait");
+  build.wait();
+}
 
 /// \brief One immutable sample generation: the view, the sizing snapshot,
 /// and the per-key-set sorted-index cache.

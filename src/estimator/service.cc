@@ -116,7 +116,7 @@ Result<std::vector<SizedCandidate>> CatalogEstimationService::EstimateAll(
   // the owner's future below.
   std::vector<std::string> keys(candidates.size());
   std::vector<RequestCoalescer::Ticket> tickets(candidates.size());
-  std::vector<uint64_t> owned;
+  std::vector<size_t> owned;
   owned.reserve(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
     const size_t g = group_of[i];
@@ -125,15 +125,15 @@ Result<std::vector<SizedCandidate>> CatalogEstimationService::EstimateAll(
     if (tickets[i].owner) owned.push_back(i);
   }
 
-  // Fan only the owned (deduplicated) work across the pool. Owners ALWAYS
-  // Complete their key — a failed estimate travels as the outcome's
-  // status, never as a thrown-away promise that would strand waiters
-  // (including waiters in other threads' batches).
+  // Fan only the owned (deduplicated) work across the pool, each key
+  // set's first owner before any repeat. Owners ALWAYS Complete their
+  // key — a failed estimate travels as the outcome's status, never as a
+  // thrown-away promise that would strand waiters (including waiters in
+  // other threads' batches).
   const bool serial = options_.num_threads == 1 || owned.size() < 2;
   CFEST_RETURN_NOT_OK(StatusParallelFor(
-      serial ? nullptr : Pool(), owned.size(),
-      [&](uint64_t k) {
-        const uint64_t i = owned[k];
+      serial ? nullptr : Pool(), KeySetInterleavedOrder(candidates, owned),
+      [&](size_t i) {
         SizingOutcome outcome;
         {
           // The owner's compute slice carries the ticket's flow id as the

@@ -3,10 +3,15 @@
 // estimate equality, service fan-out determinism, and the engine-backed
 // consumers.
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <future>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,8 +19,10 @@
 
 #include "advisor/advisor.h"
 #include "advisor/what_if.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "datagen/table_gen.h"
 #include "estimator/engine.h"
 #include "estimator/hybrid.h"
@@ -143,6 +150,57 @@ TEST(ThreadPoolTest, NestedParallelForRunsEveryPairOnceAndReturns) {
       pool.ParallelFor(kInner, [&](uint64_t j) { ++touched[i * kInner + j]; });
     });
     for (const auto& t : touched) EXPECT_EQ(1, t.load()) << workers;
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForFromOutsideUsesEveryWorker) {
+  // Three iterations that each wait for all three at a barrier finish only
+  // if the caller and both workers run one each at the same time. The wait
+  // is bounded, so a fan-out that leaves a worker idle fails, not hangs.
+  ThreadPool pool(2);
+  std::atomic<int> arrived{0};
+  std::atomic<int> timed_out{0};
+  pool.ParallelFor(3, [&](uint64_t) {
+    ++arrived;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < 3) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        ++timed_out;
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  EXPECT_EQ(0, timed_out.load());
+}
+
+TEST(ThreadPoolTest, ParallelForQueuesOneDrainPerFreeWorker) {
+  // Every task a worker runs bumps cfest.threadpool.tasks, so once the
+  // pool is idle its delta counts the drains a ParallelFor queued: one per
+  // free worker, at most n - 1 (the caller drains too).
+  metrics::Counter* tasks =
+      metrics::MetricRegistry::Global().GetCounter("cfest.threadpool.tasks");
+  for (uint32_t workers : {1u, 2u, 4u}) {
+    ThreadPool pool(workers);
+    for (uint64_t n : {1u, 2u, 3u, 8u}) {
+      const std::string where =
+          std::to_string(workers) + " workers, n = " + std::to_string(n);
+      uint64_t before = tasks->Value();
+      pool.ParallelFor(n, [](uint64_t) {});
+      pool.Wait();
+      EXPECT_EQ(std::min<uint64_t>(workers, n - 1), tasks->Value() - before)
+          << "outside call, " << where;
+
+      // Nested: the caller is a worker, so one fewer is free. The delta
+      // includes the submitted task itself.
+      before = tasks->Value();
+      pool.Submit([&] { pool.ParallelFor(n, [](uint64_t) {}); });
+      pool.Wait();
+      EXPECT_EQ(1 + std::min<uint64_t>(workers - 1, n - 1),
+                tasks->Value() - before)
+          << "nested call, " << where;
+    }
   }
 }
 
@@ -345,6 +403,128 @@ TEST(EngineTest, ConcurrentFirstReadsOfACarriedKeyShareOnePatch) {
     ASSERT_EQ(a.size(), b.size());
     ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size())) << "row " << i;
   }
+}
+
+TEST(EngineTest, WaitingOnAnotherThreadsBuildIsTracedAndReadyHitsAreNot) {
+  trace::Reset();
+  trace::SetEnabled(true);
+  // A ready build: no span.
+  std::promise<int> ready;
+  ready.set_value(1);
+  WaitForSharedBuild(ready.get_future().share());
+  EXPECT_EQ(0u, trace::TotalStarted());
+
+  // A build still running when the waiter arrives: one span. The waiter
+  // cannot signal that it is past its readiness check, so the build
+  // completes after a delay, longer on each retry.
+  for (int delay_ms : {20, 200, 2000}) {
+    std::promise<int> running;
+    std::shared_future<int> build = running.get_future().share();
+    std::thread waiter([&] { WaitForSharedBuild(build); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+    running.set_value(1);
+    waiter.join();
+    if (trace::TotalStarted() != 0) break;
+  }
+  trace::SetEnabled(false);
+  const std::vector<trace::SpanRecord> records = trace::CollectRecords();
+  ASSERT_EQ(1u, records.size());
+  EXPECT_STREQ("engine.index_wait", records[0].name);
+  trace::Reset();
+}
+
+// ---------------------------------------------------------------------------
+// Candidate fan-out order
+// ---------------------------------------------------------------------------
+
+CandidateConfiguration KeySetCandidate(const std::string& table,
+                                       std::vector<std::string> keys,
+                                       CompressionType type,
+                                       bool clustered = false) {
+  CandidateConfiguration c;
+  c.table_name = table;
+  c.index = {"ix_" + std::to_string(static_cast<int>(type)), std::move(keys),
+             clustered};
+  c.scheme = CompressionScheme::Uniform(type);
+  return c;
+}
+
+/// The (table, key set) a candidate's sample index is cached under.
+std::string KeySetOf(const CandidateConfiguration& c) {
+  return c.table_name + "/" + SampleIndexCacheKey(c.index);
+}
+
+TEST(KeySetOrderTest, StartsEveryKeySetBeforeRepeatingAny) {
+  // Key-set-major input, with the same column on two tables and a
+  // clustered twin of a non-clustered key set: five distinct key sets.
+  std::vector<CandidateConfiguration> candidates;
+  for (CompressionType type :
+       {CompressionType::kNullSuppression, CompressionType::kRle,
+        CompressionType::kPrefix}) {
+    candidates.push_back(KeySetCandidate("t", {"a"}, type));
+  }
+  for (CompressionType type :
+       {CompressionType::kRle, CompressionType::kDictionaryPage}) {
+    candidates.push_back(KeySetCandidate("u", {"a"}, type));
+  }
+  candidates.push_back(KeySetCandidate("t", {"a", "b"}, CompressionType::kRle));
+  candidates.push_back(
+      KeySetCandidate("t", {"a"}, CompressionType::kRle, /*clustered=*/true));
+  for (CompressionType type :
+       {CompressionType::kDictionaryGlobal, CompressionType::kDelta,
+        CompressionType::kNone}) {
+    candidates.push_back(KeySetCandidate("t", {"b"}, type));
+  }
+  // A repeat of the first key set after the others, under another name.
+  candidates.push_back(KeySetCandidate("t", {"a"}, CompressionType::kDelta));
+  candidates.back().index.name = "renamed";
+
+  const std::vector<size_t> order = KeySetInterleavedOrder(candidates);
+
+  // A permutation of every input position.
+  ASSERT_EQ(candidates.size(), order.size());
+  std::vector<size_t> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  for (size_t i = 0; i < sorted.size(); ++i) ASSERT_EQ(i, sorted[i]);
+
+  // Each key set's first use precedes every repeat of any key set, and
+  // each key set keeps its input order.
+  std::map<std::string, size_t> last_of;
+  size_t first_repeat = order.size();
+  size_t last_first_use = 0;
+  for (size_t k = 0; k < order.size(); ++k) {
+    const std::string key = KeySetOf(candidates[order[k]]);
+    auto seen = last_of.find(key);
+    if (seen == last_of.end()) {
+      last_first_use = k;
+    } else {
+      first_repeat = std::min(first_repeat, k);
+      EXPECT_LT(seen->second, order[k]) << key;
+    }
+    last_of[key] = order[k];
+  }
+  EXPECT_EQ(5u, last_of.size());  // t/a, u/a, t/(a,b), clustered t/a, t/b
+  EXPECT_LT(last_first_use, first_repeat);
+  // First uses, then second uses, third uses and the renamed fourth use.
+  const std::vector<size_t> want = {0, 3, 5, 6, 7, 1, 4, 8, 2, 9, 10};
+  EXPECT_EQ(want, order);
+}
+
+TEST(KeySetOrderTest, OrdersOnlyTheGivenMembers) {
+  std::vector<CandidateConfiguration> candidates;
+  for (const char* col : {"a", "b"}) {
+    for (CompressionType type :
+         {CompressionType::kNullSuppression, CompressionType::kRle,
+          CompressionType::kPrefix}) {
+      candidates.push_back(KeySetCandidate("t", {col}, type));
+    }
+  }
+  // Members skip positions 0 and 4; the rounds count members only.
+  const std::vector<size_t> members = {1, 2, 3, 5};
+  const std::vector<size_t> want = {1, 3, 2, 5};
+  EXPECT_EQ(want, KeySetInterleavedOrder(candidates, members));
+  EXPECT_TRUE(KeySetInterleavedOrder(candidates, {}).empty());
+  EXPECT_TRUE(KeySetInterleavedOrder({}).empty());
 }
 
 // ---------------------------------------------------------------------------

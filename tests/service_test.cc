@@ -9,8 +9,10 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -330,6 +332,71 @@ TEST(ServiceTest, ParallelFanOutIsDeterministic) {
           << candidates[i].table_name << "." << candidates[i].index.name;
     }
     EXPECT_EQ(serial.sample_ids, parallel.sample_ids);
+  }
+}
+
+// The owned candidates fan out in key-set-interleaved order, not input
+// order; every result must still land at its candidate's input position.
+TEST(ServiceTest, KeySetMajorBatchLandsAtInputPositions) {
+  auto catalog = TwoTableCatalog();
+  // Key-set-major: each key set's four schemes are adjacent, so the
+  // interleaved start order differs from input order at 12 of the 16
+  // positions. The integer key set takes delta where the strings take
+  // prefix, which sizes an integer column like null suppression does.
+  std::vector<CandidateConfiguration> candidates;
+  auto add_key_set = [&](const std::string& table, const std::string& col,
+                         CompressionType third) {
+    for (CompressionType type :
+         {CompressionType::kNullSuppression, CompressionType::kRle, third,
+          CompressionType::kDictionaryPage}) {
+      CandidateConfiguration c;
+      c.table_name = table;
+      c.index = {"ix_" + col + "_" + CompressionTypeName(type), {col}, false};
+      c.scheme = CompressionScheme::Uniform(type);
+      candidates.push_back(std::move(c));
+    }
+  };
+  add_key_set("orders", "status", CompressionType::kPrefix);
+  add_key_set("orders", "city", CompressionType::kPrefix);
+  add_key_set("lineitem", "shipmode", CompressionType::kPrefix);
+  add_key_set("lineitem", "partkey", CompressionType::kDelta);
+
+  for (uint32_t threads : {1u, 4u}) {
+    // At f = 0.02 on 8 KB pages the page-metric CF' of most candidates
+    // collapses to 1/3, which cannot tell one candidate's result from
+    // another's; 6,000- and 7,500-row samples on 1 KB pages span over a
+    // hundred pages each, enough for every scheme of a key set to get its
+    // own CF'.
+    CatalogEstimationServiceOptions options;
+    options.base.fraction = 0.5;
+    options.base.build.page_size = 1024;
+    options.seed = 77;
+    options.num_threads = threads;
+    CatalogEstimationService service(*catalog, options);
+    auto batch = service.EstimateAll(candidates);
+    ASSERT_TRUE(batch.ok()) << threads;
+    ASSERT_EQ(candidates.size(), batch->size());
+
+    // The serial reference: EstimateAt at the epochs the batch was sized
+    // on, one candidate at a time in input order.
+    std::set<std::pair<double, uint64_t>> distinct;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const CandidateConfiguration& c = candidates[i];
+      EstimationEngine* engine = *service.Engine(c.table_name);
+      auto serial = engine->EstimateAt(*Pin(*engine), c);
+      ASSERT_TRUE(serial.ok());
+      const SizedCandidate& fanned = (*batch)[i];
+      const std::string at = std::to_string(threads) + " threads, " +
+                             c.table_name + "." + c.index.name;
+      EXPECT_EQ(serial->estimated_cf, fanned.estimated_cf) << at;
+      EXPECT_EQ(serial->estimated_bytes, fanned.estimated_bytes) << at;
+      EXPECT_EQ(serial->uncompressed_bytes, fanned.uncompressed_bytes) << at;
+      EXPECT_EQ(c.index.name, fanned.config.index.name) << at;
+      distinct.emplace(serial->estimated_cf, serial->uncompressed_bytes);
+    }
+    // The comparison can see a misplaced result: no two candidates share
+    // both CF' and uncompressed size.
+    EXPECT_EQ(candidates.size(), distinct.size());
   }
 }
 
