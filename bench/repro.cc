@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "advisor/advisor.h"
-#include "advisor/cost_model.h"
 #include "advisor/what_if.h"
 #include "bench_util.h"
 #include "common/bit_util.h"
@@ -38,11 +37,12 @@
 #include "estimator/compression_fraction.h"
 #include "estimator/distinct_value.h"
 #include "estimator/engine.h"
-#include "estimator/evaluation.h"
 #include "estimator/hybrid.h"
 #include "estimator/sample_cf.h"
 #include "estimator/scheme_advisor.h"
 #include "index/index.h"
+#include "repro/cost_model.h"
+#include "repro/evaluation.h"
 #include "sampling/sampler.h"
 
 namespace cfest {

@@ -1,4 +1,4 @@
-#include "advisor/cost_model.h"
+#include "repro/cost_model.h"
 
 #include <algorithm>
 #include <cmath>

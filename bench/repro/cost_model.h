@@ -16,8 +16,8 @@
 // selectivity. It is deliberately simple — the advisor needs *relative*
 // benefits, not absolute milliseconds.
 
-#ifndef CFEST_ADVISOR_COST_MODEL_H_
-#define CFEST_ADVISOR_COST_MODEL_H_
+#ifndef CFEST_REPRO_COST_MODEL_H_
+#define CFEST_REPRO_COST_MODEL_H_
 
 #include <cstdint>
 #include <string>
@@ -80,4 +80,4 @@ Result<double> CandidateBenefit(const std::vector<Query>& workload,
 
 }  // namespace cfest
 
-#endif  // CFEST_ADVISOR_COST_MODEL_H_
+#endif  // CFEST_REPRO_COST_MODEL_H_

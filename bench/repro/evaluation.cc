@@ -1,4 +1,4 @@
-#include "estimator/evaluation.h"
+#include "repro/evaluation.h"
 
 #include "estimator/analytic_model.h"
 

@@ -4,8 +4,8 @@
 // behind every accuracy experiment in bench/. Runs m independent trials,
 // reports bias, spread, and the paper's expected ratio error.
 
-#ifndef CFEST_ESTIMATOR_EVALUATION_H_
-#define CFEST_ESTIMATOR_EVALUATION_H_
+#ifndef CFEST_REPRO_EVALUATION_H_
+#define CFEST_REPRO_EVALUATION_H_
 
 #include <cstdint>
 #include <vector>
@@ -50,4 +50,4 @@ Result<EvaluationResult> EvaluateSampleCF(const Table& table,
 
 }  // namespace cfest
 
-#endif  // CFEST_ESTIMATOR_EVALUATION_H_
+#endif  // CFEST_REPRO_EVALUATION_H_

@@ -16,7 +16,7 @@
 #include "common/format.h"
 #include "datagen/table_gen.h"
 #include "estimator/analytic_model.h"
-#include "estimator/evaluation.h"
+#include "repro/evaluation.h"
 
 using namespace cfest;
 

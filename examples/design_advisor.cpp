@@ -14,10 +14,10 @@
 #include <vector>
 
 #include "advisor/advisor.h"
-#include "advisor/cost_model.h"
 #include "advisor/what_if.h"
 #include "common/format.h"
 #include "datagen/tpch/tables.h"
+#include "repro/cost_model.h"
 
 using namespace cfest;
 

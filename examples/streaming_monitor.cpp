@@ -1,12 +1,16 @@
 // Streaming compression monitoring: keep a live compression-fraction
-// estimate while rows stream in (e.g. during a bulk load), using the
-// reservoir-based single-pass estimator — no second scan, bounded memory.
+// estimate while rows stream in (e.g. during a bulk load), using an
+// estimation engine in reservoir mode — no second scan of the data.
 //
-// The monitor prints the evolving estimate at checkpoints and compares the
-// final estimate against the exact CF of everything that streamed by.
+// The load appends batches to a growing table. After each batch the engine
+// folds the new rows into its fixed-capacity reservoir (Vitter's Algorithm
+// R, resumed by NotifyAppend), so the estimate at any point equals a fresh
+// draw over everything loaded so far. The monitor prints the evolving
+// estimate at checkpoints and compares the final one against the exact CF.
 //
-// Build & run:  ./build/examples/streaming_monitor
+// Build & run:  ./build/example_streaming_monitor
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -14,7 +18,7 @@
 #include "common/stats.h"
 #include "datagen/tpch/tables.h"
 #include "estimator/compression_fraction.h"
-#include "estimator/streaming.h"
+#include "estimator/engine.h"
 
 using namespace cfest;
 
@@ -36,57 +40,69 @@ int main() {
   const CompressionScheme scheme =
       CompressionScheme::Uniform(CompressionType::kPrefixDictionary);
 
-  StreamingSampleCF::Options stream_options;
-  stream_options.sample_capacity = 1500;
-  auto monitor_result = StreamingSampleCF::Make(orders->schema(), index,
-                                                scheme, stream_options);
-  if (!monitor_result.ok()) {
-    std::fprintf(stderr, "monitor setup failed: %s\n",
-                 monitor_result.status().ToString().c_str());
-    return 1;
-  }
-  StreamingSampleCF monitor = std::move(monitor_result).ValueOrDie();
+  // The table being loaded, and the engine watching it.
+  std::unique_ptr<Table> loaded = TableBuilder(orders->schema()).Finish();
+  EstimationEngineOptions engine_options;
+  engine_options.maintain_reservoir = true;
+  engine_options.reservoir_capacity = 1500;
+  EstimationEngine monitor(*loaded, engine_options);
 
   TablePrinter progress(
       {"rows streamed", "reservoir", "CF' estimate", "projected size"});
+  constexpr uint64_t kBatchRows = 1000;
   const uint64_t checkpoint = orders->num_rows() / 5;
-  for (RowId id = 0; id < orders->num_rows(); ++id) {
-    if (!monitor.Add(orders->row(id)).ok()) {
-      std::fprintf(stderr, "stream add failed\n");
-      return 1;
-    }
-    if ((id + 1) % checkpoint == 0) {
-      auto estimate = monitor.Estimate();
-      if (!estimate.ok()) {
-        std::fprintf(stderr, "estimate failed: %s\n",
-                     estimate.status().ToString().c_str());
+  SampleCFResult last;  // the estimate at the latest checkpoint
+  for (RowId begin = 0; begin < orders->num_rows(); begin += kBatchRows) {
+    const RowRange batch{begin,
+                         std::min(begin + kBatchRows, orders->num_rows())};
+    for (RowId id = batch.begin; id < batch.end; ++id) {
+      if (!loaded->AppendEncodedRow(orders->row(id)).ok()) {
+        std::fprintf(stderr, "stream append failed\n");
         return 1;
       }
-      const uint64_t projected = static_cast<uint64_t>(
-          estimate->cf.value * static_cast<double>(monitor.rows_seen()) *
-          orders->row_width());
-      progress.AddRow({std::to_string(monitor.rows_seen()),
-                       std::to_string(monitor.reservoir_size()),
-                       FormatDouble(estimate->cf.value),
-                       HumanBytes(projected)});
     }
+    // Before the first estimate draws the sample, this is a no-op.
+    if (!monitor.NotifyAppend(batch).ok()) {
+      std::fprintf(stderr, "reservoir refresh failed\n");
+      return 1;
+    }
+    const bool last_batch = batch.end == orders->num_rows();
+    if (batch.end / checkpoint == batch.begin / checkpoint && !last_batch) {
+      continue;
+    }
+    auto epoch = monitor.PinEpoch();
+    if (!epoch.ok()) {
+      std::fprintf(stderr, "sample draw failed: %s\n",
+                   epoch.status().ToString().c_str());
+      return 1;
+    }
+    auto estimate = monitor.EstimateCFAt(**epoch, index, scheme);
+    if (!estimate.ok()) {
+      std::fprintf(stderr, "estimate failed: %s\n",
+                   estimate.status().ToString().c_str());
+      return 1;
+    }
+    last = *estimate;
+    const uint64_t projected = static_cast<uint64_t>(
+        last.cf.value * static_cast<double>(loaded->data_bytes()));
+    progress.AddRow({std::to_string(loaded->num_rows()),
+                     std::to_string(last.sample_rows),
+                     FormatDouble(last.cf.value), HumanBytes(projected)});
   }
   progress.Print();
 
-  auto final_estimate = monitor.Estimate();
-  auto truth = ComputeTrueCF(*orders, index, scheme);
-  if (!final_estimate.ok() || !truth.ok()) {
-    std::fprintf(stderr, "final comparison failed\n");
+  // The last batch is always a checkpoint, so `last` covers the whole load.
+  auto truth = ComputeTrueCF(*loaded, index, scheme);
+  if (!truth.ok()) {
+    std::fprintf(stderr, "exact CF failed: %s\n",
+                 truth.status().ToString().c_str());
     return 1;
   }
   std::printf(
-      "\nfinal estimate CF' = %.4f from a %llu-row reservoir; exact CF = "
-      "%.4f (ratio error %.4f).\nThe monitor never held more than %llu rows "
-      "in memory while %llu streamed by.\n",
-      final_estimate->cf.value,
-      static_cast<unsigned long long>(monitor.reservoir_size()),
-      truth->value, RatioError(truth->value, final_estimate->cf.value),
-      static_cast<unsigned long long>(stream_options.sample_capacity),
-      static_cast<unsigned long long>(monitor.rows_seen()));
+      "\nfinal estimate CF' = %.4f from a %llu-row reservoir over %llu "
+      "streamed rows; exact CF = %.4f (ratio error %.4f).\n",
+      last.cf.value, static_cast<unsigned long long>(last.sample_rows),
+      static_cast<unsigned long long>(loaded->num_rows()), truth->value,
+      RatioError(truth->value, last.cf.value));
   return 0;
 }

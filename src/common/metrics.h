@@ -11,11 +11,10 @@
 //      small power-of-two array of cache-line-aligned atomic cells, and a
 //      thread adds to the cell picked by its (process-unique) thread
 //      index. Aggregation happens at snapshot time, not on the hot path.
-//   2. Legacy stats structs (EstimationEngine::CacheStats, the coalescer's
-//      Stats, LazyAdvisorStats) keep their exact semantics: they are
-//      backed by Counter objects and read with Value(), so the compat
-//      struct and the registry report bit-identical numbers by
-//      construction (tests/metrics_test.cc and bench_observability pin
+//   2. The stats structs (EstimationEngine::CacheStats, LazyAdvisorStats)
+//      keep their exact semantics: they are backed by Counter objects and
+//      read with Value(), so the struct and the registry report
+//      bit-identical numbers by construction (tests/metrics_test.cc pins
 //      this).
 //   3. Component-local counter blocks (one per engine, per coalescer, per
 //      lazy-advisor run) register under shared process-wide names. The

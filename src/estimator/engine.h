@@ -298,8 +298,9 @@ class EstimationEngine {
     uint64_t sample_version = 0;
     /// Epoch pins served by the lock-free atomic load — the steady-state
     /// estimate path. After the initial draw, estimates only ever add
-    /// here, never to locked_pins (the stress test and concurrency bench
-    /// assert exactly that).
+    /// here, never to locked_pins (service_test's ConcurrentServiceTest
+    /// asserts exactly that; the e2e bench reports the per-request
+    /// `engine.locked_pins` reading).
     uint64_t lock_free_pins = 0;
     /// Epoch pins that fell through to the writer mutex (initial draw).
     uint64_t locked_pins = 0;

@@ -1,14 +1,14 @@
 // Copyright (c) the samplecf authors. Licensed under the MIT license.
 //
-// The Algorithm-R core (Vitter, the paper's ref [5]) shared by every
-// reservoir consumer in the tree: the RowSampler strategy over whole tables
-// (sampling/sampler.cc), the streaming estimator (estimator/streaming.cc),
-// and the EstimationEngine's delta-refresh path (estimator/engine.cc).
+// The Algorithm-R core (Vitter, the paper's ref [5]) shared by both
+// reservoir consumers in the tree: the RowSampler strategy over whole
+// tables (sampling/sampler.cc) and the EstimationEngine's reservoir mode,
+// whose NotifyAppend resumes the stream (estimator/engine.cc).
 //
 // The class is deliberately storage-agnostic: it only decides, per offered
 // stream item, *which reservoir slot* (if any) the item occupies. Callers
-// own the slot storage — row ids, encoded row bytes, whatever — so one core
-// serves all three consumers bit-identically. The RNG consumption contract
+// own the slot storage (row ids, in both consumers), so one core serves
+// both bit-identically. The RNG consumption contract
 // is fixed and must never change (tests pin it): no draw while the
 // reservoir is filling, then exactly one NextBounded(items_seen + 1) per
 // offered item.

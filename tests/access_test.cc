@@ -1,135 +1,14 @@
-// Tests for index read access (lookup/range scans with page-touch
-// accounting) and the workload cost model built on top of it.
+// Tests for the workload cost model (bench/repro/cost_model.h) that prices
+// a query against heap and index options.
 
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "advisor/cost_model.h"
-#include "datagen/table_gen.h"
-#include "index/index_scan.h"
+#include "repro/cost_model.h"
 
 namespace cfest {
 namespace {
-
-std::unique_ptr<Table> OrdersLike(uint64_t n) {
-  auto table = GenerateTable(
-      {ColumnSpec::Integer("k", 0),
-       ColumnSpec::String("status", 8, 4, FrequencySpec::Uniform(),
-                          LengthSpec::Constant(4))},
-      n, 11);
-  EXPECT_TRUE(table.ok());
-  return std::move(table).ValueOrDie();
-}
-
-// ---------------------------------------------------------------------------
-// IndexScanner
-// ---------------------------------------------------------------------------
-
-class IndexScanTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    table_ = OrdersLike(10000);
-    auto index = Index::Build(*table_, {"ix", {"k"}, /*clustered=*/true});
-    ASSERT_TRUE(index.ok());
-    index_ = std::make_unique<Index>(std::move(*index));
-    scanner_ = std::make_unique<IndexScanner>(index_.get());
-  }
-
-  std::unique_ptr<Table> table_;
-  std::unique_ptr<Index> index_;
-  std::unique_ptr<IndexScanner> scanner_;
-};
-
-TEST_F(IndexScanTest, PointLookupFindsExactlyOneRow) {
-  auto result = scanner_->Lookup({Value::Int(4242)});
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->row_count, 1u);
-  auto row = scanner_->DecodeRow(result->first_position);
-  ASSERT_TRUE(row.ok());
-  EXPECT_EQ((*row)[0].AsInt(), 4242);
-  EXPECT_EQ(result->leaf_pages_touched, 1u);
-  EXPECT_GE(result->levels_descended, 2u);  // root + leaf at n = 10000
-}
-
-TEST_F(IndexScanTest, MissingKeyFindsNothing) {
-  auto result = scanner_->Lookup({Value::Int(123456789)});
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->row_count, 0u);
-  EXPECT_EQ(result->leaf_pages_touched, 0u);
-}
-
-TEST_F(IndexScanTest, RangeScanCountsMatchPredicate) {
-  ScanRange range;
-  range.lower = Row{Value::Int(1000)};
-  range.upper = Row{Value::Int(1999)};
-  auto result = scanner_->Scan(range);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->row_count, 1000u);  // keys 1000..1999 inclusive
-  EXPECT_GT(result->leaf_pages_touched, 1u);
-  // Rows in a range are contiguous and ordered.
-  auto first = scanner_->DecodeRow(result->first_position);
-  auto last =
-      scanner_->DecodeRow(result->first_position + result->row_count - 1);
-  EXPECT_EQ((*first)[0].AsInt(), 1000);
-  EXPECT_EQ((*last)[0].AsInt(), 1999);
-}
-
-TEST_F(IndexScanTest, HalfOpenRanges) {
-  ScanRange below;
-  below.upper = Row{Value::Int(99)};
-  auto r1 = scanner_->Scan(below);
-  ASSERT_TRUE(r1.ok());
-  EXPECT_EQ(r1->row_count, 100u);  // 0..99
-
-  ScanRange above;
-  above.lower = Row{Value::Int(9900)};
-  auto r2 = scanner_->Scan(above);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->row_count, 100u);  // 9900..9999
-
-  auto all = scanner_->Scan(ScanRange{});
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->row_count, 10000u);
-  EXPECT_EQ(all->leaf_pages_touched, index_->stats().leaf_pages);
-}
-
-TEST_F(IndexScanTest, EmptyAndInvertedRanges) {
-  ScanRange inverted;
-  inverted.lower = Row{Value::Int(5000)};
-  inverted.upper = Row{Value::Int(4000)};
-  auto result = scanner_->Scan(inverted);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->row_count, 0u);
-}
-
-TEST_F(IndexScanTest, RejectsBadProbes) {
-  EXPECT_FALSE(scanner_->Lookup({}).ok());
-  EXPECT_FALSE(
-      scanner_->Lookup({Value::Int(1), Value::Int(2)}).ok());  // 1 key col
-  EXPECT_FALSE(scanner_->DecodeRow(10000).ok());
-}
-
-TEST(IndexScanDuplicatesTest, PrefixLookupSpansDuplicates) {
-  auto table = GenerateTable(
-      {ColumnSpec::String("flag", 4, 2, FrequencySpec::Sequential(),
-                          LengthSpec::Constant(1)),
-       ColumnSpec::Integer("v", 0)},
-      1000, 3);
-  ASSERT_TRUE(table.ok());
-  auto index = Index::Build(**table, {"ix", {"flag", "v"}, false});
-  ASSERT_TRUE(index.ok());
-  IndexScanner scanner(&*index);
-  // Prefix probe on the first key column only.
-  auto result = scanner.Lookup({Value::Str("0")});
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->row_count, 500u);
-  // Full-key probe narrows to one row.
-  auto narrow = scanner.Lookup({Value::Str("0"), Value::Int(42)});
-  ASSERT_TRUE(narrow.ok());
-  EXPECT_EQ(narrow->row_count, 1u);
-}
 
 // ---------------------------------------------------------------------------
 // Cost model

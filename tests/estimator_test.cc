@@ -16,8 +16,8 @@
 #include "estimator/analytic_model.h"
 #include "estimator/compression_fraction.h"
 #include "estimator/distinct_value.h"
-#include "estimator/evaluation.h"
 #include "estimator/sample_cf.h"
+#include "repro/evaluation.h"
 
 namespace cfest {
 namespace {

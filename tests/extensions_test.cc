@@ -1,5 +1,5 @@
-// Tests for the extension modules: the per-column scheme recommender and
-// the streaming (reservoir) SampleCF estimator.
+// Tests for the extension modules: the per-column scheme recommender, the
+// hybrid dictionary CF estimator and column profiling.
 
 #include <cmath>
 #include <memory>
@@ -13,7 +13,6 @@
 #include "estimator/compression_fraction.h"
 #include "estimator/hybrid.h"
 #include "estimator/scheme_advisor.h"
-#include "estimator/streaming.h"
 
 namespace cfest {
 namespace {
@@ -134,106 +133,6 @@ TEST(RecommendSchemeTest, PropagatesErrors) {
   EXPECT_FALSE(
       RecommendScheme(*table, {"cx", {"missing"}, true}, {}, options, &rng)
           .ok());
-}
-
-// ---------------------------------------------------------------------------
-// StreamingSampleCF
-// ---------------------------------------------------------------------------
-
-TEST(StreamingTest, MatchesBatchEstimateOnFullReservoir) {
-  auto table = MixedWorkload(10000);
-  StreamingSampleCF::Options options;
-  options.sample_capacity = 20000;  // larger than the stream: keeps all rows
-  auto streaming = StreamingSampleCF::Make(
-      table->schema(), {"cx", {"key"}, true},
-      CompressionScheme::Uniform(CompressionType::kNullSuppression), options);
-  ASSERT_TRUE(streaming.ok()) << streaming.status();
-  for (RowId id = 0; id < table->num_rows(); ++id) {
-    ASSERT_TRUE(streaming->Add(table->row(id)).ok());
-  }
-  EXPECT_EQ(streaming->rows_seen(), 10000u);
-  EXPECT_EQ(streaming->reservoir_size(), 10000u);
-  auto estimate = streaming->Estimate();
-  ASSERT_TRUE(estimate.ok()) << estimate.status();
-  // With the whole population in the reservoir the "estimate" is exact.
-  auto truth = ComputeTrueCF(
-      *table, {"cx", {"key"}, true},
-      CompressionScheme::Uniform(CompressionType::kNullSuppression));
-  ASSERT_TRUE(truth.ok());
-  EXPECT_NEAR(estimate->cf.value, truth->value, 1e-9);
-}
-
-TEST(StreamingTest, AccurateWithSmallReservoir) {
-  auto table = MixedWorkload(50000);
-  StreamingSampleCF::Options options;
-  options.sample_capacity = 2000;
-  auto streaming = StreamingSampleCF::Make(
-      table->schema(), {"cx", {"key"}, true},
-      CompressionScheme::Uniform(CompressionType::kNullSuppression), options);
-  ASSERT_TRUE(streaming.ok());
-  for (RowId id = 0; id < table->num_rows(); ++id) {
-    ASSERT_TRUE(streaming->Add(table->row(id)).ok());
-  }
-  EXPECT_EQ(streaming->reservoir_size(), 2000u);
-  auto estimate = streaming->Estimate();
-  ASSERT_TRUE(estimate.ok());
-  auto truth = ComputeTrueCF(
-      *table, {"cx", {"key"}, true},
-      CompressionScheme::Uniform(CompressionType::kNullSuppression));
-  ASSERT_TRUE(truth.ok());
-  // Theorem-1 style accuracy at r = 2000: bound is ~0.011; allow 4x.
-  EXPECT_NEAR(estimate->cf.value, truth->value, 0.045);
-}
-
-TEST(StreamingTest, EstimateRefreshesAsStreamGrows) {
-  auto table = MixedWorkload(6000);
-  StreamingSampleCF::Options options;
-  options.sample_capacity = 500;
-  auto streaming = StreamingSampleCF::Make(
-      table->schema(), {"cx", {"key"}, true},
-      CompressionScheme::Uniform(CompressionType::kDictionaryPage), options);
-  ASSERT_TRUE(streaming.ok());
-  double first = 0.0;
-  for (RowId id = 0; id < table->num_rows(); ++id) {
-    ASSERT_TRUE(streaming->Add(table->row(id)).ok());
-    if (id == 999) {
-      auto estimate = streaming->Estimate();
-      ASSERT_TRUE(estimate.ok());
-      first = estimate->cf.value;
-    }
-  }
-  auto final_estimate = streaming->Estimate();
-  ASSERT_TRUE(final_estimate.ok());
-  EXPECT_GT(first, 0.0);
-  EXPECT_GT(final_estimate->cf.value, 0.0);
-  // Both snapshots come from the same capped reservoir size.
-  EXPECT_EQ(final_estimate->sample_rows, 500u);
-}
-
-TEST(StreamingTest, ValidationErrors) {
-  auto table = MixedWorkload(10);
-  StreamingSampleCF::Options options;
-  options.sample_capacity = 0;
-  EXPECT_FALSE(StreamingSampleCF::Make(
-                   table->schema(), {"cx", {"key"}, true},
-                   CompressionScheme::Uniform(CompressionType::kNone), options)
-                   .ok());
-  options.sample_capacity = 10;
-  EXPECT_FALSE(StreamingSampleCF::Make(
-                   table->schema(), {"cx", {}, true},
-                   CompressionScheme::Uniform(CompressionType::kNone), options)
-                   .ok());
-  EXPECT_FALSE(StreamingSampleCF::Make(
-                   table->schema(), {"cx", {"nope"}, true},
-                   CompressionScheme::Uniform(CompressionType::kNone), options)
-                   .ok());
-  auto streaming = StreamingSampleCF::Make(
-      table->schema(), {"cx", {"key"}, true},
-      CompressionScheme::Uniform(CompressionType::kNone), options);
-  ASSERT_TRUE(streaming.ok());
-  EXPECT_FALSE(streaming->Estimate().ok());  // nothing offered yet
-  std::string bad(3, 'x');
-  EXPECT_FALSE(streaming->Add(Slice(bad)).ok());
 }
 
 // ---------------------------------------------------------------------------

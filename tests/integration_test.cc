@@ -14,8 +14,8 @@
 #include "datagen/tpch/tables.h"
 #include "estimator/analytic_model.h"
 #include "estimator/compression_fraction.h"
-#include "estimator/evaluation.h"
 #include "estimator/sample_cf.h"
+#include "repro/evaluation.h"
 
 namespace cfest {
 namespace {

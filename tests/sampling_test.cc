@@ -1,14 +1,19 @@
 // Tests for the sampling substrate: correctness of each sampler's sample
 // size and support, plus statistical properties (uniform inclusion,
-// reservoir uniformity, Bernoulli concentration, block contiguity).
+// reservoir uniformity, Bernoulli concentration, block contiguity), and the
+// shared Algorithm-R slot core (sampling/reservoir.h) the engine's
+// reservoir mode rides on.
 
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "datagen/table_gen.h"
+#include "sampling/reservoir.h"
 #include "sampling/sampler.h"
 #include "storage/table.h"
 
@@ -302,6 +307,87 @@ TEST(FractionTest, Validation) {
   EXPECT_TRUE(CheckFraction(1.0).ok());
   EXPECT_FALSE(CheckFraction(0.0).ok());
   EXPECT_FALSE(CheckFraction(1.0001).ok());
+}
+
+// ---------------------------------------------------------------------------
+// ReservoirSampler core
+// ---------------------------------------------------------------------------
+
+std::unique_ptr<Table> StreamSource(uint64_t rows) {
+  auto table = GenerateTable(
+      {ColumnSpec::String("status", 12, 6, FrequencySpec::Uniform(),
+                          LengthSpec::Uniform(4, 10)),
+       ColumnSpec::Integer("amount", 400)},
+      rows, 7);
+  EXPECT_TRUE(table.ok());
+  return std::move(table).ValueOrDie();
+}
+
+TEST(ReservoirCoreTest, FillsSequentiallyThenReplacesWithinCapacity) {
+  Random rng(1);
+  ReservoirSampler core(4);
+  EXPECT_EQ(4u, core.capacity());
+  // While filling, slots are assigned in order and no randomness is drawn.
+  for (uint64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(i, core.Offer(&rng));
+  }
+  EXPECT_EQ(4u, core.size());
+  // Beyond capacity, every assignment stays within [0, capacity) or skips.
+  for (uint64_t i = 0; i < 1000; ++i) {
+    const uint64_t slot = core.Offer(&rng);
+    if (slot != ReservoirSampler::kSkip) {
+      EXPECT_LT(slot, 4u);
+    }
+  }
+  EXPECT_EQ(1004u, core.items_seen());
+  EXPECT_EQ(4u, core.size());
+}
+
+TEST(ReservoirCoreTest, ResumedStreamEqualsOnePassStream) {
+  // The property the engine's NotifyAppend is built on: offering items
+  // 0..n-1 then n..n'-1 equals offering 0..n'-1 in one pass.
+  Random rng_split(9), rng_once(9);
+  ReservoirSampler split(16), once(16);
+  std::vector<uint64_t> slots_split, slots_once;
+  for (uint64_t i = 0; i < 500; ++i) slots_split.push_back(split.Offer(&rng_split));
+  for (uint64_t i = 500; i < 1000; ++i) slots_split.push_back(split.Offer(&rng_split));
+  for (uint64_t i = 0; i < 1000; ++i) slots_once.push_back(once.Offer(&rng_once));
+  EXPECT_EQ(slots_once, slots_split);
+}
+
+TEST(ReservoirCoreTest, MatchesTheReservoirRowSamplerBitForBit) {
+  // The RowSampler strategy and the core must consume the same RNG stream
+  // and produce the same ids — they are one algorithm in two containers.
+  auto table = StreamSource(5000);
+  auto sampler = MakeReservoirSampler();
+  Random rng_sampler(21), rng_core(21);
+  auto ids = sampler->SampleIds(*table, 0.01, &rng_sampler);
+  ASSERT_TRUE(ids.ok());
+
+  const uint64_t capacity = ids->size();
+  ReservoirSampler core(capacity);
+  std::vector<RowId> manual(capacity, 0);
+  for (RowId id = 0; id < table->num_rows(); ++id) {
+    const uint64_t slot = core.Offer(&rng_core);
+    if (slot != ReservoirSampler::kSkip) manual[slot] = id;
+  }
+  EXPECT_EQ(*ids, manual);
+}
+
+TEST(ReservoirCoreTest, SeedDeterminesTheReservoir) {
+  // Same seed, same reservoir; a different seed keeps a different one.
+  auto reservoir_ids = [](uint64_t seed) {
+    Random rng(seed);
+    ReservoirSampler core(500);
+    std::vector<RowId> ids(500, 0);
+    for (RowId id = 0; id < 20000; ++id) {
+      const uint64_t slot = core.Offer(&rng);
+      if (slot != ReservoirSampler::kSkip) ids[slot] = id;
+    }
+    return ids;
+  };
+  EXPECT_EQ(reservoir_ids(42), reservoir_ids(42));
+  EXPECT_NE(reservoir_ids(42), reservoir_ids(43));
 }
 
 }  // namespace

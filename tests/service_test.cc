@@ -21,6 +21,7 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "datagen/table_gen.h"
+#include "estimator/compression_fraction.h"
 #include "estimator/engine.h"
 #include "estimator/service.h"
 #include "storage/catalog.h"
@@ -665,6 +666,78 @@ TEST(ReservoirEngineTest, NotifyAppendValidatesModeAndRanges) {
   bad.rng = &rng;
   EstimationEngine external(*table, bad);
   EXPECT_FALSE(external.PinEpoch().ok());
+}
+
+/// Three columns with clearly different best schemes: a sequential int64
+/// key, a 4-value status string and near-unique padded blobs.
+std::unique_ptr<Table> MixedWorkload(uint64_t n) {
+  auto table = GenerateTable(
+      {ColumnSpec::Integer("key", 0),
+       ColumnSpec::String("status", 16, 4, FrequencySpec::Uniform(),
+                          LengthSpec::Uniform(6, 10)),
+       ColumnSpec::String("blob", 64, n / 2, FrequencySpec::Uniform(),
+                          LengthSpec::Uniform(4, 24))},
+      n, 99);
+  EXPECT_TRUE(table.ok());
+  return std::move(table).ValueOrDie();
+}
+
+/// Streams `source` past a reservoir-mode engine of `capacity` rows: the
+/// engine draws over the first quarter, and each later quarter arrives
+/// through AppendEncodedRow + NotifyAppend. Returns the estimate at the
+/// epoch pinned after the last append.
+Result<SampleCFResult> StreamedReservoirEstimate(
+    const Table& source, uint64_t capacity, const IndexDescriptor& desc,
+    const CompressionScheme& scheme) {
+  const uint64_t quarter = source.num_rows() / 4;
+  TableBuilder builder(source.schema());
+  for (RowId id = 0; id < quarter; ++id) {
+    EXPECT_TRUE(builder.AppendEncoded(source.row(id)).ok());
+  }
+  std::unique_ptr<Table> table = builder.Finish();
+
+  EstimationEngineOptions options;
+  options.maintain_reservoir = true;
+  options.reservoir_capacity = capacity;
+  EstimationEngine engine(*table, options);
+  Pin(engine);  // the first draw
+  for (uint64_t phase = 2; phase <= 4; ++phase) {
+    const RowRange range{table->num_rows(),
+                         phase == 4 ? source.num_rows() : quarter * phase};
+    for (RowId id = range.begin; id < range.end; ++id) {
+      EXPECT_TRUE(table->AppendEncodedRow(source.row(id)).ok());
+    }
+    EXPECT_TRUE(engine.NotifyAppend(range).ok());
+  }
+  return engine.EstimateCFAt(*Pin(engine), desc, scheme);
+}
+
+TEST(ReservoirEngineTest, ReservoirHoldingTheWholeStreamIsExact) {
+  auto table = MixedWorkload(10000);
+  const IndexDescriptor desc{"cx", {"key"}, true};
+  const CompressionScheme scheme =
+      CompressionScheme::Uniform(CompressionType::kNullSuppression);
+  // Capacity above the stream length: the reservoir keeps every row.
+  auto estimate = StreamedReservoirEstimate(*table, 20000, desc, scheme);
+  ASSERT_TRUE(estimate.ok()) << estimate.status();
+  EXPECT_EQ(10000u, estimate->sample_rows);
+  auto truth = ComputeTrueCF(*table, desc, scheme);
+  ASSERT_TRUE(truth.ok());
+  EXPECT_NEAR(estimate->cf.value, truth->value, 1e-9);
+}
+
+TEST(ReservoirEngineTest, SmallReservoirIsAccurate) {
+  auto table = MixedWorkload(50000);
+  const IndexDescriptor desc{"cx", {"key"}, true};
+  const CompressionScheme scheme =
+      CompressionScheme::Uniform(CompressionType::kNullSuppression);
+  auto estimate = StreamedReservoirEstimate(*table, 2000, desc, scheme);
+  ASSERT_TRUE(estimate.ok()) << estimate.status();
+  EXPECT_EQ(2000u, estimate->sample_rows);
+  auto truth = ComputeTrueCF(*table, desc, scheme);
+  ASSERT_TRUE(truth.ok());
+  // Theorem-1 style accuracy at r = 2000: bound is ~0.011; allow 4x.
+  EXPECT_NEAR(estimate->cf.value, truth->value, 0.045);
 }
 
 // ---------------------------------------------------------------------------
