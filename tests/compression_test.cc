@@ -3,6 +3,7 @@
 // index page packer.
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -1195,6 +1196,198 @@ INSTANTIATE_TEST_SUITE_P(
              "_" + std::to_string(std::get<1>(info.param)) + "_" +
              RowShapeName(std::get<2>(info.param));
     });
+
+// ---------------------------------------------------------------------------
+// Wire format: kept pages and stats pinned to recorded digests
+// ---------------------------------------------------------------------------
+
+/// FNV-1a 64 over `n` bytes, continuing from `h`.
+uint64_t Fnv64(const char* data, size_t n,
+               uint64_t h = 0xcbf29ce484222325ull) {
+  for (size_t i = 0; i < n; ++i) {
+    h ^= static_cast<unsigned char>(data[i]);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// FNV-1a 64 over every field of `stats`, each as 8 little-endian bytes.
+uint64_t StatsDigest(const CompressedIndexStats& stats) {
+  std::string bytes;
+  auto put = [&bytes](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      bytes.push_back(static_cast<char>(v >> (8 * b)));
+    }
+  };
+  for (const uint64_t v :
+       {stats.row_count, stats.data_pages, stats.aux_pages, stats.used_bytes,
+        stats.aux_bytes, stats.chunk_bytes, stats.dictionary_entries,
+        static_cast<uint64_t>(stats.page_size)}) {
+    put(v);
+  }
+  for (const ColumnCompressionStats& column : stats.columns) {
+    put(static_cast<uint64_t>(column.type));
+    put(column.chunk_bytes);
+    put(column.aux_bytes);
+    put(column.dictionary_entries);
+  }
+  return Fnv64(bytes.data(), bytes.size());
+}
+
+struct WireDigest {
+  const char* name;  // scheme_pagesize_shape[_grouped]
+  uint64_t pages;    // FNV-1a 64 of the kept pages' bytes, in page order
+  uint64_t stats;    // StatsDigest of the build
+};
+
+// Recorded from the byte-path compressors. A change here is a change of the
+// on-page format (or of the page splits), not a refactor.
+// clang-format off
+constexpr WireDigest kWireDigests[] = {
+    {"none_1024_stemmed", 0x72622121465e702full, 0x1bf104c4971dc33bull},
+    {"none_1024_sorted_runs", 0xda21d4c0297d6be2ull, 0x1bf104c4971dc33bull},
+    {"none_1024_random", 0x70a82545788f07ffull, 0x1bf104c4971dc33bull},
+    {"none_8192_stemmed", 0xd848aee75f687672ull, 0xbd56b7f01cea3438ull},
+    {"none_8192_sorted_runs", 0x0c766da155c93397ull, 0xbd56b7f01cea3438ull},
+    {"none_8192_random", 0x3951115a7ee1a91eull, 0xbd56b7f01cea3438ull},
+    {"null_suppression_1024_stemmed", 0xbaaed0b5493e604dull, 0x44a2c0d7f1ebe265ull},
+    {"null_suppression_1024_sorted_runs", 0xce19bea1be128b56ull, 0x860531ecbfc0279eull},
+    {"null_suppression_1024_random", 0x13996f1b9267e06aull, 0x423c0d1bfc63e447ull},
+    {"null_suppression_8192_stemmed", 0x8b5d4f00acd05459ull, 0x448fce30c14d5d95ull},
+    {"null_suppression_8192_sorted_runs", 0x724b4ed8c0abe167ull, 0x5484efc49670c1c5ull},
+    {"null_suppression_8192_random", 0x5cac60088a7929fdull, 0xae787f240d81d675ull},
+    {"dictionary_page_1024_stemmed", 0xe91f1890292c5f90ull, 0x345f45570d200d8aull},
+    {"dictionary_page_1024_stemmed_grouped", 0x6012bfe981b798f7ull, 0x32d58c002d7da644ull},
+    {"dictionary_page_1024_sorted_runs", 0xf43616066f8270d0ull, 0xf4561d1930a59bd8ull},
+    {"dictionary_page_1024_sorted_runs_grouped", 0xf43616066f8270d0ull, 0xf4561d1930a59bd8ull},
+    {"dictionary_page_1024_random", 0x71df928247973b51ull, 0xbf79921ec6de0f2eull},
+    {"dictionary_page_1024_random_grouped", 0x1a817bc543ef2ad8ull, 0x8795df9263ea20c0ull},
+    {"dictionary_page_8192_stemmed", 0xc1df532942e5c5d9ull, 0xbb26dfcbdf149444ull},
+    {"dictionary_page_8192_stemmed_grouped", 0x73c1b2208216ba30ull, 0x7849b2e402671508ull},
+    {"dictionary_page_8192_sorted_runs", 0x7a7500eace175109ull, 0x26ce61ba7578a77cull},
+    {"dictionary_page_8192_sorted_runs_grouped", 0x7a7500eace175109ull, 0x26ce61ba7578a77cull},
+    {"dictionary_page_8192_random", 0xe82cac19dc1aad69ull, 0xb4d82358f0965d9aull},
+    {"dictionary_page_8192_random_grouped", 0x3fdc3d4aef48d7e3ull, 0x4cd3d3118e0fb8fdull},
+    {"dictionary_global_1024_stemmed", 0xa41621bc301cf794ull, 0x11bbe28e7e3858e5ull},
+    {"dictionary_global_1024_stemmed_grouped", 0x415087dcb39c5010ull, 0x108ac6dbe15a44a8ull},
+    {"dictionary_global_1024_sorted_runs", 0xe194cbd2ba9b4d4full, 0x34d90c0cd12ba352ull},
+    {"dictionary_global_1024_sorted_runs_grouped", 0xe194cbd2ba9b4d4full, 0x34d90c0cd12ba352ull},
+    {"dictionary_global_1024_random", 0x488f91a294e21621ull, 0xccefc40b03cf853dull},
+    {"dictionary_global_1024_random_grouped", 0x6e963e26b46ecfa3ull, 0x3ed2e93dcfe7db33ull},
+    {"dictionary_global_8192_stemmed", 0xd5ddf4a8ea717f26ull, 0x9521fe8dd9b8fb1full},
+    {"dictionary_global_8192_stemmed_grouped", 0x9ac33f8f86b19912ull, 0xfaa18965b86b28ddull},
+    {"dictionary_global_8192_sorted_runs", 0xc74a387f75620661ull, 0x11bcff2fe5d5fe36ull},
+    {"dictionary_global_8192_sorted_runs_grouped", 0xc74a387f75620661ull, 0x11bcff2fe5d5fe36ull},
+    {"dictionary_global_8192_random", 0xba14c68ce99a55c7ull, 0x7a3d05b1fd04261dull},
+    {"dictionary_global_8192_random_grouped", 0xfbbc80772dee80f1ull, 0x9e57f5ddfdbc8adfull},
+    {"rle_1024_stemmed", 0x3dfc936f3eccbeb2ull, 0xc171c8a3646af594ull},
+    {"rle_1024_sorted_runs", 0xd682f53cdbf7ec42ull, 0x3971b03bf8af52f0ull},
+    {"rle_1024_random", 0x7a85e3b1e4587d04ull, 0x9e086fda2512717full},
+    {"rle_8192_stemmed", 0xac8cd2ee6f4a45dfull, 0x69f3aba80aa3f0d2ull},
+    {"rle_8192_sorted_runs", 0x7f15ef99c0a4aa91ull, 0x151531e7c39fd35aull},
+    {"rle_8192_random", 0x4410484d7a9977c6ull, 0x75ae6e8faea58e22ull},
+    {"prefix_1024_stemmed", 0xfcdf7a099132292full, 0xde1ed3902e1da7a8ull},
+    {"prefix_1024_sorted_runs", 0x274bd3c8e784c819ull, 0x8c5c36b823c410c7ull},
+    {"prefix_1024_random", 0x90516dcd013ca0caull, 0xb8ab196564c969aaull},
+    {"prefix_8192_stemmed", 0x6c3c9abeb6c0ee53ull, 0xb3db219842715289ull},
+    {"prefix_8192_sorted_runs", 0x703d357b1c3c3ba5ull, 0x592c68fc38bf3b4full},
+    {"prefix_8192_random", 0xf494a58118967bf7ull, 0x4177289eb7231a15ull},
+    {"delta_1024_stemmed", 0xb8f8cc6b951dc70dull, 0x2273a9963f2d684eull},
+    {"delta_1024_sorted_runs", 0xe91e2cd38369e451ull, 0xf3c884bb9baf5821ull},
+    {"delta_1024_random", 0x5e15e23821c0cd08ull, 0x022a99a9ef37e4deull},
+    {"delta_8192_stemmed", 0x337a7f98f0251b88ull, 0x6690db18d3744931ull},
+    {"delta_8192_sorted_runs", 0x2a7d760c60cd3c77ull, 0x8a620586db299a1cull},
+    {"delta_8192_random", 0xcc05bf8d2eed8b4dull, 0x47e85f8ace1f82e4ull},
+    {"prefix_dictionary_1024_stemmed", 0xfe085689f3cc8662ull, 0x524deff08c9f6ff7ull},
+    {"prefix_dictionary_1024_stemmed_grouped", 0x91edc2aa93c5775eull, 0xafb5f9dad4e94dc9ull},
+    {"prefix_dictionary_1024_sorted_runs", 0x23da051d4234b1ceull, 0x834c79c0d838b503ull},
+    {"prefix_dictionary_1024_sorted_runs_grouped", 0x23da051d4234b1ceull, 0x834c79c0d838b503ull},
+    {"prefix_dictionary_1024_random", 0x17f0a348f95abcebull, 0xed9e5abbdaf03646ull},
+    {"prefix_dictionary_1024_random_grouped", 0x4bf82966ead3559full, 0x15ee589f8d1288daull},
+    {"prefix_dictionary_8192_stemmed", 0x81581c15e828c096ull, 0x975299dedac0784eull},
+    {"prefix_dictionary_8192_stemmed_grouped", 0x070ef0f88c4a08e9ull, 0xef1004a8e8eca23bull},
+    {"prefix_dictionary_8192_sorted_runs", 0xaec4f65a3023c050ull, 0x90b4532d8d9055f6ull},
+    {"prefix_dictionary_8192_sorted_runs_grouped", 0xaec4f65a3023c050ull, 0x90b4532d8d9055f6ull},
+    {"prefix_dictionary_8192_random", 0x1a656bcde808d8f2ull, 0x368180aa6c1a3816ull},
+    {"prefix_dictionary_8192_random_grouped", 0x6e24486ea30a1fc4ull, 0xc482f30b547edf4dull},
+    {"frame_of_reference_1024_stemmed", 0xfa49d8323f456879ull, 0x0eb571922c4b10d3ull},
+    {"frame_of_reference_1024_sorted_runs", 0xbf1cabc04c1b0c18ull, 0x83b4d59a2cb3855full},
+    {"frame_of_reference_1024_random", 0xf87956d333c5ed7bull, 0x21b18a04aba49361ull},
+    {"frame_of_reference_8192_stemmed", 0xb8eab8cd32e1b712ull, 0xebf8c6d6e5c73367ull},
+    {"frame_of_reference_8192_sorted_runs", 0xb49467d188d46c24ull, 0x7a1470ddda66592full},
+    {"frame_of_reference_8192_random", 0x8d6187782119d23full, 0xf2341b6ea8c6120cull},
+};
+// clang-format on
+
+TEST(WireFormatTest, KeptPagesAndStatsMatchRecordedDigests) {
+  struct LevelGuard {
+    ~LevelGuard() { ResetSimdLevel(); }
+  } guard;
+  std::string recorded;  // the table's lines, printed on a mismatch
+  for (const CompressionType type : AllCompressionTypes()) {
+    const bool int_only = type == CompressionType::kDelta ||
+                          type == CompressionType::kFrameOfReference;
+    const Schema schema =
+        int_only ? Schema({{"a", Int64Type()}, {"b", Int32Type()}})
+                 : Schema({{"s", CharType(14)}, {"i", Int32Type()}});
+    for (const size_t page_size : {size_t{1024}, size_t{8192}}) {
+      for (const RowShape shape :
+           {RowShape::kStemmed, RowShape::kSortedRuns, RowShape::kRandom}) {
+        for (const bool grouped : {false, true}) {
+          if (grouped && !IsDictionaryScheme(type)) continue;
+          Random rng(29);
+          const size_t n = 2500;
+          std::string rows = ShapedRows(schema, shape, n, &rng);
+          const std::vector<size_t> columns =
+              grouped ? GroupColumns(schema, n, &rows) : std::vector<size_t>{};
+          const std::string name =
+              std::string(CompressionTypeName(type)) + "_" +
+              std::to_string(page_size) + "_" + RowShapeName(shape) +
+              (grouped ? "_grouped" : "");
+          const WireDigest* expected = nullptr;
+          for (const WireDigest& d : kWireDigests) {
+            if (name == d.name) expected = &d;
+          }
+          for (const SimdLevel level :
+               {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
+            if (level > MaxSimdLevel()) continue;
+            SetSimdLevel(level);
+            SCOPED_TRACE(name + " " + SimdLevelName(level));
+            IndexBuildOptions options;
+            options.page_size = page_size;
+            auto builder = CompressedIndexBuilder::Make(
+                               schema, CompressionScheme::Uniform(type),
+                               options, columns)
+                               .ValueOrDie();
+            ASSERT_TRUE(builder->AddRows(rows.data(), n).ok());
+            const CompressedIndex index = builder->Finish().ValueOrDie();
+            uint64_t pages = Fnv64(nullptr, 0);
+            for (const Page& page : index.pages()) {
+              pages = Fnv64(page.buffer().data(), page.buffer().size(), pages);
+            }
+            const uint64_t stats = StatsDigest(index.stats());
+            if (level == SimdLevel::kScalar) {
+              char line[160];
+              std::snprintf(line, sizeof(line),
+                            "    {\"%s\", 0x%016llxull, 0x%016llxull},\n",
+                            name.c_str(),
+                            static_cast<unsigned long long>(pages),
+                            static_cast<unsigned long long>(stats));
+              recorded += line;
+            }
+            if (expected == nullptr) {
+              ADD_FAILURE() << "no recorded digest";
+              continue;
+            }
+            EXPECT_EQ(pages, expected->pages) << "page bytes";
+            EXPECT_EQ(stats, expected->stats) << "stats";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_FALSE(HasFailure()) << "digests of this build:\n" << recorded;
+}
 
 }  // namespace
 
