@@ -17,11 +17,11 @@
 // A grouped dictionary, chosen at construction, serves a column whose equal
 // cells are adjacent in the order they are inserted (a sorted leading key,
 // or a row id). There a cell is already an entry exactly when it equals the
-// newest entry, so Insert() and Contains() compare with that one entry and
-// never hash or touch the slot table, and RollBack() and Clear() only
-// truncate the entries and the pool. The codes, entries and sizes are those
-// the hashed mode gives for the same cells; a column that breaks the
-// contract gets a new entry each time a value recurs after another one.
+// newest entry, so a grouped dictionary keeps only that entry and a count:
+// Insert() and Contains() compare with it and never hash, and nothing grows
+// with the entries. The codes and sizes are those the hashed mode gives for
+// the same cells; a column that breaks the contract gets a new entry each
+// time a value recurs after another one.
 
 #ifndef CFEST_COMPRESSION_CELL_DICTIONARY_H_
 #define CFEST_COMPRESSION_CELL_DICTIONARY_H_
@@ -48,13 +48,25 @@ class CellDictionary {
   }
 
   /// Number of distinct entries.
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
+  size_t size() const { return grouped_ ? grouped_size_ : entries_.size(); }
+  bool empty() const { return size() == 0; }
 
-  /// The bytes of the entry with `code`, valid until the next Insert.
+  /// The bytes of the entry with `code`, valid until the next Insert. A
+  /// grouped dictionary holds only its newest entry.
   Slice entry(uint32_t code) const {
+    if (grouped_) {
+      assert(code + 1 == grouped_size_);
+      return Slice(newest_);
+    }
     const Entry& e = entries_[code];
     return Slice(pool_.data() + e.offset, e.len);
+  }
+
+  /// The code of the `len` bytes at `data`, which must be an entry of a
+  /// hashed dictionary.
+  uint32_t Code(const char* data, uint32_t len) const {
+    assert(!grouped_ && Contains(data, len));
+    return slots_[FindSlot(data, len, Hash(data, len))] - 1;
   }
 
   /// True if the `len` bytes at `data` are an entry.
@@ -72,11 +84,12 @@ class CellDictionary {
   /// code) if they are new.
   Insertion Insert(const char* data, uint32_t len) {
     if (grouped_) {
-      const uint32_t code = static_cast<uint32_t>(entries_.size());
-      if (IsNewest(data, len)) return {code - 1, false};
-      entries_.push_back({pool_.size(), len, 0});
-      pool_.append(data, len);
-      return {code, true};
+      if (IsNewest(data, len)) return {grouped_size_ - 1, false};
+      // The first insert of a tentative section keeps the entry a
+      // RollBack() makes the newest again.
+      if (grouped_size_ == tentative_mark_) saved_newest_.swap(newest_);
+      newest_.assign(data, len);
+      return {grouped_size_++, true};
     }
     const uint32_t hash = Hash(data, len);
     const size_t slot = FindSlot(data, len, hash);
@@ -97,6 +110,7 @@ class CellDictionary {
     std::fill(slots_.begin(), slots_.end(), 0);
     entries_.clear();
     pool_.clear();
+    grouped_size_ = 0;
     tentative_mark_ = 0;
     tentative_slots_ = 0;
   }
@@ -104,7 +118,7 @@ class CellDictionary {
   /// Opens a tentative section: every entry inserted from here on is
   /// removed again by a RollBack(), unless Commit() keeps it first.
   void BeginTentative() {
-    tentative_mark_ = entries_.size();
+    tentative_mark_ = size();
     tentative_slots_ = slots_.size();
   }
 
@@ -117,13 +131,18 @@ class CellDictionary {
   /// table, the tentative entries only ever extended probe chains past the
   /// older ones, so emptying their slots newest first restores the table
   /// exactly; otherwise the table is rebuilt from the surviving entries.
-  /// A grouped dictionary has no table: truncating the entries makes the
-  /// last surviving one the newest again.
+  /// A grouped dictionary has no table: it restores the newest entry it
+  /// kept aside and the count.
   void RollBack() {
     const size_t mark = tentative_mark_;
-    if (mark == entries_.size()) return;
+    if (mark == size()) return;
+    if (grouped_) {
+      newest_.swap(saved_newest_);
+      grouped_size_ = static_cast<uint32_t>(mark);
+      return;
+    }
     const bool grew = slots_.size() != tentative_slots_;
-    if (!grouped_ && !grew) {
+    if (!grew) {
       const size_t mask = slots_.size() - 1;
       for (size_t code = entries_.size(); code-- > mark;) {
         size_t i = entries_[code].hash & mask;
@@ -140,15 +159,14 @@ class CellDictionary {
   struct Entry {
     size_t offset;  // into pool_
     uint32_t len;
-    uint32_t hash;  // low bits of HashBytes (0 when grouped): skips most
-                    // memcmps and rehashes
+    uint32_t hash;  // low bits of HashBytes: skips most memcmps and
+                    // rehashes
   };
 
   /// Grouped mode's membership test: the bytes equal the newest entry.
   bool IsNewest(const char* data, uint32_t len) const {
-    if (entries_.empty()) return false;
-    const Entry& e = entries_.back();
-    return e.len == len && std::memcmp(pool_.data() + e.offset, data, len) == 0;
+    return grouped_size_ > 0 && newest_.size() == len &&
+           std::memcmp(newest_.data(), data, len) == 0;
   }
 
   static uint32_t Hash(const char* data, uint32_t len) {
@@ -190,8 +208,13 @@ class CellDictionary {
   /// grouped.
   std::vector<uint32_t> slots_;
   bool grouped_;
-  std::vector<Entry> entries_;  // in code (first-appearance) order
-  std::string pool_;            // every entry's bytes, back to back
+  std::vector<Entry> entries_;  // in code (first-appearance) order; hashed
+  std::string pool_;            // every entry's bytes, back to back; hashed
+  // Grouped mode's state: the entry count, the newest entry, and the entry
+  // that was newest when the open tentative section first inserted.
+  uint32_t grouped_size_ = 0;
+  std::string newest_;
+  std::string saved_newest_;
   size_t tentative_mark_ = 0;
   size_t tentative_slots_ = 0;
 };

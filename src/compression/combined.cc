@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 #include <vector>
 
 #include "common/bit_util.h"
@@ -30,26 +31,27 @@ class CombinedChunk final : public ColumnChunkCompressor {
       sum_lens += l;
       prefix = dict_.empty() ? l : SharedPrefix(cell.data(), l);
     }
-    return ChunkCost(dict_count, sum_lens, prefix, codes_.size() + 1);
+    return ChunkCost(dict_count, sum_lens, prefix, rows_ + 1);
   }
 
   void Add(const Slice& cell) override {
     assert(cell.size() == type_.FixedWidth());
     const size_t entries = dict_.size();
-    codes_.push_back(Encode(cell.data(), NullSuppressedLength(cell, type_)));
+    Insert(cell.data(), NullSuppressedLength(cell, type_));
     *total_dict_entries_ += dict_.size() - entries;
+    ++rows_;
   }
 
   /// The batch's new distinct payloads enter the dictionary tentatively;
   /// a drop rolls them back together with the prefix length and the
   /// entry-length sum.
   size_t StageBatch(const char* cells, size_t n) override {
-    staged_ = {dict_.size(), sum_entry_lengths_, prefix_len_, codes_.size()};
+    staged_ = {dict_.size(), sum_entry_lengths_, prefix_len_, rows_};
     dict_.BeginTentative();
     encoding::ForEachSuppressed(
-        cells, type_, n, [this](const char* cell, uint32_t l) {
-          codes_.push_back(Encode(cell, l));
-        });
+        cells, type_, n,
+        [this](const char* cell, uint32_t l) { Insert(cell, l); });
+    rows_ += n;
     return Cost();
   }
 
@@ -62,35 +64,45 @@ class CombinedChunk final : public ColumnChunkCompressor {
     dict_.RollBack();
     sum_entry_lengths_ = staged_.sum_entry_lengths;
     prefix_len_ = staged_.prefix_len;
-    codes_.resize(staged_.codes);
+    rows_ = staged_.rows;
   }
 
   size_t Cost() const override {
-    return ChunkCost(dict_.size(), sum_entry_lengths_, prefix_len_,
-                     codes_.size());
+    return ChunkCost(dict_.size(), sum_entry_lengths_, prefix_len_, rows_);
   }
 
-  uint32_t count() const override {
-    return static_cast<uint32_t>(codes_.size());
-  }
+  uint32_t count() const override { return static_cast<uint32_t>(rows_); }
 
-  std::string Finish() const override {
-    const int bits = BitsFor(dict_.size());
+  std::string Finish(const char* cells, size_t n) const override {
+    CellDictionary dict;
+    std::vector<uint32_t> codes;
+    codes.reserve(n);
+    encoding::ForEachSuppressed(
+        cells, type_, n, [&](const char* cell, uint32_t l) {
+          codes.push_back(dict.Insert(cell, l).code);
+        });
+    size_t prefix = dict.empty() ? 0 : dict.entry(0).size();
+    for (uint32_t code = 1; code < dict.size(); ++code) {
+      const Slice entry = dict.entry(code);
+      prefix = encoding::CommonPrefixLength(
+          entry.data(), dict.entry(0).data(),
+          std::min<size_t>(prefix, entry.size()));
+    }
+    const int bits = BitsFor(dict.size());
     std::string out;
     out.reserve(Cost());
-    encoding::PutU16(&out, static_cast<uint16_t>(dict_.size()));
+    encoding::PutU16(&out, static_cast<uint16_t>(dict.size()));
     out.push_back(static_cast<char>(bits));
-    const size_t prefix = dict_.empty() ? 0 : prefix_len_;
     encoding::PutLength(&out, prefix, len_hdr_);
-    if (!dict_.empty()) out.append(dict_.entry(0).data(), prefix);
-    for (uint32_t code = 0; code < dict_.size(); ++code) {
-      const Slice entry = dict_.entry(code);
+    if (!dict.empty()) out.append(dict.entry(0).data(), prefix);
+    for (uint32_t code = 0; code < dict.size(); ++code) {
+      const Slice entry = dict.entry(code);
       encoding::PutLength(&out, entry.size() - prefix, len_hdr_);
       out.append(entry.data() + prefix, entry.size() - prefix);
     }
-    encoding::PutU16(&out, static_cast<uint16_t>(codes_.size()));
+    encoding::PutU16(&out, static_cast<uint16_t>(n));
     BitWriter writer(&out);
-    for (uint32_t code : codes_) writer.Put(code, bits);
+    for (uint32_t code : codes) writer.Put(code, bits);
     return out;
   }
 
@@ -98,27 +110,30 @@ class CombinedChunk final : public ColumnChunkCompressor {
     dict_.Clear();
     sum_entry_lengths_ = 0;
     prefix_len_ = 0;
-    codes_.clear();
+    rows_ = 0;
     staged_ = {};
   }
 
  private:
-  /// The code of the null-suppressed payload (the cell's first `l` bytes);
-  /// a new entry grows the entry-length sum and may shorten the prefix.
-  uint32_t Encode(const char* cell, uint32_t l) {
+  /// Makes the null-suppressed payload (the cell's first `l` bytes) an
+  /// entry; a new entry grows the entry-length sum and may shorten the
+  /// prefix.
+  void Insert(const char* cell, uint32_t l) {
     const CellDictionary::Insertion ins = dict_.Insert(cell, l);
-    if (ins.inserted) {
-      sum_entry_lengths_ += l;
-      prefix_len_ = ins.code == 0 ? l : SharedPrefix(cell, l);
+    if (!ins.inserted) return;
+    sum_entry_lengths_ += l;
+    if (ins.code == 0) {
+      first_.assign(cell, l);
+      prefix_len_ = l;
+    } else {
+      prefix_len_ = SharedPrefix(cell, l);
     }
-    return ins.code;
   }
 
   /// The common prefix of the current prefix and the `l` payload bytes.
   size_t SharedPrefix(const char* payload, uint32_t l) const {
-    return encoding::CommonPrefixLength(
-        payload, dict_.entry(0).data(),
-        std::min<size_t>(prefix_len_, l));
+    return encoding::CommonPrefixLength(payload, first_.data(),
+                                        std::min<size_t>(prefix_len_, l));
   }
 
   size_t ChunkCost(size_t dict_count, size_t sum_lens, size_t prefix,
@@ -135,15 +150,16 @@ class CombinedChunk final : public ColumnChunkCompressor {
   DataType type_;
   uint32_t len_hdr_;
   uint64_t* total_dict_entries_;  // owned by the parent compressor
-  CellDictionary dict_;           // null-suppressed payloads
+  CellDictionary dict_;           // the page's distinct suppressed payloads
+  std::string first_;             // the page's first entry
   size_t sum_entry_lengths_ = 0;
   size_t prefix_len_ = 0;
-  std::vector<uint32_t> codes_;
+  size_t rows_ = 0;
   struct {
     size_t entries;
     size_t sum_entry_lengths;
     size_t prefix_len;
-    size_t codes;
+    size_t rows;
   } staged_ = {};  // restore point of the staged batch
 };
 

@@ -1,6 +1,8 @@
 #include "compression/compressed_index.h"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "compression/encoding_util.h"
 #include "compression/kernels.h"
@@ -74,9 +76,20 @@ Result<std::unique_ptr<CompressedIndexBuilder>> CompressedIndexBuilder::Make(
         "page size exceeds 16-bit slot addressing: " +
         std::to_string(options.page_size));
   }
-  CFEST_ASSIGN_OR_RETURN(
-      ColumnCompressorSet set,
-      ColumnCompressorSet::Make(schema, scheme, grouped_columns));
+  std::vector<size_t> grouped = grouped_columns;
+  if (options.keep_pages) {
+    // A kept build decodes its pages through the global dictionaries'
+    // entries, which a grouped one does not keep: those columns hash.
+    std::erase_if(grouped, [&scheme](size_t c) {
+      const CompressionType type =
+          c < scheme.per_column.size() ? scheme.per_column[c]
+          : scheme.per_column.empty()  ? scheme.default_type
+                                       : CompressionType::kNone;
+      return type == CompressionType::kDictionaryGlobal;
+    });
+  }
+  CFEST_ASSIGN_OR_RETURN(ColumnCompressorSet set,
+                         ColumnCompressorSet::Make(schema, scheme, grouped));
   auto shared = std::make_shared<ColumnCompressorSet>(std::move(set));
   return std::unique_ptr<CompressedIndexBuilder>(new CompressedIndexBuilder(
       schema, scheme, std::move(shared), options));
@@ -123,6 +136,9 @@ Status CompressedIndexBuilder::Add(Slice encoded_row) {
     chunks_[c]->Add(
         encoded_row.SubSlice(schema_.offset(c), schema_.width(c)));
   }
+  if (options_.keep_pages) {
+    page_rows_.append(encoded_row.data(), encoded_row.size());
+  }
   ++rows_added_;
   return Status::OK();
 }
@@ -137,7 +153,7 @@ Status CompressedIndexBuilder::AddRows(const char* rows, uint64_t n) {
   // fits every prefix fits too — the per-row path would not have flushed
   // mid-batch. Every column stages the batch (appends it tentatively and
   // reports its exact cost); a batch that fits is committed, so each
-  // accepted cell is encoded once. One that does not is dropped, restoring
+  // accepted cell is sized once. One that does not is dropped, restoring
   // every chunk, and halves until it fits or degenerates to Add(), which
   // performs the flush exactly as before.
   constexpr uint64_t kFallbackBatchRows = 1024;
@@ -197,6 +213,9 @@ Status CompressedIndexBuilder::AddRows(const char* rows, uint64_t n) {
       }
       if (prospective <= options_.page_size) {
         for (auto& chunk : chunks_) chunk->CommitStaged();
+        if (options_.keep_pages) {
+          page_rows_.append(rows + i * row_width, batch * row_width);
+        }
         rows_added_ += batch;
         i += batch;
         break;
@@ -218,9 +237,11 @@ Status CompressedIndexBuilder::FlushPage() {
   // The page is sized from the chunks' exact costs: one record of
   // per-column u32 framing plus chunk bytes, behind the page header and one
   // slot — what Page::used_bytes() reports for the serialized image. Only a
-  // kept page is serialized, and there each chunk must produce exactly the
-  // bytes it charged. Each chunk is then reset, empty for the next page.
-  last_page_rows_ = chunks_[0]->count();
+  // kept page is serialized, from its buffered rows one column at a time,
+  // and there each chunk must produce exactly the bytes it charged. Each
+  // chunk is then reset, empty for the next page.
+  const uint64_t page_rows = chunks_[0]->count();
+  last_page_rows_ = page_rows;
   size_t used = kPageHeaderSize + kSlotSize;
   std::string record;
   for (size_t c = 0; c < chunks_.size(); ++c) {
@@ -229,7 +250,13 @@ Status CompressedIndexBuilder::FlushPage() {
     stats_.chunk_bytes += cost;
     stats_.columns[c].chunk_bytes += cost;
     if (!options_.keep_pages) continue;
-    const std::string bytes = chunks_[c]->Finish();
+    const uint32_t w = schema_.width(c);
+    page_column_.resize(page_rows * w);
+    kernels::GatherStrided(page_rows_.data() + schema_.offset(c),
+                           schema_.row_width(), w, page_rows,
+                           page_column_.data());
+    const std::string bytes =
+        chunks_[c]->Finish(page_column_.data(), page_rows);
     if (bytes.size() != cost) {
       return Status::Internal(
           std::string(CompressionTypeName(stats_.columns[c].type)) +
@@ -243,6 +270,7 @@ Status CompressedIndexBuilder::FlushPage() {
   ++stats_.data_pages;
   for (auto& chunk : chunks_) chunk->Reset();
   if (!options_.keep_pages) return Status::OK();
+  page_rows_.clear();
   PageBuilder builder(next_page_id_++, PageType::kCompressedLeaf,
                       options_.page_size);
   CFEST_RETURN_NOT_OK(builder.Add(Slice(record)));
@@ -276,18 +304,6 @@ Result<CompressedIndex> CompressedIndexBuilder::Finish() {
   index.pages_ = std::move(pages_);
   index.compressors_ = compressors_;
   return index;
-}
-
-Result<CompressedIndex> CompressRows(
-    const Schema& schema, const CompressionScheme& scheme,
-    const std::vector<Slice>& rows,
-    const CompressedIndexBuilder::Options& options) {
-  CFEST_ASSIGN_OR_RETURN(auto builder,
-                         CompressedIndexBuilder::Make(schema, scheme, options));
-  for (const Slice& row : rows) {
-    CFEST_RETURN_NOT_OK(builder->Add(row));
-  }
-  return builder->Finish();
 }
 
 }  // namespace cfest

@@ -9,8 +9,10 @@
 // by key): a page is closed when the next row's exact compressed cost no
 // longer fits, mirroring how page-level compression behaves in real engines
 // and giving rise to the paper's Pg(i) paging effects. Each column compresses
-// through one chunk for the whole build, reset at every page boundary, so a
-// page costs no allocation once the chunks' buffers have grown.
+// through one chunk for the whole build, reset at every page boundary. A
+// chunk holds only its cost state, so sizing a page writes no payload; a
+// build that keeps its pages also buffers the open page's rows and
+// serializes each column from them when the page closes.
 
 #ifndef CFEST_COMPRESSION_COMPRESSED_INDEX_H_
 #define CFEST_COMPRESSION_COMPRESSED_INDEX_H_
@@ -100,9 +102,9 @@ struct IndexBuildOptions {
   size_t page_size = kDefaultPageSize;
   /// Retain page images (needed for DecodeAllRows). Only kept pages are
   /// serialized: with keep_pages = false (every estimator's sizing path)
-  /// no chunk is finished and no page image is built, and the stats come
-  /// from the chunks' exact costs — equal, field for field, to a kept
-  /// build's.
+  /// no row is buffered, no chunk is finished and no page image is built,
+  /// and the stats come from the chunks' exact costs — equal, field for
+  /// field, to a kept build's.
   bool keep_pages = true;
 };
 
@@ -114,7 +116,9 @@ class CompressedIndexBuilder {
   /// Fails if the scheme does not fit the schema. `grouped_columns` lists
   /// the columns whose equal cells are adjacent in the order rows are added
   /// (ColumnCompressorSet::Make); their dictionaries compare each cell with
-  /// the newest entry instead of hashing it, with identical results. Only
+  /// the newest entry instead of hashing it, with identical results. With
+  /// keep_pages, global-dictionary columns still hash: decoding the pages
+  /// needs the dictionary's entries, which a grouped one does not keep. Only
   /// code that owns the rows' sort passes a non-empty set (Index::Compress,
   /// SampleCFFromIndex); the grouped-columns lint rule enforces that.
   static Result<std::unique_ptr<CompressedIndexBuilder>> Make(
@@ -131,7 +135,7 @@ class CompressedIndexBuilder {
   /// sizes through every chunk's batched path: rows are transposed into
   /// arena-backed column slices, and each column stages a slice, then
   /// commits it if the page has room or drops it to retry a smaller one.
-  /// An accepted cell is encoded once; a full page is closed by FlushPage(),
+  /// An accepted cell is sized once; a full page is closed by FlushPage(),
   /// which serializes it only when pages are kept.
   Status AddRows(const char* rows, uint64_t n);
 
@@ -150,9 +154,10 @@ class CompressedIndexBuilder {
   /// were serialized now.
   size_t PageCost(size_t extra_chunk_bytes) const;
   /// Closes the current page: charges its chunks' exact costs to the stats
-  /// and, under keep_pages only, serializes the chunks into a page image,
-  /// failing with Internal if a chunk's bytes differ from its cost. Then
-  /// resets every chunk, which opens the next page.
+  /// and, under keep_pages only, serializes each column of the buffered
+  /// rows through its chunk into a page image, failing with Internal if a
+  /// chunk's bytes differ from its cost. Then resets every chunk, which
+  /// opens the next page.
   Status FlushPage();
   /// Tests swap in chunks that break the cost contract and check that each
   /// column keeps one chunk across pages.
@@ -167,6 +172,10 @@ class CompressedIndexBuilder {
   std::vector<std::unique_ptr<ColumnChunkCompressor>> chunks_;
   /// Scratch for the row-major -> column-major transpose of AddRows.
   Arena transpose_arena_;
+  /// keep_pages only: the open page's rows, row-major, and one column of
+  /// them at a time for Finish().
+  std::string page_rows_;
+  std::string page_column_;
   std::vector<Page> pages_;
   CompressedIndexStats stats_;
   uint64_t rows_added_ = 0;
@@ -177,14 +186,6 @@ class CompressedIndexBuilder {
   uint64_t last_page_rows_ = 0;
   bool finished_ = false;
 };
-
-/// Convenience: compresses a batch of encoded rows in one call. The rows'
-/// order is the caller's, so no column is declared grouped.
-Result<CompressedIndex> CompressRows(const Schema& schema,
-                                     const CompressionScheme& scheme,
-                                     const std::vector<Slice>& rows,
-                                     const CompressedIndexBuilder::Options&
-                                         options = {});
 
 }  // namespace cfest
 

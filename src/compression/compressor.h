@@ -18,9 +18,12 @@
 // order rows are added (a sorted index's leading key, or its unique row
 // ids). The dictionary schemes (page, global, prefix+dictionary) then find
 // a cell's entry by comparing it with the newest entry instead of hashing
-// it; every cost, code and byte is the same as without the declaration. A
-// false declaration silently over-counts dictionary entries, so only code
-// that owns the sort declares one (the grouped-columns lint rule).
+// it, and keep only that entry and a count; every cost, code and byte is
+// the same as without the declaration. A grouped global dictionary
+// therefore holds no entries to decode with, so a build that keeps its
+// pages declares none (CompressedIndexBuilder::Make). A false declaration
+// silently over-counts dictionary entries, so only code that owns the sort
+// declares one (the grouped-columns lint rule).
 
 #ifndef CFEST_COMPRESSION_COMPRESSOR_H_
 #define CFEST_COMPRESSION_COMPRESSOR_H_
@@ -79,27 +82,31 @@ struct CompressionOptions {
 
 /// \brief Streaming compressor for one column over one page's rows.
 ///
-/// Contract: Cost() is the exact number of bytes Finish() will produce for
-/// the cells added so far; CostWith(cell) is the exact cost if `cell` were
-/// added next. Cells must be exactly the column's fixed width. The page
-/// packer sizes pages from Cost() alone; Finish() is a const serializer it
-/// calls only for pages it keeps, and there a length differing from Cost()
-/// is an internal error. Cross-page tallies (TotalDictionaryEntries) are
-/// therefore kept where cells become permanent — Add() and CommitStaged() —
-/// never in Finish().
+/// Contract: a chunk keeps only the state its Cost() depends on (a count and
+/// a byte sum, a run's value, a page's dictionary membership, ...), never the
+/// encoded payload. Cost() is the exact number of bytes Finish() would
+/// produce for the cells added so far; CostWith(cell) is the exact cost if
+/// `cell` were added next. Cells must be exactly the column's fixed width.
+/// The page packer sizes pages from Cost() alone. Only for a page it keeps
+/// does it call Finish(cells, n), handing back the page's column slice, and
+/// there a length differing from Cost() is an internal error. Cross-page
+/// tallies (TotalDictionaryEntries) are therefore kept where cells become
+/// permanent — Add() and CommitStaged() — never in Finish().
 ///
 /// Every chunk sizes two equivalent ways: per cell (CostWith/Add, the
 /// reference the tests compare against, and the path that closes a full
 /// page) and batched (StageBatch, then CommitStaged or DropStaged: the page
 /// packer's fast path over column-major slices). A staged batch is sized by
-/// appending it, so a batch the page accepts is encoded once. Committing n
-/// staged cells leaves exactly the state and costs of n CostWith/Add calls;
-/// dropping them leaves exactly the state before StageBatch. The packer may
-/// therefore mix the two paths freely without changing any page split.
+/// adding it to the cost state, so a batch the page accepts is sized once.
+/// Committing n staged cells leaves exactly the state and costs of n
+/// CostWith/Add calls; dropping them restores the few scalars (and the
+/// dictionary's tentative entries) of the state before StageBatch. The
+/// packer may therefore mix the two paths freely without changing any page
+/// split.
 ///
 /// Reset() empties a chunk for the next page and keeps its buffers'
 /// capacity: afterwards the chunk behaves exactly like a fresh NewChunk() —
-/// the same costs, page splits and Finish() bytes for any later cells.
+/// the same costs and page splits for any later cells.
 /// Cross-page tallies (the parent's TotalDictionaryEntries, the global
 /// dictionary) live in the ColumnCompressor and are untouched by it.
 class ColumnChunkCompressor {
@@ -131,9 +138,11 @@ class ColumnChunkCompressor {
   /// Number of cells added.
   virtual uint32_t count() const = 0;
 
-  /// Serializes the cells added so far, in exactly Cost() bytes. Has no
-  /// side effects.
-  virtual std::string Finish() const = 0;
+  /// Serializes a page, in exactly Cost() bytes: `cells` holds the `n`
+  /// contiguous fixed-width cells added since the chunk was opened or Reset(),
+  /// in order. Called when the page closes, before any later cell is added;
+  /// has no side effects.
+  virtual std::string Finish(const char* cells, size_t n) const = 0;
 
   /// Empties the chunk, as if freshly opened, keeping buffer capacity. Any
   /// staged batch is discarded.

@@ -1,6 +1,8 @@
 #include "compression/delta.h"
 
+#include <bit>
 #include <cassert>
+#include <string>
 
 #include "compression/encoding_util.h"
 
@@ -22,13 +24,9 @@ int64_t Delta(int64_t v, int64_t prev) {
                               static_cast<uint64_t>(prev));
 }
 
+/// Bytes of PutVarint(v): one per started 7 bits, at least one.
 size_t VarintSize(uint64_t v) {
-  size_t bytes = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++bytes;
-  }
-  return bytes;
+  return (static_cast<size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
 void PutVarint(uint64_t v, std::string* out) {
@@ -82,7 +80,7 @@ class DeltaChunk final : public ColumnChunkCompressor {
   }
 
   size_t StageBatch(const char* cells, size_t n) override {
-    staged_ = {buf_.size(), prev_, count_};
+    staged_ = {bytes_, prev_, count_};
     encoding::ForEachIntBlock(
         cells, type_.FixedWidth(), n, [this](const int64_t* values, size_t m) {
           for (size_t i = 0; i < m; ++i) Append(values[i]);
@@ -93,24 +91,40 @@ class DeltaChunk final : public ColumnChunkCompressor {
   void CommitStaged() override {}
 
   void DropStaged() override {
-    buf_.resize(staged_.bytes);
+    bytes_ = staged_.bytes;
     prev_ = staged_.prev;
     count_ = staged_.count;
   }
 
-  size_t Cost() const override { return 2 + buf_.size(); }
+  size_t Cost() const override { return 2 + bytes_; }
   uint32_t count() const override { return count_; }
 
-  std::string Finish() const override {
+  std::string Finish(const char* cells, size_t n) const override {
     std::string out;
     out.reserve(Cost());
-    encoding::PutU16(&out, static_cast<uint16_t>(count_));
-    out += buf_;
+    encoding::PutU16(&out, static_cast<uint16_t>(n));
+    size_t i = 0;
+    int64_t prev = 0;
+    encoding::ForEachIntBlock(
+        cells, type_.FixedWidth(), n, [&](const int64_t* values, size_t m) {
+          for (size_t k = 0; k < m; ++k, ++i) {
+            const int64_t v = values[k];
+            if (i == 0) {
+              for (int b = 0; b < 8; ++b) {
+                out.push_back(static_cast<char>(
+                    (static_cast<uint64_t>(v) >> (8 * b)) & 0xFF));
+              }
+            } else {
+              PutVarint(ZigZag(Delta(v, prev)), &out);
+            }
+            prev = v;
+          }
+        });
     return out;
   }
 
   void Reset() override {
-    buf_.clear();
+    bytes_ = 0;
     prev_ = 0;
     count_ = 0;
     staged_ = {};
@@ -124,20 +138,13 @@ class DeltaChunk final : public ColumnChunkCompressor {
   }
 
   void Append(int64_t v) {
-    if (count_ == 0) {
-      for (int i = 0; i < 8; ++i) {
-        buf_.push_back(
-            static_cast<char>((static_cast<uint64_t>(v) >> (8 * i)) & 0xFF));
-      }
-    } else {
-      PutVarint(ZigZag(Delta(v, prev_)), &buf_);
-    }
+    bytes_ += ValueCost(v, count_, prev_);
     prev_ = v;
     ++count_;
   }
 
   DataType type_;
-  std::string buf_;
+  size_t bytes_ = 0;  // the raw first value and the later varints
   int64_t prev_ = 0;
   uint32_t count_ = 0;
   struct {

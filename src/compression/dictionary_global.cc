@@ -1,5 +1,7 @@
 #include "compression/dictionary_global.h"
 
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "compression/cell_dictionary.h"
@@ -21,29 +23,14 @@ class GlobalDictChunk final : public ColumnChunkCompressor {
   void CommitStaged() override;
   void DropStaged() override {}
 
-  size_t Cost() const override {
-    return 2 + codes_.size() * pointer_bytes_;
-  }
+  size_t Cost() const override { return 2 + rows_ * pointer_bytes_; }
 
-  uint32_t count() const override {
-    return static_cast<uint32_t>(codes_.size());
-  }
+  uint32_t count() const override { return static_cast<uint32_t>(rows_); }
 
-  std::string Finish() const override {
-    std::string out;
-    out.reserve(Cost());
-    encoding::PutU16(&out, static_cast<uint16_t>(codes_.size()));
-    // Widened first: pointers of 5-8 bytes shift by 32 bits or more.
-    for (const uint64_t code : codes_) {
-      for (uint32_t b = 0; b < pointer_bytes_; ++b) {
-        out.push_back(static_cast<char>((code >> (8 * b)) & 0xFF));
-      }
-    }
-    return out;
-  }
+  std::string Finish(const char* cells, size_t n) const override;
 
   void Reset() override {
-    codes_.clear();
+    rows_ = 0;
     staged_cells_ = nullptr;
     staged_n_ = 0;
   }
@@ -51,8 +38,8 @@ class GlobalDictChunk final : public ColumnChunkCompressor {
  private:
   GlobalDictCompressor* parent_;
   uint32_t pointer_bytes_;
-  std::vector<uint32_t> codes_;
-  // The staged batch: its cost is arithmetic, and only a commit encodes it,
+  size_t rows_ = 0;
+  // The staged batch: its cost is arithmetic, and only a commit inserts it,
   // so a dropped batch never touches the shared dictionary.
   const char* staged_cells_ = nullptr;
   size_t staged_n_ = 0;
@@ -66,6 +53,7 @@ class GlobalDictCompressor final : public ColumnCompressor {
         pointer_bytes_(options.global_pointer_bytes == 0
                            ? 4
                            : options.global_pointer_bytes),
+        grouped_(grouped),
         dict_(1024, grouped) {}
 
   CompressionType type() const override {
@@ -79,6 +67,10 @@ class GlobalDictCompressor final : public ColumnCompressor {
 
   Status DecodeChunk(Slice chunk,
                      std::vector<std::string>* cells) const override {
+    if (grouped_) {
+      return Status::NotSupported(
+          "a grouped global dictionary keeps no entries to decode with");
+    }
     size_t pos = 0;
     uint16_t row_count = 0;
     if (!encoding::GetU16(chunk, &pos, &row_count)) {
@@ -123,16 +115,33 @@ class GlobalDictCompressor final : public ColumnCompressor {
     return Status::OK();
   }
 
-  /// The cell's code in the global dictionary, in first-appearance order.
-  uint32_t Encode(const char* cell) {
-    return dict_.Insert(cell, type_.FixedWidth()).code;
-  }
+  /// Makes the cell an entry, in first-appearance order.
+  void Insert(const char* cell) { dict_.Insert(cell, type_.FixedWidth()); }
 
-  uint32_t pointer_bytes() const { return pointer_bytes_; }
+  /// Writes the codes of a closing page's `n` cells. A grouped dictionary
+  /// keeps only its newest entry, but no later cell has been inserted yet:
+  /// the page's last cell holds the newest code, and each earlier cell the
+  /// next one's code, or the code before it where the value changes.
+  void Codes(const char* cells, size_t n, uint32_t* codes) const {
+    const uint32_t w = type_.FixedWidth();
+    if (!grouped_) {
+      for (size_t i = 0; i < n; ++i) codes[i] = dict_.Code(cells + i * w, w);
+      return;
+    }
+    uint32_t code = static_cast<uint32_t>(dict_.size());
+    for (size_t i = n; i-- > 0;) {
+      if (i + 1 == n ||
+          std::memcmp(cells + i * w, cells + (i + 1) * w, w) != 0) {
+        --code;
+      }
+      codes[i] = code;
+    }
+  }
 
  private:
   DataType type_;
   uint32_t pointer_bytes_;
+  bool grouped_;
   CellDictionary dict_;
 };
 
@@ -142,7 +151,8 @@ size_t GlobalDictChunk::CostWith(const Slice& cell) {
 }
 
 void GlobalDictChunk::Add(const Slice& cell) {
-  codes_.push_back(parent_->Encode(cell.data()));
+  parent_->Insert(cell.data());
+  ++rows_;
 }
 
 size_t GlobalDictChunk::StageBatch(const char* cells, size_t n) {
@@ -154,8 +164,24 @@ size_t GlobalDictChunk::StageBatch(const char* cells, size_t n) {
 void GlobalDictChunk::CommitStaged() {
   const uint32_t w = parent_->data_type().FixedWidth();
   for (size_t i = 0; i < staged_n_; ++i) {
-    codes_.push_back(parent_->Encode(staged_cells_ + i * w));
+    parent_->Insert(staged_cells_ + i * w);
   }
+  rows_ += staged_n_;
+}
+
+std::string GlobalDictChunk::Finish(const char* cells, size_t n) const {
+  std::vector<uint32_t> codes(n);
+  parent_->Codes(cells, n, codes.data());
+  std::string out;
+  out.reserve(Cost());
+  encoding::PutU16(&out, static_cast<uint16_t>(n));
+  // Widened first: pointers of 5-8 bytes shift by 32 bits or more.
+  for (const uint64_t code : codes) {
+    for (uint32_t b = 0; b < pointer_bytes_; ++b) {
+      out.push_back(static_cast<char>((code >> (8 * b)) & 0xFF));
+    }
+  }
+  return out;
 }
 
 }  // namespace

@@ -23,23 +23,25 @@ class PageDictChunk final : public ColumnChunkCompressor {
     const bool is_new = !dict_.Contains(cell.data(), type_.FixedWidth());
     const size_t dict_count = dict_.size() + (is_new ? 1 : 0);
     const size_t dict_bytes = dict_bytes_ + (is_new ? EntryCost(cell) : 0);
-    return ChunkCost(dict_count, dict_bytes, codes_.size() + 1);
+    return ChunkCost(dict_count, dict_bytes, rows_ + 1);
   }
 
   void Add(const Slice& cell) override {
     assert(cell.size() == type_.FixedWidth());
     const size_t entries = dict_.size();
-    codes_.push_back(Encode(cell.data()));
+    Insert(cell.data());
     *total_dict_entries_ += dict_.size() - entries;
+    ++rows_;
   }
 
   /// The batch's new distinct values enter the dictionary tentatively, so
   /// the cost includes intra-batch dedup and a commit keeps them as is.
   size_t StageBatch(const char* cells, size_t n) override {
     const uint32_t w = type_.FixedWidth();
-    staged_ = {dict_.size(), dict_bytes_, codes_.size()};
+    staged_ = {dict_.size(), dict_bytes_, rows_};
     dict_.BeginTentative();
-    for (size_t i = 0; i < n; ++i) codes_.push_back(Encode(cells + i * w));
+    for (size_t i = 0; i < n; ++i) Insert(cells + i * w);
+    rows_ += n;
     return Cost();
   }
 
@@ -51,33 +53,31 @@ class PageDictChunk final : public ColumnChunkCompressor {
   void DropStaged() override {
     dict_.RollBack();
     dict_bytes_ = staged_.dict_bytes;
-    codes_.resize(staged_.codes);
+    rows_ = staged_.rows;
   }
 
   size_t Cost() const override {
-    return ChunkCost(dict_.size(), dict_bytes_, codes_.size());
+    return ChunkCost(dict_.size(), dict_bytes_, rows_);
   }
 
-  uint32_t count() const override {
-    return static_cast<uint32_t>(codes_.size());
-  }
+  uint32_t count() const override { return static_cast<uint32_t>(rows_); }
 
-  std::string Finish() const override;
+  std::string Finish(const char* cells, size_t n) const override;
 
   void Reset() override {
     dict_.Clear();
     dict_bytes_ = 0;
-    codes_.clear();
+    rows_ = 0;
     staged_ = {};
   }
 
  private:
-  /// The cell's code, charging a new entry's bytes to the dictionary.
-  uint32_t Encode(const char* cell) {
+  /// Makes the cell an entry, charging a new entry's bytes.
+  void Insert(const char* cell) {
     const uint32_t w = type_.FixedWidth();
-    const CellDictionary::Insertion ins = dict_.Insert(cell, w);
-    if (ins.inserted) dict_bytes_ += EntryCost(Slice(cell, w));
-    return ins.code;
+    if (dict_.Insert(cell, w).inserted) {
+      dict_bytes_ += EntryCost(Slice(cell, w));
+    }
   }
 
   size_t EntryCost(const Slice& cell) const {
@@ -104,33 +104,37 @@ class PageDictChunk final : public ColumnChunkCompressor {
   DataType type_;
   CompressionOptions options_;
   uint64_t* total_dict_entries_;  // owned by the parent compressor
-  CellDictionary dict_;           // full-width cells
+  CellDictionary dict_;           // the page's distinct full-width cells
   size_t dict_bytes_ = 0;
-  std::vector<uint32_t> codes_;
+  size_t rows_ = 0;
   struct {
     size_t entries;
     size_t dict_bytes;
-    size_t codes;
+    size_t rows;
   } staged_ = {};  // restore point of the staged batch
 };
 
-std::string PageDictChunk::Finish() const {
-  const int bits = PointerBits(dict_.size());
+std::string PageDictChunk::Finish(const char* cells, size_t n) const {
+  const uint32_t w = type_.FixedWidth();
+  CellDictionary dict;
+  std::vector<uint32_t> codes(n);
+  for (size_t i = 0; i < n; ++i) codes[i] = dict.Insert(cells + i * w, w).code;
+  const int bits = PointerBits(dict.size());
   std::string out;
   out.reserve(Cost());
-  encoding::PutU16(&out, static_cast<uint16_t>(dict_.size()));
+  encoding::PutU16(&out, static_cast<uint16_t>(dict.size()));
   out.push_back(static_cast<char>(bits));
-  for (uint32_t code = 0; code < dict_.size(); ++code) {
-    const Slice entry = dict_.entry(code);
+  for (uint32_t code = 0; code < dict.size(); ++code) {
+    const Slice entry = dict.entry(code);
     if (options_.dict_entries_full_width) {
       out.append(entry.data(), entry.size());
     } else {
       encoding::PutNullSuppressed(entry, type_, &out);
     }
   }
-  encoding::PutU16(&out, static_cast<uint16_t>(codes_.size()));
+  encoding::PutU16(&out, static_cast<uint16_t>(n));
   BitWriter writer(&out);
-  for (uint32_t code : codes_) {
+  for (uint32_t code : codes) {
     writer.Put(code, bits);
   }
   return out;

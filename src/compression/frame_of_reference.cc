@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 #include <vector>
 
 #include "common/bit_util.h"
@@ -36,93 +37,88 @@ class ForChunk final : public ColumnChunkCompressor {
 
   size_t CostWith(const Slice& cell) override {
     const int64_t v = DecodeCellValue(cell, type_.FixedWidth());
-    const int64_t lo = values_.empty() ? v : std::min(min_, v);
-    const int64_t hi = values_.empty() ? v : std::max(max_, v);
-    return ChunkCost(values_.size() + 1,
+    const int64_t lo = count_ == 0 ? v : std::min(min_, v);
+    const int64_t hi = count_ == 0 ? v : std::max(max_, v);
+    return ChunkCost(count_ + 1,
                      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo));
   }
 
   void Add(const Slice& cell) override {
     assert(cell.size() == type_.FixedWidth());
     const int64_t v = DecodeCellValue(cell, type_.FixedWidth());
-    if (values_.empty()) {
-      min_ = max_ = v;
-    } else {
-      min_ = std::min(min_, v);
-      max_ = std::max(max_, v);
-    }
-    values_.push_back(v);
+    Extend({v, v}, 1);
   }
 
   size_t StageBatch(const char* cells, size_t n) override {
-    const size_t old = values_.size();
-    staged_ = {old, min_, max_};
-    if (n == 0) return Cost();
-    values_.resize(old + n);
-    kernels::DecodeInts(cells, type_.FixedWidth(), n, values_.data() + old);
-    const kernels::MinMax mm = kernels::MinMaxInts(values_.data() + old, n);
-    if (old == 0) {
-      min_ = mm.min;
-      max_ = mm.max;
-    } else {
-      min_ = std::min(min_, mm.min);
-      max_ = std::max(max_, mm.max);
-    }
+    staged_ = {count_, min_, max_};
+    encoding::ForEachIntBlock(
+        cells, type_.FixedWidth(), n, [this](const int64_t* values, size_t m) {
+          Extend(kernels::MinMaxInts(values, m), m);
+        });
     return Cost();
   }
 
   void CommitStaged() override {}
 
   void DropStaged() override {
-    values_.resize(staged_.count);
+    count_ = staged_.count;
     min_ = staged_.min;
     max_ = staged_.max;
   }
 
   size_t Cost() const override {
-    if (values_.empty()) return 2;
-    return ChunkCost(values_.size(),
+    return ChunkCost(count_,
                      static_cast<uint64_t>(max_) - static_cast<uint64_t>(min_));
   }
 
-  uint32_t count() const override {
-    return static_cast<uint32_t>(values_.size());
-  }
+  uint32_t count() const override { return static_cast<uint32_t>(count_); }
 
-  std::string Finish() const override {
+  std::string Finish(const char* cells, size_t n) const override {
     std::string out;
     out.reserve(Cost());
-    encoding::PutU16(&out, static_cast<uint16_t>(values_.size()));
-    if (values_.empty()) return out;
+    encoding::PutU16(&out, static_cast<uint16_t>(n));
+    if (n == 0) return out;
+    std::vector<int64_t> values(n);
+    kernels::DecodeInts(cells, type_.FixedWidth(), n, values.data());
+    const kernels::MinMax mm = kernels::MinMaxInts(values.data(), n);
     for (int i = 0; i < 8; ++i) {
       out.push_back(static_cast<char>(
-          (static_cast<uint64_t>(min_) >> (8 * i)) & 0xFF));
+          (static_cast<uint64_t>(mm.min) >> (8 * i)) & 0xFF));
     }
-    const int bits =
-        OffsetBits(static_cast<uint64_t>(max_) - static_cast<uint64_t>(min_));
+    const int bits = OffsetBits(static_cast<uint64_t>(mm.max) -
+                                static_cast<uint64_t>(mm.min));
     out.push_back(static_cast<char>(bits));
     BitWriter writer(&out);
-    for (int64_t v : values_) {
-      writer.Put(static_cast<uint64_t>(v) - static_cast<uint64_t>(min_), bits);
+    for (int64_t v : values) {
+      writer.Put(static_cast<uint64_t>(v) - static_cast<uint64_t>(mm.min),
+                 bits);
     }
     return out;
   }
 
   void Reset() override {
-    values_.clear();
+    count_ = 0;
     min_ = 0;
     max_ = 0;
     staged_ = {};
   }
 
  private:
+  /// Takes `m` values whose extremes are `mm`.
+  void Extend(const kernels::MinMax& mm, size_t m) {
+    if (m == 0) return;
+    min_ = count_ == 0 ? mm.min : std::min(min_, mm.min);
+    max_ = count_ == 0 ? mm.max : std::max(max_, mm.max);
+    count_ += m;
+  }
+
   size_t ChunkCost(size_t n, uint64_t span) const {
     if (n == 0) return 2;
     return 2 + 8 + 1 + BytesForBits(static_cast<size_t>(OffsetBits(span)) * n);
   }
 
   DataType type_;
-  std::vector<int64_t> values_;
+  size_t count_ = 0;
   int64_t min_ = 0;
   int64_t max_ = 0;
   struct {

@@ -1,6 +1,7 @@
 #include "compression/null_suppression.h"
 
 #include <cassert>
+#include <string>
 #include <vector>
 
 #include "compression/encoding_util.h"
@@ -14,7 +15,8 @@ namespace {
 
 class NsChunk final : public ColumnChunkCompressor {
  public:
-  explicit NsChunk(const DataType& type) : type_(type) { buf_.reserve(256); }
+  explicit NsChunk(const DataType& type)
+      : type_(type), header_(LengthHeaderBytes(type)) {}
 
   size_t CostWith(const Slice& cell) override {
     return Cost() + encoding::NullSuppressedCost(cell, type_);
@@ -22,18 +24,15 @@ class NsChunk final : public ColumnChunkCompressor {
 
   void Add(const Slice& cell) override {
     assert(cell.size() == type_.FixedWidth());
-    encoding::PutNullSuppressed(cell, type_, &buf_);
+    bytes_ += encoding::NullSuppressedCost(cell, type_);
     ++count_;
   }
 
   size_t StageBatch(const char* cells, size_t n) override {
-    const uint32_t header = LengthHeaderBytes(type_);
-    staged_ = {buf_.size(), count_};
+    staged_ = {bytes_, count_};
     encoding::ForEachSuppressed(
-        cells, type_, n, [&](const char* cell, uint32_t len) {
-          encoding::PutLength(&buf_, len, header);
-          buf_.append(cell, len);
-        });
+        cells, type_, n,
+        [this](const char*, uint32_t len) { bytes_ += header_ + len; });
     count_ += static_cast<uint32_t>(n);
     return Cost();
   }
@@ -41,30 +40,35 @@ class NsChunk final : public ColumnChunkCompressor {
   void CommitStaged() override {}
 
   void DropStaged() override {
-    buf_.resize(staged_.bytes);
+    bytes_ = staged_.bytes;
     count_ = staged_.count;
   }
 
-  size_t Cost() const override { return 2 + buf_.size(); }
+  size_t Cost() const override { return 2 + bytes_; }
   uint32_t count() const override { return count_; }
 
-  std::string Finish() const override {
+  std::string Finish(const char* cells, size_t n) const override {
     std::string out;
     out.reserve(Cost());
-    encoding::PutU16(&out, static_cast<uint16_t>(count_));
-    out += buf_;
+    encoding::PutU16(&out, static_cast<uint16_t>(n));
+    encoding::ForEachSuppressed(
+        cells, type_, n, [&](const char* cell, uint32_t len) {
+          encoding::PutLength(&out, len, header_);
+          out.append(cell, len);
+        });
     return out;
   }
 
   void Reset() override {
-    buf_.clear();
+    bytes_ = 0;
     count_ = 0;
     staged_ = {};
   }
 
  private:
   DataType type_;
-  std::string buf_;
+  uint32_t header_;
+  size_t bytes_ = 0;  // length headers + suppressed payloads
   uint32_t count_ = 0;
   struct {
     size_t bytes;
@@ -121,47 +125,43 @@ class NoneChunk final : public ColumnChunkCompressor {
 
   void Add(const Slice& cell) override {
     assert(cell.size() == type_.FixedWidth());
-    buf_.append(cell.data(), cell.size());
+    (void)cell;
     ++count_;
   }
 
-  /// The cost is arithmetic; only a commit copies the cells.
   size_t StageBatch(const char* cells, size_t n) override {
-    staged_cells_ = cells;
-    staged_n_ = n;
-    return Cost() + n * type_.FixedWidth();
+    (void)cells;
+    staged_count_ = count_;
+    count_ += static_cast<uint32_t>(n);
+    return Cost();
   }
 
-  void CommitStaged() override {
-    buf_.append(staged_cells_, staged_n_ * type_.FixedWidth());
-    count_ += static_cast<uint32_t>(staged_n_);
+  void CommitStaged() override {}
+
+  void DropStaged() override { count_ = staged_count_; }
+
+  size_t Cost() const override {
+    return 2 + static_cast<size_t>(count_) * type_.FixedWidth();
   }
-
-  void DropStaged() override {}
-
-  size_t Cost() const override { return 2 + buf_.size(); }
   uint32_t count() const override { return count_; }
 
-  std::string Finish() const override {
+  std::string Finish(const char* cells, size_t n) const override {
     std::string out;
-    encoding::PutU16(&out, static_cast<uint16_t>(count_));
-    out += buf_;
+    out.reserve(Cost());
+    encoding::PutU16(&out, static_cast<uint16_t>(n));
+    out.append(cells, n * type_.FixedWidth());
     return out;
   }
 
   void Reset() override {
-    buf_.clear();
     count_ = 0;
-    staged_cells_ = nullptr;
-    staged_n_ = 0;
+    staged_count_ = 0;
   }
 
  private:
   DataType type_;
-  std::string buf_;
   uint32_t count_ = 0;
-  const char* staged_cells_ = nullptr;
-  size_t staged_n_ = 0;
+  uint32_t staged_count_ = 0;  // restore point of the staged batch
 };
 
 class NoneCompressor final : public ColumnCompressor {

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 #include <vector>
 
 #include "compression/encoding_util.h"
+#include "compression/kernels.h"
 
 namespace cfest {
 namespace {
@@ -17,9 +19,9 @@ class PrefixChunk final : public ColumnChunkCompressor {
   size_t CostWith(const Slice& cell) override {
     const uint32_t l = NullSuppressedLength(cell, type_);
     // The first value's full suppressed bytes form the prefix.
-    const size_t prefix = lengths_.empty() ? l : SharedPrefix(cell.data(), l);
+    const size_t prefix = count_ == 0 ? l : SharedPrefix(cell.data(), l);
     // sum of suffix lengths = sum of l_i - n * prefix
-    return ChunkCost(lengths_.size() + 1, sum_lengths_ + l, prefix);
+    return ChunkCost(count_ + 1, sum_lengths_ + l, prefix);
   }
 
   void Add(const Slice& cell) override {
@@ -28,7 +30,7 @@ class PrefixChunk final : public ColumnChunkCompressor {
   }
 
   size_t StageBatch(const char* cells, size_t n) override {
-    staged_ = {pool_.size(), lengths_.size(), sum_lengths_, prefix_len_};
+    staged_ = {count_, sum_lengths_, prefix_len_};
     encoding::ForEachSuppressed(
         cells, type_, n,
         [this](const char* cell, uint32_t l) { Append(cell, l); });
@@ -38,56 +40,62 @@ class PrefixChunk final : public ColumnChunkCompressor {
   void CommitStaged() override {}
 
   void DropStaged() override {
-    pool_.resize(staged_.pool_bytes);
-    lengths_.resize(staged_.count);
+    count_ = staged_.count;
     sum_lengths_ = staged_.sum_lengths;
     prefix_len_ = staged_.prefix_len;
   }
 
   size_t Cost() const override {
-    return ChunkCost(lengths_.size(), sum_lengths_, prefix_len_);
+    return ChunkCost(count_, sum_lengths_, prefix_len_);
   }
 
-  uint32_t count() const override {
-    return static_cast<uint32_t>(lengths_.size());
-  }
+  uint32_t count() const override { return static_cast<uint32_t>(count_); }
 
-  std::string Finish() const override {
+  std::string Finish(const char* cells, size_t n) const override {
+    const uint32_t w = type_.FixedWidth();
+    std::vector<uint32_t> lengths(n);
+    kernels::NullSuppressedLengths(cells, w, n, type_.IsString(),
+                                   lengths.data());
+    size_t prefix = n == 0 ? 0 : lengths[0];
+    for (size_t i = 1; i < n; ++i) {
+      prefix = encoding::CommonPrefixLength(
+          cells + i * w, cells, std::min<size_t>(prefix, lengths[i]));
+    }
     std::string out;
     out.reserve(Cost());
-    encoding::PutU16(&out, static_cast<uint16_t>(lengths_.size()));
-    const size_t prefix = lengths_.empty() ? 0 : prefix_len_;
+    encoding::PutU16(&out, static_cast<uint16_t>(n));
     encoding::PutLength(&out, prefix, len_hdr_);
-    out.append(pool_.data(), prefix);
-    size_t offset = 0;
-    for (const uint32_t l : lengths_) {
-      encoding::PutLength(&out, l - prefix, len_hdr_);
-      out.append(pool_.data() + offset + prefix, l - prefix);
-      offset += l;
+    out.append(cells, prefix);
+    for (size_t i = 0; i < n; ++i) {
+      encoding::PutLength(&out, lengths[i] - prefix, len_hdr_);
+      out.append(cells + i * w + prefix, lengths[i] - prefix);
     }
     return out;
   }
 
   void Reset() override {
-    pool_.clear();
-    lengths_.clear();
+    count_ = 0;
     sum_lengths_ = 0;
     prefix_len_ = 0;
     staged_ = {};
   }
 
  private:
-  /// Appends the cell's `l` null-suppressed payload bytes.
+  /// Takes the cell's `l` null-suppressed payload bytes.
   void Append(const char* cell, uint32_t l) {
-    prefix_len_ = lengths_.empty() ? l : SharedPrefix(cell, l);
-    pool_.append(cell, l);
-    lengths_.push_back(l);
+    if (count_ == 0) {
+      first_.assign(cell, l);
+      prefix_len_ = l;
+    } else {
+      prefix_len_ = SharedPrefix(cell, l);
+    }
     sum_lengths_ += l;
+    ++count_;
   }
 
   /// The common prefix of the current prefix and the `l` payload bytes.
   size_t SharedPrefix(const char* payload, uint32_t l) const {
-    return encoding::CommonPrefixLength(payload, pool_.data(),
+    return encoding::CommonPrefixLength(payload, first_.data(),
                                         std::min<size_t>(prefix_len_, l));
   }
 
@@ -98,12 +106,11 @@ class PrefixChunk final : public ColumnChunkCompressor {
 
   DataType type_;
   uint32_t len_hdr_;
-  std::string pool_;               // null-suppressed payloads, back to back
-  std::vector<uint32_t> lengths_;  // payload length per value
+  std::string first_;  // the page's first suppressed payload
+  size_t count_ = 0;
   size_t sum_lengths_ = 0;
   size_t prefix_len_ = 0;
   struct {
-    size_t pool_bytes;
     size_t count;
     size_t sum_lengths;
     size_t prefix_len;

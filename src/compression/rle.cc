@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "compression/encoding_util.h"
@@ -18,36 +19,32 @@ class RleChunk final : public ColumnChunkCompressor {
     if (ExtendsOpenRun(cell.data())) {
       return Cost();  // extends the open run; u32 length already counted
     }
-    return Cost() + 4 + encoding::NullSuppressedCost(cell, type_);
+    return Cost() + RunCost(cell.data());
   }
 
   void Add(const Slice& cell) override {
     assert(cell.size() == type_.FixedWidth());
-    if (ExtendsOpenRun(cell.data())) {
-      ++run_lengths_.back();
-    } else {
-      OpenRun(cell.data(), 1);
+    if (!ExtendsOpenRun(cell.data())) {
+      runs_bytes_ += RunCost(cell.data());
+      open_.assign(cell.data(), cell.size());
+      ++runs_;
     }
     ++count_;
   }
 
   size_t StageBatch(const char* cells, size_t n) override {
     const uint32_t w = type_.FixedWidth();
-    staged_ = {run_lengths_.size(),
-               run_lengths_.empty() ? 0 : run_lengths_.back(), runs_bytes_,
-               count_};
+    staged_ = {runs_, runs_bytes_, count_};
     starts_.clear();
     kernels::RunStarts(cells, w, n, OpenRunValue(), &starts_);
-    // Cells before the first boundary extend the run left open by Add();
-    // a non-zero head implies a run is open (cell 0 matched it).
-    const uint32_t head =
-        starts_.empty() ? static_cast<uint32_t>(n) : starts_[0];
-    if (head > 0) run_lengths_.back() += head;
-    for (size_t k = 0; k < starts_.size(); ++k) {
-      const uint32_t s = starts_[k];
-      const uint32_t e =
-          k + 1 < starts_.size() ? starts_[k + 1] : static_cast<uint32_t>(n);
-      OpenRun(cells + static_cast<size_t>(s) * w, e - s);
+    // Cells before the first boundary extend the run left open before.
+    for (const uint32_t start : starts_) {
+      runs_bytes_ += RunCost(cells + static_cast<size_t>(start) * w);
+    }
+    if (!starts_.empty()) {
+      saved_open_.swap(open_);
+      open_.assign(cells + static_cast<size_t>(starts_.back()) * w, w);
+      runs_ += starts_.size();
     }
     count_ += static_cast<uint32_t>(n);
     return Cost();
@@ -56,9 +53,8 @@ class RleChunk final : public ColumnChunkCompressor {
   void CommitStaged() override {}
 
   void DropStaged() override {
-    run_lengths_.resize(staged_.runs);
-    values_.resize(staged_.runs * type_.FixedWidth());
-    if (staged_.runs > 0) run_lengths_.back() = staged_.open_run_length;
+    if (runs_ != staged_.runs) open_.swap(saved_open_);
+    runs_ = staged_.runs;
     runs_bytes_ = staged_.runs_bytes;
     count_ = staged_.count;
   }
@@ -66,22 +62,25 @@ class RleChunk final : public ColumnChunkCompressor {
   size_t Cost() const override { return 2 + runs_bytes_; }
   uint32_t count() const override { return count_; }
 
-  std::string Finish() const override {
+  std::string Finish(const char* cells, size_t n) const override {
     const uint32_t w = type_.FixedWidth();
+    std::vector<uint32_t> starts;
+    kernels::RunStarts(cells, w, n, nullptr, &starts);
     std::string out;
     out.reserve(Cost());
-    encoding::PutU16(&out, static_cast<uint16_t>(run_lengths_.size()));
-    for (size_t r = 0; r < run_lengths_.size(); ++r) {
-      encoding::PutU32(&out, run_lengths_[r]);
-      encoding::PutNullSuppressed(Slice(values_.data() + r * w, w), type_,
-                                  &out);
+    encoding::PutU16(&out, static_cast<uint16_t>(starts.size()));
+    for (size_t r = 0; r < starts.size(); ++r) {
+      const uint32_t end =
+          r + 1 < starts.size() ? starts[r + 1] : static_cast<uint32_t>(n);
+      encoding::PutU32(&out, end - starts[r]);
+      encoding::PutNullSuppressed(
+          Slice(cells + static_cast<size_t>(starts[r]) * w, w), type_, &out);
     }
     return out;
   }
 
   void Reset() override {
-    values_.clear();
-    run_lengths_.clear();
+    runs_ = 0;
     runs_bytes_ = 0;
     count_ = 0;
     staged_ = {};
@@ -90,32 +89,28 @@ class RleChunk final : public ColumnChunkCompressor {
  private:
   /// The value of the open (last) run, or null before the first cell.
   const char* OpenRunValue() const {
-    return run_lengths_.empty()
-               ? nullptr
-               : values_.data() + values_.size() - type_.FixedWidth();
+    return runs_ == 0 ? nullptr : open_.data();
   }
 
   bool ExtendsOpenRun(const char* cell) const {
-    const char* open = OpenRunValue();
-    return open != nullptr &&
-           std::memcmp(open, cell, type_.FixedWidth()) == 0;
+    return runs_ > 0 &&
+           std::memcmp(open_.data(), cell, type_.FixedWidth()) == 0;
   }
 
-  void OpenRun(const char* cell, uint32_t length) {
-    const uint32_t w = type_.FixedWidth();
-    values_.append(cell, w);
-    run_lengths_.push_back(length);
-    runs_bytes_ += 4 + encoding::NullSuppressedCost(Slice(cell, w), type_);
+  /// Bytes a run of `cell` costs: its u32 length and its suppressed value.
+  size_t RunCost(const char* cell) const {
+    return 4 + encoding::NullSuppressedCost(Slice(cell, type_.FixedWidth()),
+                                            type_);
   }
 
   DataType type_;
-  std::string values_;                 // one fixed-width cell per run
-  std::vector<uint32_t> run_lengths_;  // cells per run
+  std::string open_;        // the open run's fixed-width value
+  std::string saved_open_;  // the value open_ held before the staged batch
+  size_t runs_ = 0;
   size_t runs_bytes_ = 0;
   uint32_t count_ = 0;
   struct {
     size_t runs;
-    uint32_t open_run_length;
     size_t runs_bytes;
     uint32_t count;
   } staged_ = {};  // restore point of the staged batch

@@ -16,6 +16,7 @@
 
 #include "common/random.h"
 #include "common/simd.h"
+#include "compress_rows.h"
 #include "compression/compressed_index.h"
 #include "compression/compressor.h"
 #include "compression/encoding_util.h"
@@ -48,6 +49,13 @@ std::string IntCell(int64_t v) {
                                      0xFF));
   }
   return cell;
+}
+
+/// `cells` back to back: the column slice a closing page hands Finish().
+std::string Column(const std::vector<std::string>& cells) {
+  std::string column;
+  for (const std::string& cell : cells) column += cell;
+  return column;
 }
 
 std::unique_ptr<ColumnCompressor> MustMake(CompressionType type,
@@ -101,7 +109,7 @@ class ChunkContractTest : public ::testing::TestWithParam<ChunkCase> {
     }
     EXPECT_EQ(chunk->count(), cells.size());
     const size_t final_cost = chunk->Cost();
-    std::string wire = chunk->Finish();
+    std::string wire = chunk->Finish(Column(cells).data(), cells.size());
     EXPECT_EQ(wire.size(), final_cost) << "Cost() must equal serialized size";
 
     std::vector<std::string> decoded;
@@ -183,9 +191,10 @@ TEST_P(ChunkContractTest, RandomizedSweep) {
 TEST_P(ChunkContractTest, DecodeRejectsTruncatedChunk) {
   auto compressor = MustMake(GetParam().type, CharType(8));
   auto chunk = compressor->NewChunk();
-  chunk->Add(Slice(PadCell("abcdef", 8)));
-  chunk->Add(Slice(PadCell("gh", 8)));
-  std::string wire = chunk->Finish();
+  const std::vector<std::string> cells = {PadCell("abcdef", 8),
+                                          PadCell("gh", 8)};
+  for (const std::string& cell : cells) chunk->Add(Slice(cell));
+  std::string wire = chunk->Finish(Column(cells).data(), cells.size());
   for (size_t cut = 0; cut + 1 < wire.size(); cut += 3) {
     std::vector<std::string> decoded;
     Status st =
@@ -239,7 +248,7 @@ TEST(DeltaTest, CostExactAndRoundTrips) {
     chunk->Add(Slice(cell));
     EXPECT_EQ(chunk->Cost(), predicted);
   }
-  std::string wire = chunk->Finish();
+  std::string wire = chunk->Finish(Column(cells).data(), cells.size());
   EXPECT_EQ(wire.size(), chunk->Cost());
   std::vector<std::string> decoded;
   ASSERT_TRUE(compressor->DecodeChunk(Slice(wire), &decoded).ok());
@@ -264,7 +273,7 @@ TEST(DeltaTest, SortedKeysCostOneByteEach) {
 TEST(DeltaTest, EmptyChunkRoundTrips) {
   auto compressor = MustMake(CompressionType::kDelta, Int64Type());
   auto chunk = compressor->NewChunk();
-  std::string wire = chunk->Finish();
+  std::string wire = chunk->Finish("", 0);
   std::vector<std::string> decoded;
   ASSERT_TRUE(compressor->DecodeChunk(Slice(wire), &decoded).ok());
   EXPECT_TRUE(decoded.empty());
@@ -281,7 +290,7 @@ TEST(DeltaTest, NarrowIntegerWidths) {
     cells.push_back(cell);
     chunk->Add(Slice(cells.back()));
   }
-  std::string wire = chunk->Finish();
+  std::string wire = chunk->Finish(Column(cells).data(), cells.size());
   std::vector<std::string> decoded;
   ASSERT_TRUE(compressor->DecodeChunk(Slice(wire), &decoded).ok());
   ASSERT_EQ(decoded.size(), cells.size());
@@ -310,7 +319,7 @@ TEST(ForTest, CostExactAndRoundTrips) {
     chunk->Add(Slice(cell));
     EXPECT_EQ(chunk->Cost(), predicted);
   }
-  std::string wire = chunk->Finish();
+  std::string wire = chunk->Finish(Column(cells).data(), cells.size());
   EXPECT_EQ(wire.size(), chunk->Cost());
   std::vector<std::string> decoded;
   ASSERT_TRUE(compressor->DecodeChunk(Slice(wire), &decoded).ok());
@@ -334,9 +343,10 @@ TEST(ForTest, NarrowRangePacksTightly) {
 TEST(ForTest, ConstantColumnNeedsZeroOffsetBits) {
   auto compressor = MustMake(CompressionType::kFrameOfReference, Int64Type());
   auto chunk = compressor->NewChunk();
-  for (int i = 0; i < 500; ++i) chunk->Add(Slice(IntCell(42)));
+  const std::vector<std::string> cells(500, IntCell(42));
+  for (const std::string& cell : cells) chunk->Add(Slice(cell));
   EXPECT_EQ(chunk->Cost(), 2u + 8u + 1u);  // base only, 0-bit offsets
-  std::string wire = chunk->Finish();
+  std::string wire = chunk->Finish(Column(cells).data(), cells.size());
   std::vector<std::string> decoded;
   ASSERT_TRUE(compressor->DecodeChunk(Slice(wire), &decoded).ok());
   ASSERT_EQ(decoded.size(), 500u);
@@ -346,9 +356,10 @@ TEST(ForTest, ConstantColumnNeedsZeroOffsetBits) {
 TEST(ForTest, ExtremeSpanFallsBackTo64Bits) {
   auto compressor = MustMake(CompressionType::kFrameOfReference, Int64Type());
   auto chunk = compressor->NewChunk();
-  chunk->Add(Slice(IntCell(INT64_MIN)));
-  chunk->Add(Slice(IntCell(INT64_MAX)));
-  std::string wire = chunk->Finish();
+  const std::vector<std::string> cells = {IntCell(INT64_MIN),
+                                          IntCell(INT64_MAX)};
+  for (const std::string& cell : cells) chunk->Add(Slice(cell));
+  std::string wire = chunk->Finish(Column(cells).data(), cells.size());
   std::vector<std::string> decoded;
   ASSERT_TRUE(compressor->DecodeChunk(Slice(wire), &decoded).ok());
   ASSERT_EQ(decoded.size(), 2u);
@@ -367,7 +378,7 @@ TEST(ForTest, NarrowIntegerWidthRoundTrips) {
     cells.push_back(cell);
     chunk->Add(Slice(cells.back()));
   }
-  std::string wire = chunk->Finish();
+  std::string wire = chunk->Finish(Column(cells).data(), cells.size());
   std::vector<std::string> decoded;
   ASSERT_TRUE(compressor->DecodeChunk(Slice(wire), &decoded).ok());
   for (size_t i = 0; i < cells.size(); ++i) EXPECT_EQ(decoded[i], cells[i]);
@@ -440,17 +451,20 @@ TEST(PageDictTest, PointerBitsMatchDictSize) {
   // With d distinct values, pointers are ceil(log2 d) bits (paper §III-B).
   auto compressor = MustMake(CompressionType::kDictionaryPage, CharType(4));
   auto chunk = compressor->NewChunk();
+  std::vector<std::string> cells;
   for (int i = 0; i < 8; ++i) {
-    chunk->Add(Slice(PadCell(std::string(1, 'a' + i), 4)));
+    cells.push_back(PadCell(std::string(1, 'a' + i), 4));
+    chunk->Add(Slice(cells.back()));
   }
   // 100 more rows of existing values: 3-bit pointers each.
   const size_t before = chunk->Cost();
   for (int i = 0; i < 100; ++i) {
-    chunk->Add(Slice(PadCell("a", 4)));
+    cells.push_back(PadCell("a", 4));
+    chunk->Add(Slice(cells.back()));
   }
   const size_t added = chunk->Cost() - before;
   EXPECT_LE(added, (100 * 3) / 8 + 2);
-  std::string wire = chunk->Finish();
+  std::string wire = chunk->Finish(Column(cells).data(), cells.size());
   EXPECT_EQ(static_cast<int>(static_cast<unsigned char>(wire[2])), 3);
 }
 
@@ -460,10 +474,12 @@ TEST(PageDictTest, ByteAlignedPointerOption) {
   auto compressor =
       MustMake(CompressionType::kDictionaryPage, CharType(4), options);
   auto chunk = compressor->NewChunk();
+  std::vector<std::string> cells;
   for (int i = 0; i < 3; ++i) {
-    chunk->Add(Slice(PadCell(std::string(1, 'a' + i), 4)));
+    cells.push_back(PadCell(std::string(1, 'a' + i), 4));
+    chunk->Add(Slice(cells.back()));
   }
-  std::string wire = chunk->Finish();
+  std::string wire = chunk->Finish(Column(cells).data(), cells.size());
   // 3 entries -> 2 bits -> rounded up to 8.
   EXPECT_EQ(static_cast<int>(static_cast<unsigned char>(wire[2])), 8);
   std::vector<std::string> decoded;
@@ -477,10 +493,11 @@ TEST(PageDictTest, NsEncodedEntriesOption) {
   auto compressor =
       MustMake(CompressionType::kDictionaryPage, CharType(100), options);
   auto chunk = compressor->NewChunk();
-  chunk->Add(Slice(PadCell("ab", 100)));
+  const std::string cell = PadCell("ab", 100);
+  chunk->Add(Slice(cell));
   // Entry costs 1 + 2 bytes instead of 100.
   EXPECT_LT(chunk->Cost(), 20u);
-  std::string wire = chunk->Finish();
+  std::string wire = chunk->Finish(cell.data(), 1);
   std::vector<std::string> decoded;
   ASSERT_TRUE(compressor->DecodeChunk(Slice(wire), &decoded).ok());
   EXPECT_EQ(decoded[0], PadCell("ab", 100));
@@ -508,10 +525,10 @@ TEST(GlobalDictTest, AuxiliaryBytesAreDTimesK) {
   auto compressor =
       MustMake(CompressionType::kDictionaryGlobal, CharType(16), options);
   auto chunk = compressor->NewChunk();
-  chunk->Add(Slice(PadCell("a", 16)));
-  chunk->Add(Slice(PadCell("b", 16)));
-  chunk->Add(Slice(PadCell("a", 16)));
-  chunk->Finish();
+  const std::vector<std::string> cells = {
+      PadCell("a", 16), PadCell("b", 16), PadCell("a", 16)};
+  for (const std::string& cell : cells) chunk->Add(Slice(cell));
+  chunk->Finish(Column(cells).data(), cells.size());
   EXPECT_EQ(compressor->AuxiliaryBytes(), 2u * 16u);  // d * k
   EXPECT_EQ(compressor->TotalDictionaryEntries(), 2u);
   EXPECT_TRUE(compressor->Validate().ok());
@@ -532,12 +549,13 @@ TEST(GlobalDictTest, RowCostIsExactlyPointerBytes) {
 
 TEST(GlobalDictTest, SharedDictionaryAcrossChunks) {
   auto compressor = MustMake(CompressionType::kDictionaryGlobal, CharType(8));
+  const std::string cell = PadCell("v", 8);
   auto c1 = compressor->NewChunk();
-  c1->Add(Slice(PadCell("v", 8)));
-  std::string w1 = c1->Finish();
+  c1->Add(Slice(cell));
+  std::string w1 = c1->Finish(cell.data(), 1);
   auto c2 = compressor->NewChunk();
-  c2->Add(Slice(PadCell("v", 8)));  // same value: no new entry
-  std::string w2 = c2->Finish();
+  c2->Add(Slice(cell));  // same value: no new entry
+  std::string w2 = c2->Finish(cell.data(), 1);
   EXPECT_EQ(compressor->TotalDictionaryEntries(), 1u);
   std::vector<std::string> decoded;
   ASSERT_TRUE(compressor->DecodeChunk(Slice(w2), &decoded).ok());
@@ -550,10 +568,12 @@ TEST(GlobalDictTest, PointerOverflowDetectedByValidate) {
   auto compressor =
       MustMake(CompressionType::kDictionaryGlobal, CharType(8), options);
   auto chunk = compressor->NewChunk();
+  std::vector<std::string> cells;
   for (int i = 0; i < 300; ++i) {
-    chunk->Add(Slice(PadCell(Numbered("v", i), 8)));
+    cells.push_back(PadCell(Numbered("v", i), 8));
+    chunk->Add(Slice(cells.back()));
   }
-  chunk->Finish();
+  chunk->Finish(Column(cells).data(), cells.size());
   EXPECT_TRUE(compressor->Validate().IsCapacityExceeded());
 }
 
@@ -619,10 +639,12 @@ TEST(RleTest, RunsCollapse) {
 TEST(RleTest, AlternatingValuesDoNotCollapse) {
   auto compressor = MustMake(CompressionType::kRle, CharType(10));
   auto chunk = compressor->NewChunk();
+  std::vector<std::string> cells;
   for (int i = 0; i < 10; ++i) {
-    chunk->Add(Slice(PadCell(i % 2 == 0 ? "a" : "b", 10)));
+    cells.push_back(PadCell(i % 2 == 0 ? "a" : "b", 10));
+    chunk->Add(Slice(cells.back()));
   }
-  std::string wire = chunk->Finish();
+  std::string wire = chunk->Finish(Column(cells).data(), cells.size());
   std::vector<std::string> decoded;
   ASSERT_TRUE(compressor->DecodeChunk(Slice(wire), &decoded).ok());
   ASSERT_EQ(decoded.size(), 10u);
@@ -647,11 +669,13 @@ TEST(PrefixTest, SharedPrefixStoredOnce) {
 TEST(PrefixTest, PrefixShrinksRetroactively) {
   auto compressor = MustMake(CompressionType::kPrefix, CharType(20));
   auto chunk = compressor->NewChunk();
-  chunk->Add(Slice(PadCell("aaaa", 20)));
-  chunk->Add(Slice(PadCell("aaab", 20)));
+  const std::vector<std::string> cells = {
+      PadCell("aaaa", 20), PadCell("aaab", 20), PadCell("b", 20)};
+  chunk->Add(Slice(cells[0]));
+  chunk->Add(Slice(cells[1]));
   const size_t with_long_prefix = chunk->Cost();
-  chunk->Add(Slice(PadCell("b", 20)));  // prefix collapses to ""
-  std::string wire = chunk->Finish();
+  chunk->Add(Slice(cells[2]));  // prefix collapses to ""
+  std::string wire = chunk->Finish(Column(cells).data(), cells.size());
   EXPECT_EQ(wire.size(), chunk->Cost());
   EXPECT_GT(wire.size(), with_long_prefix);
   std::vector<std::string> decoded;
@@ -663,9 +687,11 @@ TEST(PrefixTest, PrefixShrinksRetroactively) {
 TEST(PrefixTest, ValueEqualToPrefix) {
   auto compressor = MustMake(CompressionType::kPrefix, CharType(10));
   auto chunk = compressor->NewChunk();
-  chunk->Add(Slice(PadCell("ab", 10)));
-  chunk->Add(Slice(PadCell("abc", 10)));  // prefix "ab"; first has empty suffix
-  std::string wire = chunk->Finish();
+  // The prefix is "ab"; the first value has an empty suffix.
+  const std::vector<std::string> cells = {PadCell("ab", 10),
+                                          PadCell("abc", 10)};
+  for (const std::string& cell : cells) chunk->Add(Slice(cell));
+  std::string wire = chunk->Finish(Column(cells).data(), cells.size());
   std::vector<std::string> decoded;
   ASSERT_TRUE(compressor->DecodeChunk(Slice(wire), &decoded).ok());
   EXPECT_EQ(decoded[0], PadCell("ab", 10));
@@ -1420,7 +1446,9 @@ class MisreportingChunk final : public ColumnChunkCompressor {
   void DropStaged() override { inner_->DropStaged(); }
   size_t Cost() const override { return inner_->Cost(); }
   uint32_t count() const override { return inner_->count(); }
-  std::string Finish() const override { return inner_->Finish() + "!"; }
+  std::string Finish(const char* cells, size_t n) const override {
+    return inner_->Finish(cells, n) + "!";
+  }
   void Reset() override { inner_->Reset(); }
 
  private:
@@ -1551,6 +1579,7 @@ FreshChunkBuild PackWithFreshChunks(const Schema& schema,
   stats.page_size = page_size;
   stats.columns.resize(ncols);
   std::vector<std::unique_ptr<ColumnChunkCompressor>> chunks;
+  std::string page_rows;  // the open page's rows, for Finish()
   auto open_page = [&] {
     chunks.clear();
     for (size_t c = 0; c < ncols; ++c) {
@@ -1561,8 +1590,14 @@ FreshChunkBuild PackWithFreshChunks(const Schema& schema,
   auto flush_page = [&] {
     std::string record;
     size_t used = kPageHeaderSize + kSlotSize;
+    const size_t page_n = chunks[0]->count();
     for (size_t c = 0; c < ncols; ++c) {
-      const std::string bytes = chunks[c]->Finish();
+      std::string column;
+      for (size_t r = 0; r < page_n; ++r) {
+        column.append(page_rows, r * schema.row_width() + schema.offset(c),
+                      schema.width(c));
+      }
+      const std::string bytes = chunks[c]->Finish(column.data(), page_n);
       EXPECT_EQ(bytes.size(), chunks[c]->Cost());
       used += 4 + bytes.size();
       stats.chunk_bytes += bytes.size();
@@ -1575,6 +1610,7 @@ FreshChunkBuild PackWithFreshChunks(const Schema& schema,
     PageBuilder page(out.pages.size(), PageType::kCompressedLeaf, page_size);
     EXPECT_TRUE(page.Add(Slice(record)).ok());
     out.pages.push_back(page.Finish().buffer());
+    page_rows.clear();
     open_page();
   };
   const size_t width = schema.row_width();
@@ -1597,6 +1633,7 @@ FreshChunkBuild PackWithFreshChunks(const Schema& schema,
     for (size_t c = 0; c < ncols; ++c) {
       chunks[c]->Add(Slice(row + schema.offset(c), schema.width(c)));
     }
+    page_rows.append(row, width);
   }
   if (chunks[0]->count() > 0 || n == 0) flush_page();
   stats.row_count = n;

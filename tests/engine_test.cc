@@ -538,6 +538,15 @@ TEST(EngineTest, ParallelBatchIsDeterministicUnderFixedSeed) {
   auto candidates = Candidates();
   constexpr uint64_t kSeed = 123;
 
+  // At f = 0.02 the page-metric CF' snaps to a handful of values, so each
+  // run also reports what tells one drawn sample from another: every
+  // candidate's data-bytes CF' and the sample row ids, both read from the
+  // epoch the batch was sized on.
+  struct Run {
+    std::vector<SizedCandidate> sized;
+    std::vector<double> data_cf;
+    std::vector<RowId> sample_ids;
+  };
   auto run = [&](uint32_t threads) {
     CatalogEstimationServiceOptions options;
     options.base.fraction = 0.02;
@@ -546,18 +555,37 @@ TEST(EngineTest, ParallelBatchIsDeterministicUnderFixedSeed) {
     CatalogEstimationService service(catalog, options);
     auto sized = service.EstimateAll(candidates);
     EXPECT_TRUE(sized.ok());
-    return std::move(sized).ValueOrDie();
+    Run out;
+    out.sized = std::move(sized).ValueOrDie();
+    EstimationEngine* engine = *service.Engine("workload");
+    const std::shared_ptr<const SampleEpoch> epoch = Pin(*engine);
+    out.sample_ids = epoch->sample().row_ids();
+    for (const CandidateConfiguration& c : candidates) {
+      if (IsUncompressedScheme(c.scheme)) {
+        out.data_cf.push_back(1.0);
+        continue;
+      }
+      auto cf = engine->EstimateCFAt(*epoch, c.index, c.scheme);
+      EXPECT_TRUE(cf.ok());
+      out.data_cf.push_back(cf->cf.value);
+    }
+    return out;
   };
 
-  const std::vector<SizedCandidate> serial = run(1);
+  const Run serial = run(1);
   for (int attempt = 0; attempt < 3; ++attempt) {
-    const std::vector<SizedCandidate> parallel = run(4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].estimated_cf, parallel[i].estimated_cf);
-      EXPECT_EQ(serial[i].estimated_bytes, parallel[i].estimated_bytes);
-      EXPECT_EQ(serial[i].uncompressed_bytes, parallel[i].uncompressed_bytes);
+    const Run parallel = run(4);
+    ASSERT_EQ(serial.sized.size(), parallel.sized.size());
+    for (size_t i = 0; i < serial.sized.size(); ++i) {
+      EXPECT_EQ(serial.sized[i].estimated_cf, parallel.sized[i].estimated_cf);
+      EXPECT_EQ(serial.sized[i].estimated_bytes,
+                parallel.sized[i].estimated_bytes);
+      EXPECT_EQ(serial.sized[i].uncompressed_bytes,
+                parallel.sized[i].uncompressed_bytes);
+      EXPECT_EQ(serial.data_cf[i], parallel.data_cf[i])
+          << candidates[i].index.name;
     }
+    EXPECT_EQ(serial.sample_ids, parallel.sample_ids);
   }
 }
 

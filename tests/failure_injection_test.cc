@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "compress_rows.h"
 #include "compression/compressed_index.h"
 #include "datagen/table_gen.h"
 #include "estimator/analytic_model.h"
@@ -64,7 +65,6 @@ void TrainCompressor(ColumnCompressor* compressor, const Table& table,
   for (RowId id = 0; id < table.num_rows(); ++id) {
     chunk->Add(table.cell(id, col));
   }
-  chunk->Finish();
 }
 
 /// Re-decodes a chunk after flipping one byte; success is either a clean

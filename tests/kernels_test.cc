@@ -504,10 +504,10 @@ std::string GroupedKey(size_t i) {
 
 TEST(CellDictionaryTest, GroupedModeMatchesHashedMode) {
   // A grouped dictionary compares each cell with its newest entry only. On
-  // a grouped sequence it must give every code, insertion flag, entry and
-  // Contains() answer the hashed one gives, through tentative sections that
-  // are committed or rolled back (a value's run straddling the section's
-  // start or end) and through Clear().
+  // a grouped sequence it must give every code, insertion flag, size, newest
+  // entry and Contains() answer the hashed one gives, through tentative
+  // sections that are committed or rolled back (a value's run straddling
+  // the section's start or end) and through Clear().
   SimdLevelGuard guard;
   for (const SimdLevel level : TestableLevels()) {
     SetSimdLevel(level);
@@ -525,9 +525,11 @@ TEST(CellDictionaryTest, GroupedModeMatchesHashedMode) {
     };
     auto expect_same = [&](const char* step) {
       ASSERT_EQ(grouped.size(), hashed.size()) << step;
-      for (uint32_t code = 0; code < hashed.size(); ++code) {
-        ASSERT_EQ(grouped.entry(code).ToString(),
-                  hashed.entry(code).ToString())
+      // A grouped dictionary holds its newest entry only.
+      if (!hashed.empty()) {
+        const auto newest = static_cast<uint32_t>(hashed.size() - 1);
+        ASSERT_EQ(grouped.entry(newest).ToString(),
+                  hashed.entry(newest).ToString())
             << step;
       }
       // The next key continues the newest run or starts a new value.
@@ -688,7 +690,8 @@ void CheckBatchEqualsPerCell(CompressionType type, const DataType& dt,
     ASSERT_EQ(batch->Cost(), per_cell->Cost()) << "i=" << i;
     ASSERT_EQ(batch->count(), per_cell->count());
   }
-  ASSERT_EQ(batch->Finish(), per_cell->Finish());
+  ASSERT_EQ(batch->Finish(cells.data(), n),
+            per_cell->Finish(cells.data(), n));
   // Cross-page compressor state (the global dictionary) must match too.
   ASSERT_EQ(batch_comp->AuxiliaryBytes(), per_cell_comp->AuxiliaryBytes());
   ASSERT_EQ(batch_comp->TotalDictionaryEntries(),
@@ -861,7 +864,9 @@ TEST(BatchChunkTest, DroppedStagesLeaveNoTrace) {
           // A drop right before the chunk closes leaves its bytes untouched.
           batch->StageBatch(cells.data(), n);
           batch->DropStaged();
-          ASSERT_EQ(batch->Finish(), per_cell->Finish()) << where;
+          ASSERT_EQ(batch->Finish(cells.data(), n),
+                    per_cell->Finish(cells.data(), n))
+              << where;
           expect_untouched("finished", n);
         }
       }
@@ -922,13 +927,17 @@ TEST(BatchChunkTest, DictionarySectionThatGrowsTableDropsAndCommits) {
       }
       ASSERT_EQ(batch->Cost(), prospective);
       ASSERT_EQ(batch->Cost(), per_cell->Cost()) << CompressionTypeName(type);
+      std::string page = cells.substr(0, head * w) + tail;  // for Finish()
       for (size_t i = 0; i < 2 * head; ++i) {
         const Slice cell(cells.data() + (i * 37 % n) * w, w);
         batch->Add(cell);
         per_cell->Add(cell);
+        page.append(cell.data(), w);
       }
       ASSERT_EQ(batch->Cost(), per_cell->Cost()) << CompressionTypeName(type);
-      ASSERT_EQ(batch->Finish(), per_cell->Finish())
+      const size_t page_n = head + n + 2 * head;
+      ASSERT_EQ(batch->Finish(page.data(), page_n),
+                per_cell->Finish(page.data(), page_n))
           << CompressionTypeName(type) << " " << SimdLevelName(level);
       ASSERT_EQ(batch_comp->TotalDictionaryEntries(),
                 per_cell_comp->TotalDictionaryEntries());

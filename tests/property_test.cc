@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "compress_rows.h"
 #include "compression/compressed_index.h"
 #include "datagen/table_gen.h"
 #include "estimator/analytic_model.h"
